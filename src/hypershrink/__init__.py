@@ -15,6 +15,7 @@ from .core import (
     DirectedHypergraph,
     FormatError,
     Hypergraph,
+    InternalError,
     LimitExceededError,
     ValidationReport,
     Violation,
@@ -64,6 +65,7 @@ __all__ = [
     "DirectedHypergraph",
     "FormatError",
     "Hypergraph",
+    "InternalError",
     "LimitExceededError",
     "NotAHypertreeError",
     "OrientationResult",

@@ -4,8 +4,10 @@ Exit codes form a stable contract for scripting: 0 means success or a
 positive answer, 1 means a domain-negative answer (invalid hypergraph
 reported by ``validate``, not a hypertree, infeasible demands), 2 means
 a usage or I/O problem (unreadable file, malformed input, bad flags,
-refused oracle sizes).  Every command is a deterministic function of its
-arguments; structured results go to stdout, diagnostics to stderr.
+refused oracle sizes), 3 means an internal error (a broken invariant of
+the implementation, reported as ``internal error:`` on stderr).  Every
+command is a deterministic function of its arguments; structured
+results go to stdout, diagnostics to stderr.
 """
 
 import argparse
@@ -16,6 +18,7 @@ import sys
 from .core import (
     FormatError,
     Hypergraph,
+    InternalError,
     LimitExceededError,
     demands_from_json,
     hypergraph_from_json,
@@ -37,6 +40,7 @@ from .shrink import (
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _read_file(path: str) -> str:
@@ -297,6 +301,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -19,6 +19,11 @@ class LimitExceededError(RuntimeError):
     """Raised when an exhaustive routine would exceed its safety limit."""
 
 
+class InternalError(RuntimeError):
+    """Raised when an invariant the algorithms guarantee is found broken,
+    which means the implementation, not the input, is at fault."""
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """A hypergraph on vertices ``0..n-1`` with an ordered list of hyperedges.

@@ -10,7 +10,7 @@ orientation, and an uncovered copy yields the deficiency witness.
 from collections import deque
 from dataclasses import dataclass
 
-from .core import DemandFunction, DirectedHypergraph, Hypergraph
+from .core import DemandFunction, DirectedHypergraph, Hypergraph, InternalError
 
 _UNMATCHED = -1
 _INF = -1
@@ -54,7 +54,8 @@ class DemandBipartiteGraph:
         scanned in edge-index order and adjacency in ascending copy order,
         so the result is deterministic.
         """
-        m = len(self.adjacency)
+        adjacency = self.adjacency
+        m = len(adjacency)
         pair_left = [_UNMATCHED] * m
         pair_right = [_UNMATCHED] * self.num_copies
         dist = [0] * m
@@ -72,7 +73,7 @@ class DemandBipartiteGraph:
                 i = queue.popleft()
                 if shortest != _INF and dist[i] >= shortest:
                     continue
-                for w in self.adjacency[i]:
+                for w in adjacency[i]:
                     j = pair_right[w]
                     if j == _UNMATCHED:
                         if shortest == _INF:
@@ -83,14 +84,36 @@ class DemandBipartiteGraph:
             return shortest != _INF
 
         def dfs(i: int) -> bool:
-            for w in self.adjacency[i]:
-                j = pair_right[w]
-                if j == _UNMATCHED or (dist[j] == dist[i] + 1 and dfs(j)):
-                    pair_left[i] = w
-                    pair_right[w] = i
-                    return True
-            dist[i] = _INF
-            return False
+            # Depth-first search for an augmenting path along dist layers.
+            # The frames below the current one sit on an explicit stack as
+            # (edge, its adjacency iterator, the copy taken from it, the
+            # layer it looks for): the scan order, and so the matching, is
+            # that of the plain recursive search, and long paths cannot
+            # exhaust the interpreter's stack.
+            scan = iter(adjacency[i])
+            want = dist[i] + 1
+            stack = None  # allocated at the first step down
+            while True:
+                for w in scan:
+                    j = pair_right[w]
+                    if j == _UNMATCHED:
+                        pair_left[i] = w
+                        pair_right[w] = i
+                        for edge, _, copy, _ in stack or ():
+                            pair_left[edge] = copy
+                            pair_right[copy] = edge
+                        return True
+                    if dist[j] == want:
+                        if stack is None:
+                            stack = []
+                        stack.append((i, scan, w, want))
+                        i, scan, want = j, iter(adjacency[j]), want + 1
+                        break
+                else:
+                    dist[i] = _INF
+                    if not stack:
+                        return False
+                    i, scan, _, want = stack.pop()
 
         while bfs():
             for i in range(m):
@@ -124,7 +147,10 @@ class DemandBipartiteGraph:
                 seen_edge[i] = True
                 partner = pair_left[i]
                 # an unmatched edge here would complete an augmenting path
-                assert partner != _UNMATCHED, "matching was not maximum"
+                if partner == _UNMATCHED:
+                    raise InternalError(
+                        f"matching was not maximum: edge {i} is unmatched"
+                    )
                 if not seen_copy[partner]:
                     seen_copy[partner] = True
                     vertices.add(self.copy_vertex[partner])
@@ -201,14 +227,16 @@ def orient_floor(hypergraph: Hypergraph, k: int = None) -> DirectedHypergraph:
     ``k`` defaults to the rank.  Floor demands are always feasible for
     k >= rank (each hyperedge meets at most k vertices, so no vertex set
     can demand more heads than it has incident hyperedges), so a violator
-    outcome here means the implementation is broken and aborts loudly.
+    outcome here means the implementation is broken: it raises
+    :class:`InternalError`.
     """
     if hypergraph.num_edges == 0:
         return DirectedHypergraph(hypergraph, ())
     if k is None:
         k = hypergraph.rank()
     result = orient_with_demands(hypergraph, floor_demand(hypergraph, k))
-    assert result.is_oriented, (
-        f"floor demands must be feasible for k={k}, got violator {result.violator}"
-    )
+    if not result.is_oriented:
+        raise InternalError(
+            f"floor demands must be feasible for k={k}, got violator {result.violator}"
+        )
     return result.oriented

@@ -3,9 +3,14 @@
 A rainbow spanning tree uses every colour at most once.  The finder runs
 matroid intersection specialised to the graphic matroid (forests) crossed
 with the partition matroid (one edge per colour): grow a greedy rainbow
-forest, then augment along shortest alternating paths in the exchange
-graph until the forest spans or no path remains.  An exhaustive checker
-for the component-count characterisation doubles as the test oracle.
+forest, scarcest colour first, then augment along shortest alternating
+paths in the exchange graph until the forest spans or no path remains.
+The exchange graph is never built: each augmentation searches it lazily,
+backwards from the edges of unused colours, with a skip structure over
+the rooted forest that labels each forest edge at most once, so one
+augmentation costs O(n + m alpha(n)) (after Gabow-Stallmann 1985 and
+Cunningham 1986).  An exhaustive checker for the component-count
+characterisation doubles as the test oracle.
 """
 
 from collections import deque
@@ -127,15 +132,33 @@ def clique_graph(hypergraph: Hypergraph) -> ColouredGraph:
     return ColouredGraph(hypergraph.n, tuple(edges))
 
 
-def _greedy_rainbow_forest(graph: ColouredGraph) -> list:
-    """Seed forest: scan edges in (colour, endpoint) order, keeping an edge
-    iff it joins two components and its colour is unused."""
-    order = sorted(range(len(graph.edges)), key=lambda i: (graph.edges[i][2],) + graph.edges[i][:2])
+def _colour_classes(graph: ColouredGraph) -> list:
+    """``classes[c]``: indices of the edges of colour c, ascending."""
+    classes = [[] for _ in range(graph.num_colours)]
+    for i, (_, _, c) in enumerate(graph.edges):
+        classes[c].append(i)
+    return classes
+
+
+def _greedy_rainbow_forest(graph: ColouredGraph, classes: list) -> list:
+    """Seed forest: scan edges in (class size, colour, endpoint) order,
+    keeping an edge iff it joins two components and its colour is unused.
+
+    Scarcest colours go first.  Where the tree needs every colour, as on
+    the expansions of a hypertree (n - 1 colours), a colour with a single
+    edge forces that edge and a colour with few edges has few places to
+    go; placing them first leaves fewer augmentations to do.
+    """
+    edges = graph.edges
+    order = sorted(
+        range(len(edges)),
+        key=lambda i: (len(classes[edges[i][2]]), edges[i][2]) + edges[i][:2],
+    )
     uf = UnionFind(graph.n)
-    used_colour = [False] * graph.num_colours
+    used_colour = [False] * len(classes)
     chosen = []
     for i in order:
-        u, v, c = graph.edges[i]
+        u, v, c = edges[i]
         if used_colour[c]:
             continue
         if uf.union(u, v):
@@ -144,117 +167,109 @@ def _greedy_rainbow_forest(graph: ColouredGraph) -> list:
     return chosen
 
 
-def _augment(graph: ColouredGraph, in_forest: list) -> bool:
+def _augment(graph: ColouredGraph, in_forest: list, classes: list) -> bool:
     """One exchange-graph augmentation step; True if the forest grew.
 
-    Sources are the edges that would join two components, sinks the edges
-    of an unused colour.  Arcs swap one forest edge for one non-forest
-    edge keeping one matroid independent; a BFS-shortest source-sink path
-    keeps both.  Exploration order is fixed by ascending edge index.
+    In the exchange graph a non-forest edge x is a *source* when it joins
+    two forest components and a *sink* when its colour is unused; the arc
+    y -> x (y in the forest) exists when y lies on x's tree path, and the
+    arc x -> y when x and y share a colour.  Flipping a shortest
+    source-sink path keeps the forest a forest and the colours distinct.
+
+    The search runs backwards, breadth first, from all sinks at once in
+    ascending index order, and stops at the first source it labels.  A
+    non-forest edge steps back to the unlabelled forest edges on its tree
+    path; a skip structure over the vertices (a vertex whose parent edge
+    is labelled jumps to its parent) finds them, so each forest edge is
+    labelled at most once.  A forest edge steps back to the unlabelled
+    non-forest edges of its colour, each colour class being scanned at
+    most once since the forest owns one edge per colour.  A sink that
+    itself joins two components is added directly.  One call costs
+    O(n + m alpha(n)): rooting the forest is O(n + m), the search
+    O(m alpha(n)).
     """
     edges = graph.edges
-    m = len(edges)
-    members = [i for i in range(m) if in_forest[i]]
+    n = graph.n
+    owner = [-1] * len(classes)
+    neighbours = [[] for _ in range(n)]
+    for i, (u, v, c) in enumerate(edges):
+        if in_forest[i]:
+            owner[c] = i
+            neighbours[u].append((v, i))
+            neighbours[v].append((u, i))
+    sinks = [i for i in range(len(edges)) if owner[edges[i][2]] == -1]
 
-    uf = UnionFind(graph.n)
-    for i in members:
-        uf.union(edges[i][0], edges[i][1])
-    used_colour = [False] * graph.num_colours
-    colour_owner = [-1] * graph.num_colours
-    for i in members:
-        used_colour[edges[i][2]] = True
-        colour_owner[edges[i][2]] = i
-
-    sources = [
-        i for i in range(m)
-        if not in_forest[i] and uf.find(edges[i][0]) != uf.find(edges[i][1])
-    ]
-    if not sources:
-        return False
-
-    # root each forest component to answer path queries parent-by-parent
-    neighbours = [[] for _ in range(graph.n)]
-    for i in members:
-        u, v, _ = edges[i]
-        neighbours[u].append((v, i))
-        neighbours[v].append((u, i))
-    parent = [-1] * graph.n
-    parent_edge = [-1] * graph.n
-    depth = [0] * graph.n
-    visited_vertex = [False] * graph.n
-    for root in range(graph.n):
-        if visited_vertex[root]:
+    # root each forest component; root[] doubles as the component id
+    root = [-1] * n
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    depth = [0] * n
+    for r in range(n):
+        if root[r] != -1:
             continue
-        visited_vertex[root] = True
-        stack = [root]
+        root[r] = r
+        stack = [r]
         while stack:
             x = stack.pop()
             for y, i in neighbours[x]:
-                if not visited_vertex[y]:
-                    visited_vertex[y] = True
+                if root[y] == -1:
+                    root[y] = r
                     parent[y] = x
                     parent_edge[y] = i
                     depth[y] = depth[x] + 1
                     stack.append(y)
 
-    def cycle_edges(u: int, v: int) -> list:
-        path = []
-        while depth[u] > depth[v]:
-            path.append(parent_edge[u])
-            u = parent[u]
-        while depth[v] > depth[u]:
-            path.append(parent_edge[v])
-            v = parent[v]
-        while u != v:
-            path.append(parent_edge[u])
-            path.append(parent_edge[v])
-            u, v = parent[u], parent[v]
-        return path
-
-    # bucket[y]: non-forest edges whose forest cycle passes through y
-    bucket = [[] for _ in range(m)]
-    for i in range(m):
-        if in_forest[i]:
-            continue
+    # label[i]: the edge i was reached from, i itself for a sink
+    label = [-1] * len(edges)
+    for i in sinks:
         u, v, _ = edges[i]
-        if uf.find(u) == uf.find(v):
-            for y in cycle_edges(u, v):
-                bucket[y].append(i)
+        if root[u] != root[v]:
+            in_forest[i] = True
+            return True
+        label[i] = i
 
-    parent_arc = [-1] * m
-    seen = [False] * m
-    queue = deque()
-    for i in sources:
-        seen[i] = True
-        parent_arc[i] = i
-        queue.append(i)
-    sink = -1
-    while queue:
-        i = queue.popleft()
-        if not in_forest[i]:
-            if not used_colour[edges[i][2]]:
-                sink = i
-                break
-            j = colour_owner[edges[i][2]]
-            if not seen[j]:
-                seen[j] = True
-                parent_arc[j] = i
-                queue.append(j)
-        else:
-            for j in bucket[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    parent_arc[j] = i
+    # jump[x]: x itself while its parent edge is unlabelled, else a vertex
+    # higher up on the way to the nearest such ancestor
+    jump = list(range(n))
+
+    def skip(x: int) -> int:
+        while jump[x] != x:
+            jump[x] = jump[jump[x]]
+            x = jump[x]
+        return x
+
+    source = -1
+    queue = deque(sinks)
+    while queue and source == -1:
+        x = queue.popleft()
+        if in_forest[x]:
+            for j in classes[edges[x][2]]:
+                if label[j] == -1 and not in_forest[j]:
+                    label[j] = x
+                    u, v, _ = edges[j]
+                    if root[u] != root[v]:
+                        source = j
+                        break
                     queue.append(j)
-    if sink == -1:
+        else:
+            u, v, _ = edges[x]
+            a, b = skip(u), skip(v)
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                y = parent_edge[a]
+                label[y] = x
+                queue.append(y)
+                jump[a] = parent[a]
+                a = skip(a)
+    if source == -1:
         return False
-    i = sink
+    i = source
     while True:
         in_forest[i] = not in_forest[i]
-        if parent_arc[i] == i:
-            break
-        i = parent_arc[i]
-    return True
+        if label[i] == i:
+            return True
+        i = label[i]
 
 
 def maximum_rainbow_forest(graph: ColouredGraph) -> tuple:
@@ -262,13 +277,16 @@ def maximum_rainbow_forest(graph: ColouredGraph) -> tuple:
 
     A maximum common independent set of the graphic matroid and the
     colour partition matroid: greedy seed, then exchange-graph
-    augmentation until no augmenting path remains.
+    augmentation until the forest spans or no augmenting path remains.
     """
+    classes = _colour_classes(graph)
     in_forest = [False] * len(graph.edges)
-    for i in _greedy_rainbow_forest(graph):
+    size = 0
+    for i in _greedy_rainbow_forest(graph, classes):
         in_forest[i] = True
-    while _augment(graph, in_forest):
-        pass
+        size += 1
+    while size < graph.n - 1 and _augment(graph, in_forest, classes):
+        size += 1
     return tuple(i for i, used in enumerate(in_forest) if used)
 
 

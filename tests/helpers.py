@@ -92,6 +92,12 @@ def brute_max_matching(adjacency, right_size: int) -> int:
     return best
 
 
+def empty_matching(graph) -> tuple:
+    """Stand-in for ``DemandBipartiteGraph.max_matching`` that matches
+    nothing, to break the orientation's invariants on purpose."""
+    return [-1] * len(graph.adjacency), [-1] * graph.num_copies
+
+
 def brute_rainbow_tree_exists(graph: ColouredGraph) -> bool:
     """Check all n-1 edge subsets for a rainbow spanning tree."""
     if graph.n == 1:

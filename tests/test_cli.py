@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from hypershrink.cli import main
-from helpers import cli_env
+from hypershrink.orientation import DemandBipartiteGraph
+from helpers import cli_env, empty_matching
 
 H1_JSON = '{"n": 4, "edges": [[0, 1, 2], [1, 2, 3], [2, 3]]}'
 TRIANGLE_TEXT = "4 3\n0 1\n1 2\n0 2\n"
@@ -205,3 +206,32 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 5
+
+
+def test_internal_error_exits_3(h1_file, monkeypatch, capsys):
+    monkeypatch.setattr(DemandBipartiteGraph, "max_matching", empty_matching)
+    for command in ("orient", "shrink"):
+        assert main([command, h1_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:")
+
+
+def test_internal_error_exits_3_under_optimisation(h1_file):
+    # python -O strips asserts; the invariant checks must survive it
+    script = (
+        "import sys\n"
+        "from hypershrink.cli import main\n"
+        "from hypershrink.orientation import DemandBipartiteGraph\n"
+        "DemandBipartiteGraph.max_matching = lambda graph: "
+        "([-1] * len(graph.adjacency), [-1] * graph.num_copies)\n"
+        "sys.exit(main(['orient', sys.argv[1]]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, h1_file],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("internal error:")

@@ -1,11 +1,28 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
-from hypershrink import DemandFunction, Hypergraph, floor_demand, orient_floor, orient_with_demands
+from hypershrink import (
+    DemandFunction,
+    Hypergraph,
+    InternalError,
+    OrientationResult,
+    floor_demand,
+    orient_floor,
+    orient_with_demands,
+)
+from hypershrink import orientation
 from hypershrink.orientation import DemandBipartiteGraph
-from helpers import H1, PATH3, STAR7, brute_max_matching, random_valid_hypergraph
+from helpers import (
+    H1,
+    PATH3,
+    STAR7,
+    brute_max_matching,
+    empty_matching,
+    random_valid_hypergraph,
+)
 
 
 def test_single_demand_met():
@@ -147,3 +164,90 @@ def test_determinism():
         first = orient_with_demands(hg, demands)
         second = orient_with_demands(hg, demands)
         assert first == second
+
+
+def recursive_matching(graph: DemandBipartiteGraph) -> tuple:
+    """Hopcroft-Karp with the textbook recursive search, scanning in the
+    same order as the package: the reference its iterative search must
+    reproduce exactly."""
+    m = len(graph.adjacency)
+    pair_left = [-1] * m
+    pair_right = [-1] * graph.num_copies
+    dist = [0] * m
+
+    def bfs():
+        queue = deque()
+        for i in range(m):
+            dist[i] = 0 if pair_left[i] == -1 else -1
+            if dist[i] == 0:
+                queue.append(i)
+        shortest = -1
+        while queue:
+            i = queue.popleft()
+            if shortest != -1 and dist[i] >= shortest:
+                continue
+            for w in graph.adjacency[i]:
+                j = pair_right[w]
+                if j == -1:
+                    if shortest == -1:
+                        shortest = dist[i] + 1
+                elif dist[j] == -1:
+                    dist[j] = dist[i] + 1
+                    queue.append(j)
+        return shortest != -1
+
+    def dfs(i):
+        for w in graph.adjacency[i]:
+            j = pair_right[w]
+            if j == -1 or (dist[j] == dist[i] + 1 and dfs(j)):
+                pair_left[i] = w
+                pair_right[w] = i
+                return True
+        dist[i] = -1
+        return False
+
+    while bfs():
+        for i in range(m):
+            if pair_left[i] == -1:
+                dfs(i)
+    return pair_left, pair_right
+
+
+def test_matching_equals_recursive_reference():
+    rng = random.Random(1789)
+    for _ in range(300):
+        hg = random_valid_hypergraph(rng, n_max=10, m_max=16)
+        demands = DemandFunction(
+            tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(hg.n))
+        )
+        graph = DemandBipartiteGraph(hg, demands)
+        assert graph.max_matching() == recursive_matching(graph)
+
+
+def test_long_augmenting_paths_do_not_recurse():
+    # the path P_3000 with its edges listed in descending order: the last
+    # augmentation walks an alternating path through every edge, which a
+    # recursive search could not follow within the interpreter's stack
+    n = 3000
+    path = Hypergraph(n, tuple((i, i + 1) for i in reversed(range(n - 1))))
+    demands = [0] + [1] * (n - 1)
+    result = orient_with_demands(path, demands)
+    assert result.is_oriented
+    assert all(ind >= f for ind, f in zip(result.oriented.indegrees(), demands))
+
+
+def test_non_maximum_matching_raises_internal_error(monkeypatch):
+    monkeypatch.setattr(DemandBipartiteGraph, "max_matching", empty_matching)
+    # H1 demands one head at vertex 2, which the empty matching leaves out
+    with pytest.raises(InternalError, match="not maximum"):
+        orient_floor(H1)
+
+
+def test_infeasible_floor_demands_raise_internal_error(monkeypatch):
+    monkeypatch.setattr(
+        orientation,
+        "orient_with_demands",
+        lambda hypergraph, demands: OrientationResult(violator=(2,)),
+    )
+    with pytest.raises(InternalError, match="must be feasible"):
+        orient_floor(H1)

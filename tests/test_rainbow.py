@@ -7,6 +7,7 @@ import itertools
 from hypershrink import (
     ColouredGraph,
     DirectedHypergraph,
+    Hypergraph,
     LimitExceededError,
     RainbowTree,
     check_rainbow_condition,
@@ -224,3 +225,50 @@ def test_star_and_clique_components_match_per_colour_subset():
                 assert component_count(hg.n, kept_star) == component_count(
                     hg.n, kept_clique
                 )
+
+
+def assert_rainbow_tree_of(graph: ColouredGraph, tree) -> None:
+    assert tree is not None
+    assert set(tree.edges) <= set(graph.edges)
+    assert len({c for _, _, c in tree.edges}) == graph.n - 1
+    assert is_spanning_tree(graph.n, [(u, v) for u, v, _ in tree.edges])
+
+
+def break_hypertree(hg: Hypergraph) -> Hypergraph:
+    """Add a pair {u, w} beside two pairs {u, v} and {v, w} and drop a
+    hyperedge disjoint from {u, v, w}.  The edge count stays n - 1 while
+    X = {u, v, w} holds three hyperedges, more than |X| - 1, so the result
+    is certified not to be a hypertree."""
+    pairs_at = {}
+    for e in hg.edges:
+        if len(e) == 2:
+            for v in e:
+                pairs_at.setdefault(v, []).append(e)
+    v = min(x for x, at in pairs_at.items() if len(at) >= 2)
+    (u,) = set(pairs_at[v][0]) - {v}
+    (w,) = set(pairs_at[v][1]) - {v}
+    triangle = {u, v, w}
+    dropped = next(e for e in hg.edges if not set(e) & triangle)
+    edges = [e for e in hg.edges if e != dropped] + [tuple(sorted((u, w)))]
+    broken = Hypergraph(hg.n, tuple(sorted(edges)))
+    inside = [e for e in broken.edges if set(e) <= triangle]
+    assert len(inside) == 3 and broken.num_edges == hg.n - 1
+    return broken
+
+
+@pytest.mark.parametrize("k", (3, 5))
+def test_rainbow_tree_found_at_working_size(k):
+    for seed, p in ((1, 0.5), (2, 0.8)):
+        hg, _ = random_hypertree(500, k, seed, p)
+        star = star_graph(orient_floor(hg))
+        assert_rainbow_tree_of(star, rainbow_spanning_tree(star))
+        clique = clique_graph(hg)
+        assert_rainbow_tree_of(clique, rainbow_spanning_tree(clique))
+
+
+@pytest.mark.parametrize("k", (3, 5))
+def test_rainbow_tree_absent_after_one_break_at_working_size(k):
+    hg, _ = random_hypertree(500, k, 3, 0.5)
+    broken = break_hypertree(hg)
+    assert rainbow_spanning_tree(star_graph(orient_floor(broken))) is None
+    assert rainbow_spanning_tree(clique_graph(broken)) is None

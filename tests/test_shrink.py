@@ -199,6 +199,12 @@ def test_dot_output_shape():
     assert "style=dashed" in dot
 
 
+def test_shrink_at_scale():
+    hg, _ = random_hypertree(4000, 5, 1, 0.8)
+    s = shrink_hypertree(hg)
+    assert verify_shrinking(hg, s).all_passed
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=2, max_value=40),

@@ -37,7 +37,6 @@ from .rainbow import (
     ColouredGraph,
     RainbowTree,
     check_rainbow_condition,
-    clique_graph,
     coloured_graph_to_dot,
     maximum_rainbow_forest,
     rainbow_spanning_tree,
@@ -78,7 +77,6 @@ __all__ = [
     "adversarial_star",
     "brute_force_shrink",
     "check_rainbow_condition",
-    "clique_graph",
     "coloured_graph_to_dot",
     "demands_from_json",
     "floor_demand",

@@ -4,10 +4,12 @@ Exit codes form a stable contract for scripting: 0 means success or a
 positive answer, 1 means a domain-negative answer (invalid hypergraph
 reported by ``validate``, not a hypertree, infeasible demands), 2 means
 a usage or I/O problem (unreadable file, malformed input, bad flags,
-refused oracle sizes), 3 means an internal error (a broken invariant of
-the implementation, reported as ``internal error:`` on stderr).  Every
-command is a deterministic function of its arguments; structured
-results go to stdout, diagnostics to stderr.
+refused oracle sizes), 3 means an internal error: a broken invariant of
+the implementation, reported as ``internal error:`` on stderr, or any
+other exception left unhandled, reported as ``internal error:
+<ExceptionType>: <message>``.  Every command is a deterministic function
+of its arguments; structured results go to stdout, diagnostics to
+stderr.
 """
 
 import argparse
@@ -303,6 +305,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

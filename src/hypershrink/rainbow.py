@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import DirectedHypergraph, Hypergraph, LimitExceededError
+from .core import DirectedHypergraph, LimitExceededError
 
 
 class UnionFind:
@@ -103,10 +103,6 @@ class RainbowTree:
         if len(set(colours)) != len(colours):
             raise ValueError("colours are not pairwise distinct")
 
-    def colour_of_edge(self) -> dict:
-        """Map (u, v) -> colour."""
-        return {(u, v): c for u, v, c in self.edges}
-
 
 def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
     """One star per hyperarc: centre at the head, leaves at the tails.
@@ -120,16 +116,6 @@ def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
             if t != h:
                 edges.append((min(h, t), max(h, t), i))
     return ColouredGraph(directed.base.n, tuple(edges))
-
-
-def clique_graph(hypergraph: Hypergraph) -> ColouredGraph:
-    """One complete graph per hyperedge, all its pairs coloured by the
-    hyperedge index."""
-    edges = []
-    for i, e in enumerate(hypergraph.edges):
-        for a, b in combinations(e, 2):
-            edges.append((a, b, i))
-    return ColouredGraph(hypergraph.n, tuple(edges))
 
 
 def _colour_classes(graph: ColouredGraph) -> list:

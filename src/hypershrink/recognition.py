@@ -4,14 +4,15 @@ A hypertree is a hypergraph in which every nonempty vertex set X contains
 at most |X|-1 hyperedges as subsets, with equality at the full vertex set.
 Equivalently, one pair of vertices can be chosen from each hyperedge so
 that the pairs form a spanning tree.  The production recognizer uses the
-second characterisation through the rainbow machinery; the exponential
-definition check is kept as a test oracle.
+second characterisation through the same star expansion and rainbow
+engine as shrinking; the exponential definition check is kept as a test
+oracle.
 """
 
 from dataclasses import dataclass
 
-from .core import Hypergraph, LimitExceededError
-from .rainbow import clique_graph, rainbow_spanning_tree
+from .core import DirectedHypergraph, Hypergraph, LimitExceededError
+from .rainbow import rainbow_spanning_tree, star_graph
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,16 @@ def is_hypertree_bruteforce(hypergraph: Hypergraph, limit: int = 20) -> Brutefor
 
 
 def is_hypertree(hypergraph: Hypergraph) -> bool:
-    """Constructive recognizer: |E| = n - 1 and the per-hyperedge clique
-    expansion admits a rainbow spanning tree.
+    """Constructive recognizer: |E| = n - 1 and the star expansion, with
+    each hyperedge's smallest vertex as its head, admits a rainbow
+    spanning tree.
 
-    A rainbow spanning tree of the clique expansion has n - 1 edges in
-    n - 1 colours, so it uses every colour exactly once and picks one pair
-    from each hyperedge, which is exactly a shrink witness.
+    Any heads work: for every set of dropped colours, a hyperedge's star
+    connects the same vertex set as its clique, so the component-count
+    condition for a rainbow tree, which picks one pair from each
+    hyperedge, holds for the star exactly when it holds for the clique.
     """
     if hypergraph.num_edges != hypergraph.n - 1:
         return False
-    return rainbow_spanning_tree(clique_graph(hypergraph)) is not None
+    directed = DirectedHypergraph(hypergraph, tuple(e[0] for e in hypergraph.edges))
+    return rainbow_spanning_tree(star_graph(directed)) is not None

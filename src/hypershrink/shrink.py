@@ -15,7 +15,7 @@ from itertools import combinations, product
 
 from .core import Hypergraph, LimitExceededError
 from .orientation import orient_floor
-from .rainbow import PALETTE, UnionFind, rainbow_spanning_tree, star_graph
+from .rainbow import UnionFind, _dot_edge, rainbow_spanning_tree, star_graph
 
 
 class NotAHypertreeError(Exception):
@@ -296,10 +296,7 @@ def shrinking_to_dot(hypergraph: Hypergraph, shrinking: Shrinking) -> str:
     for i, e in enumerate(hypergraph.edges):
         for a, b in combinations(e, 2):
             if ((a, b), i) in chosen:
-                paint = PALETTE[i % len(PALETTE)]
-                lines.append(
-                    f'  {a} -- {b} [label="{i}", color="{paint}", penwidth=2];'
-                )
+                lines.append(_dot_edge(a, b, i, ", penwidth=2"))
             else:
                 lines.append(f'  {a} -- {b} [color="gray", style=dashed];')
     lines.append("}")

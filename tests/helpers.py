@@ -111,6 +111,16 @@ def brute_rainbow_tree_exists(graph: ColouredGraph) -> bool:
     return False
 
 
+def clique_graph(hypergraph: Hypergraph) -> ColouredGraph:
+    """One complete graph per hyperedge, all its pairs coloured by the
+    hyperedge index."""
+    edges = []
+    for i, e in enumerate(hypergraph.edges):
+        for a, b in itertools.combinations(e, 2):
+            edges.append((a, b, i))
+    return ColouredGraph(hypergraph.n, tuple(edges))
+
+
 def brute_is_hypertree(hypergraph: Hypergraph) -> bool:
     """Subset-count definition checked verbatim over all nonempty X."""
     n = hypergraph.n

@@ -217,6 +217,19 @@ def test_internal_error_exits_3(h1_file, monkeypatch, capsys):
         assert captured.err.startswith("internal error:")
 
 
+def test_unexpected_exception_exits_3(h1_file, monkeypatch, capsys):
+    # exit 1 is reserved for negative answers, so a stray exception from a
+    # bug must not leak out of main() as a traceback
+    def broken(hypergraph):
+        raise KeyError("lost")
+
+    monkeypatch.setattr("hypershrink.cli.is_hypertree", broken)
+    assert main(["check", h1_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: KeyError: 'lost'")
+
+
 def test_internal_error_exits_3_under_optimisation(h1_file):
     # python -O strips asserts; the invariant checks must survive it
     script = (

@@ -197,6 +197,22 @@ def test_dot_output_shape():
     assert dot.startswith("graph")
     assert "penwidth=2" in dot
     assert "style=dashed" in dot
+    # byte-exact, so `hypershrink shrink --out dot` cannot drift
+    assert dot == (
+        "graph shrinking {\n"
+        "  0;\n"
+        "  1;\n"
+        "  2;\n"
+        "  3;\n"
+        '  0 -- 1 [color="gray", style=dashed];\n'
+        '  0 -- 2 [label="0", color="#e6194b", penwidth=2];\n'
+        '  1 -- 2 [color="gray", style=dashed];\n'
+        '  1 -- 2 [label="1", color="#3cb44b", penwidth=2];\n'
+        '  1 -- 3 [color="gray", style=dashed];\n'
+        '  2 -- 3 [color="gray", style=dashed];\n'
+        '  2 -- 3 [label="2", color="#4363d8", penwidth=2];\n'
+        "}\n"
+    )
 
 
 def test_shrink_at_scale():

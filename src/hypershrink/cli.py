@@ -6,8 +6,10 @@ reported by ``validate``, not a hypertree, infeasible demands), 2 means
 a usage or I/O problem (unreadable file, malformed input, bad flags,
 refused oracle sizes), 3 means an internal error: a broken invariant of
 the implementation, reported as ``internal error:`` on stderr, or any
-other exception left unhandled, reported as ``internal error:
-<ExceptionType>: <message>``.  Every command is a deterministic function
+other exception left unhandled, a plain ``ValueError`` included,
+reported as ``internal error: <ExceptionType>: <message>``.  Flags are
+checked before the computation starts, so bad input never reaches the
+package as a ``ValueError``.  Every command is a deterministic function
 of its arguments; structured results go to stdout, diagnostics to
 stderr.
 """
@@ -29,7 +31,7 @@ from .core import (
     validate,
 )
 from .gen import random_hypertree
-from .orientation import orient_floor, orient_with_demands
+from .orientation import floor_demand, orient_floor, orient_with_demands
 from .recognition import is_hypertree, is_hypertree_bruteforce
 from .shrink import (
     NotAHypertreeError,
@@ -73,6 +75,26 @@ def _load_valid_hypergraph(path: str) -> Hypergraph:
     if not report.ok:
         raise FormatError(f"invalid hypergraph in {path}: {report}")
     return hypergraph
+
+
+def _check_k(hypergraph: Hypergraph, k) -> None:
+    """Refuse a ``--k`` below 1 or below the rank as bad input."""
+    if k is not None:
+        try:
+            floor_demand(hypergraph, k)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
+
+
+def _check_generator_args(args) -> None:
+    """Refuse ``--n``, ``--k`` or ``--p`` outside the generator's range
+    as bad input."""
+    if args.n < 2:
+        raise FormatError("need at least two vertices")
+    if args.k < 2:
+        raise FormatError("rank bound k must be at least 2")
+    if not 0.0 <= args.p <= 1.0:
+        raise FormatError("expansion probability must lie in [0, 1]")
 
 
 def _directed_to_json(directed) -> str:
@@ -127,6 +149,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_shrink(args) -> int:
     hypergraph = _load_valid_hypergraph(args.file)
+    _check_k(hypergraph, args.k)
     try:
         shrinking = shrink_hypertree(hypergraph, args.k)
     except NotAHypertreeError as exc:
@@ -144,6 +167,7 @@ def _cmd_shrink(args) -> int:
 def _cmd_orient(args) -> int:
     hypergraph = _load_valid_hypergraph(args.file)
     if args.demands is None:
+        _check_k(hypergraph, args.k)
         directed = orient_floor(hypergraph, args.k)
         print(_directed_to_json(directed))
         return EXIT_OK
@@ -166,6 +190,7 @@ def _cmd_orient(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _check_generator_args(args)
     hypergraph, witness = random_hypertree(args.n, args.k, args.seed, args.p)
     print(hypergraph_to_json(hypergraph))
     if args.witness is not None:
@@ -187,7 +212,8 @@ def _cmd_bench(args) -> int:
     min_v d_T(v)/d_H(v).
     """
     if args.trials < 1:
-        raise ValueError("need at least one trial")
+        raise FormatError("need at least one trial")
+    _check_generator_args(args)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
         [
@@ -299,9 +325,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except LimitExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -231,6 +231,8 @@ def hypergraph_from_json(text: str) -> Hypergraph:
         ):
             raise FormatError(f"edge {i} must be a list of integers")
         parsed.append(tuple(sorted(e)))
+    if n < 0:
+        raise FormatError("vertex count must be non-negative")
     return Hypergraph(n, tuple(parsed))
 
 
@@ -259,6 +261,8 @@ def hypergraph_from_text(text: str) -> Hypergraph:
             edges.append(tuple(sorted(int(tok) for tok in ln.split())))
         except ValueError as exc:
             raise FormatError(f"edge line {i}: {exc}") from exc
+    if n < 0:
+        raise FormatError("vertex count must be non-negative")
     return Hypergraph(n, tuple(edges))
 
 

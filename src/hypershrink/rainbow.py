@@ -334,17 +334,22 @@ def _dot_edge(u: int, v: int, colour: int, extra: str = "") -> str:
     return f'  {u} -- {v} [label="{colour}", color="{paint}"{extra}];'
 
 
-def coloured_graph_to_dot(graph: ColouredGraph, name: str = "coloured") -> str:
+def _dot_document(name: str, n: int, edge_lines) -> str:
+    """An undirected DOT graph: vertices 0..n-1, then the given edge lines."""
     lines = [f"graph {name} {{"]
-    lines.extend(f"  {v};" for v in range(graph.n))
-    lines.extend(_dot_edge(u, v, c) for u, v, c in graph.edges)
+    lines.extend(f"  {v};" for v in range(n))
+    lines.extend(edge_lines)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def coloured_graph_to_dot(graph: ColouredGraph, name: str = "coloured") -> str:
+    return _dot_document(
+        name, graph.n, (_dot_edge(u, v, c) for u, v, c in graph.edges)
+    )
 
 
 def rainbow_tree_to_dot(tree: RainbowTree, name: str = "rainbow_tree") -> str:
-    lines = [f"graph {name} {{"]
-    lines.extend(f"  {v};" for v in range(tree.n))
-    lines.extend(_dot_edge(u, v, c, ", penwidth=2") for u, v, c in tree.edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot_document(
+        name, tree.n, (_dot_edge(u, v, c, ", penwidth=2") for u, v, c in tree.edges)
+    )

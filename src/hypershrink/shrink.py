@@ -15,7 +15,7 @@ from itertools import combinations, product
 
 from .core import Hypergraph, LimitExceededError
 from .orientation import orient_floor
-from .rainbow import UnionFind, _dot_edge, rainbow_spanning_tree, star_graph
+from .rainbow import UnionFind, _dot_document, _dot_edge, rainbow_spanning_tree, star_graph
 
 
 class NotAHypertreeError(Exception):
@@ -287,17 +287,15 @@ def shrinking_to_json(hypergraph: Hypergraph, shrinking: Shrinking, k: int = Non
 def shrinking_to_dot(hypergraph: Hypergraph, shrinking: Shrinking) -> str:
     """Overlay the tree (bold, coloured by hyperedge) on the clique
     expansion (gray) for visual inspection."""
-    lines = ["graph shrinking {"]
-    lines.extend(f"  {v};" for v in range(hypergraph.n))
     chosen = {
         (shrinking.pair_for(i), i)
         for i in range(min(hypergraph.num_edges, len(shrinking.assignment)))
     }
+    edge_lines = []
     for i, e in enumerate(hypergraph.edges):
         for a, b in combinations(e, 2):
             if ((a, b), i) in chosen:
-                lines.append(_dot_edge(a, b, i, ", penwidth=2"))
+                edge_lines.append(_dot_edge(a, b, i, ", penwidth=2"))
             else:
-                lines.append(f'  {a} -- {b} [color="gray", style=dashed];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+                edge_lines.append(f'  {a} -- {b} [color="gray", style=dashed];')
+    return _dot_document("shrinking", hypergraph.n, edge_lines)

@@ -65,37 +65,16 @@ def is_spanning_tree(n: int, pairs) -> bool:
     return len(pairs) == n - 1 and component_count(n, pairs) == 1
 
 
-def brute_max_matching(adjacency, right_size: int) -> int:
-    """Maximum matching size of a bipartite graph by exhaustive branching.
-
-    ``adjacency[i]`` lists the right neighbours of left vertex i.  Only
-    intended for tiny instances.
-    """
-    best = 0
-    used = [False] * right_size
-
-    def explore(i: int, size: int):
-        nonlocal best
-        if size + len(adjacency) - i <= best:
-            return
-        if i == len(adjacency):
-            best = max(best, size)
-            return
-        explore(i + 1, size)
-        for w in adjacency[i]:
-            if not used[w]:
-                used[w] = True
-                explore(i + 1, size + 1)
-                used[w] = False
-
-    explore(0, 0)
-    return best
-
-
-def empty_matching(graph) -> tuple:
-    """Stand-in for ``DemandBipartiteGraph.max_matching`` that matches
-    nothing, to break the orientation's invariants on purpose."""
-    return [-1] * len(graph.adjacency), [-1] * graph.num_copies
+def brute_orientation_exists(hypergraph: Hypergraph, demands) -> bool:
+    """Whether some choice of one head per hyperedge gives every vertex v
+    indegree >= demands[v], by trying every head tuple."""
+    for heads in itertools.product(*hypergraph.edges):
+        indegree = [0] * hypergraph.n
+        for h in heads:
+            indegree[h] += 1
+        if all(ind >= demands[v] for v, ind in enumerate(indegree)):
+            return True
+    return False
 
 
 def brute_rainbow_tree_exists(graph: ColouredGraph) -> bool:

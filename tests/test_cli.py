@@ -4,9 +4,9 @@ import sys
 
 import pytest
 
+from hypershrink import OrientationResult
 from hypershrink.cli import main
-from hypershrink.orientation import DemandBipartiteGraph
-from helpers import cli_env, empty_matching
+from helpers import cli_env
 
 H1_JSON = '{"n": 4, "edges": [[0, 1, 2], [1, 2, 3], [2, 3]]}'
 TRIANGLE_TEXT = "4 3\n0 1\n1 2\n0 2\n"
@@ -161,6 +161,44 @@ def test_gen_rejects_bad_k(capsys):
     assert main(["gen", "--n", "5", "--k", "1", "--seed", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["shrink", "--k", "0", "{h1}"], "k must be positive"),
+        (["shrink", "--k", "2", "{h1}"], "k=2 is below the rank 3"),
+        (["orient", "--k", "0", "{h1}"], "k must be positive"),
+        (["orient", "--k", "2", "{h1}"], "k=2 is below the rank 3"),
+        (["validate", "{negative_json}"], "vertex count must be non-negative"),
+        (["check", "{negative_text}"], "vertex count must be non-negative"),
+        (["gen", "--n", "1", "--k", "3", "--seed", "0"], "need at least two vertices"),
+        (["gen", "--n", "5", "--k", "1", "--seed", "0"], "rank bound k must be at least 2"),
+        (["gen", "--n", "5", "--k", "3", "--seed", "0", "--p", "1.5"],
+         "expansion probability must lie in [0, 1]"),
+        (["gen", "--n", "5", "--k", "3", "--seed", "0", "--p", "-0.1"],
+         "expansion probability must lie in [0, 1]"),
+        (["bench", "--trials", "0", "--n", "5", "--k", "3", "--seed", "0"],
+         "need at least one trial"),
+        (["bench", "--trials", "1", "--n", "1", "--k", "3", "--seed", "0"],
+         "need at least two vertices"),
+        (["bench", "--trials", "1", "--n", "5", "--k", "1", "--seed", "0"],
+         "rank bound k must be at least 2"),
+        (["bench", "--trials", "1", "--n", "5", "--k", "3", "--seed", "0",
+          "--p", "2"], "expansion probability must lie in [0, 1]"),
+    ],
+)
+def test_bad_input_exits_2(argv, message, h1_file, tmp_path, capsys):
+    negative_json = tmp_path / "negative.json"
+    negative_json.write_text('{"n": -3, "edges": []}')
+    negative_text = tmp_path / "negative.txt"
+    negative_text.write_text("-3 0\n")
+    files = {"h1": h1_file, "negative_json": negative_json,
+             "negative_text": negative_text}
+    assert main([arg.format(**files) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_gen_p_zero_is_plain_tree(capsys):
     assert main(["gen", "--n", "6", "--k", "4", "--seed", "3", "--p", "0"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -208,8 +246,16 @@ def test_console_script_runs():
     assert json.loads(proc.stdout)["n"] == 5
 
 
+def infeasible_orientation(hypergraph, demands):
+    """Stand-in for ``orient_with_demands`` that reports the always
+    feasible floor demands infeasible, to break an invariant on purpose."""
+    return OrientationResult(violator=(2,))
+
+
 def test_internal_error_exits_3(h1_file, monkeypatch, capsys):
-    monkeypatch.setattr(DemandBipartiteGraph, "max_matching", empty_matching)
+    monkeypatch.setattr(
+        "hypershrink.orientation.orient_with_demands", infeasible_orientation
+    )
     for command in ("orient", "shrink"):
         assert main([command, h1_file]) == 3
         captured = capsys.readouterr()
@@ -230,14 +276,26 @@ def test_unexpected_exception_exits_3(h1_file, monkeypatch, capsys):
     assert captured.err.startswith("internal error: KeyError: 'lost'")
 
 
+def test_internal_value_error_exits_3(h1_file, monkeypatch, capsys):
+    # a ValueError from inside the package is a bug, not bad input
+    def broken(hypergraph):
+        raise ValueError("bug")
+
+    monkeypatch.setattr("hypershrink.cli.is_hypertree", broken)
+    assert main(["check", h1_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError: bug\n"
+
+
 def test_internal_error_exits_3_under_optimisation(h1_file):
     # python -O strips asserts; the invariant checks must survive it
     script = (
         "import sys\n"
+        "from hypershrink import OrientationResult, orientation\n"
         "from hypershrink.cli import main\n"
-        "from hypershrink.orientation import DemandBipartiteGraph\n"
-        "DemandBipartiteGraph.max_matching = lambda graph: "
-        "([-1] * len(graph.adjacency), [-1] * graph.num_copies)\n"
+        "orientation.orient_with_demands = lambda hypergraph, demands: "
+        "OrientationResult(violator=(2,))\n"
         "sys.exit(main(['orient', sys.argv[1]]))\n"
     )
     proc = subprocess.run(
@@ -247,4 +305,5 @@ def test_internal_error_exits_3_under_optimisation(h1_file):
         env=cli_env(),
     )
     assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
     assert proc.stderr.startswith("internal error:")

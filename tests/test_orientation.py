@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import deque
 
 import pytest
 
@@ -9,18 +8,18 @@ from hypershrink import (
     Hypergraph,
     InternalError,
     OrientationResult,
+    adversarial_star,
     floor_demand,
     orient_floor,
     orient_with_demands,
+    random_hypertree,
 )
 from hypershrink import orientation
-from hypershrink.orientation import DemandBipartiteGraph
 from helpers import (
     H1,
     PATH3,
     STAR7,
-    brute_max_matching,
-    empty_matching,
+    brute_orientation_exists,
     random_valid_hypergraph,
 )
 
@@ -117,23 +116,23 @@ def test_orient_floor_bound_on_random_hypergraphs():
         assert all(ind >= d // k for ind, d in zip(indegrees, degrees))
 
 
-def test_matching_size_matches_bruteforce():
+def test_orientation_matches_exhaustive_oracle():
     rng = random.Random(99)
-    for _ in range(120):
-        hg = random_valid_hypergraph(rng, n_max=5, m_max=6)
-        demands = DemandFunction(
-            tuple(rng.randint(0, 2) for _ in range(hg.n))
-        )
-        if demands.total() > 10:
-            continue
-        graph = DemandBipartiteGraph(hg, demands)
-        pair_left, pair_right = graph.max_matching()
-        size = sum(1 for x in pair_right if x >= 0)
-        adjacency = [
-            [w for w in range(demands.total()) if graph.copy_vertex[w] in hg.edges[i]]
-            for i in range(hg.num_edges)
-        ]
-        assert size == brute_max_matching(adjacency, demands.total())
+    oriented_seen = violator_seen = 0
+    for _ in range(300):
+        hg = random_valid_hypergraph(rng, n_max=6, m_max=7)
+        demands = DemandFunction(tuple(rng.randint(0, 2) for _ in range(hg.n)))
+        result = orient_with_demands(hg, demands)
+        assert result.is_oriented == brute_orientation_exists(hg, demands)
+        if result.is_oriented:
+            oriented_seen += 1
+            indegrees = result.oriented.indegrees()
+            assert all(ind >= demands[v] for v, ind in enumerate(indegrees))
+        else:
+            violator_seen += 1
+            F = result.violator
+            assert demands.sum_over(F) > hg.incident_edge_count(F)
+    assert oriented_seen and violator_seen
 
 
 def test_dichotomy_on_random_pairs():
@@ -166,64 +165,6 @@ def test_determinism():
         assert first == second
 
 
-def recursive_matching(graph: DemandBipartiteGraph) -> tuple:
-    """Hopcroft-Karp with the textbook recursive search, scanning in the
-    same order as the package: the reference its iterative search must
-    reproduce exactly."""
-    m = len(graph.adjacency)
-    pair_left = [-1] * m
-    pair_right = [-1] * graph.num_copies
-    dist = [0] * m
-
-    def bfs():
-        queue = deque()
-        for i in range(m):
-            dist[i] = 0 if pair_left[i] == -1 else -1
-            if dist[i] == 0:
-                queue.append(i)
-        shortest = -1
-        while queue:
-            i = queue.popleft()
-            if shortest != -1 and dist[i] >= shortest:
-                continue
-            for w in graph.adjacency[i]:
-                j = pair_right[w]
-                if j == -1:
-                    if shortest == -1:
-                        shortest = dist[i] + 1
-                elif dist[j] == -1:
-                    dist[j] = dist[i] + 1
-                    queue.append(j)
-        return shortest != -1
-
-    def dfs(i):
-        for w in graph.adjacency[i]:
-            j = pair_right[w]
-            if j == -1 or (dist[j] == dist[i] + 1 and dfs(j)):
-                pair_left[i] = w
-                pair_right[w] = i
-                return True
-        dist[i] = -1
-        return False
-
-    while bfs():
-        for i in range(m):
-            if pair_left[i] == -1:
-                dfs(i)
-    return pair_left, pair_right
-
-
-def test_matching_equals_recursive_reference():
-    rng = random.Random(1789)
-    for _ in range(300):
-        hg = random_valid_hypergraph(rng, n_max=10, m_max=16)
-        demands = DemandFunction(
-            tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(hg.n))
-        )
-        graph = DemandBipartiteGraph(hg, demands)
-        assert graph.max_matching() == recursive_matching(graph)
-
-
 def test_long_augmenting_paths_do_not_recurse():
     # the path P_3000 with its edges listed in descending order: the last
     # augmentation walks an alternating path through every edge, which a
@@ -236,13 +177,6 @@ def test_long_augmenting_paths_do_not_recurse():
     assert all(ind >= f for ind, f in zip(result.oriented.indegrees(), demands))
 
 
-def test_non_maximum_matching_raises_internal_error(monkeypatch):
-    monkeypatch.setattr(DemandBipartiteGraph, "max_matching", empty_matching)
-    # H1 demands one head at vertex 2, which the empty matching leaves out
-    with pytest.raises(InternalError, match="not maximum"):
-        orient_floor(H1)
-
-
 def test_infeasible_floor_demands_raise_internal_error(monkeypatch):
     monkeypatch.setattr(
         orientation,
@@ -251,3 +185,36 @@ def test_infeasible_floor_demands_raise_internal_error(monkeypatch):
     )
     with pytest.raises(InternalError, match="must be feasible"):
         orient_floor(H1)
+
+
+def assert_floor_met(hypergraph, k):
+    directed = orient_floor(hypergraph, k)
+    degrees = hypergraph.degrees()
+    assert all(ind >= d // k for ind, d in zip(directed.indegrees(), degrees))
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_orient_floor_at_scale(k):
+    hg, _ = random_hypertree(10000, k, 17, 0.8)
+    assert_floor_met(hg, k)
+
+
+def test_orient_floor_on_hub_in_both_labellings():
+    hub = adversarial_star(5000, 3)
+    n = hub.n
+    reversed_hub = Hypergraph(
+        n, tuple(tuple(sorted(n - 1 - v for v in e)) for e in hub.edges)
+    )
+    for hg in (hub, reversed_hub):
+        assert_floor_met(hg, 3)
+
+
+def test_long_path_with_descending_edges():
+    # the greedy pass leaves the far end short and vertex 0 with a spare
+    # head, so one repair search walks the whole path
+    n = 20000
+    path = Hypergraph(n, tuple((i, i + 1) for i in reversed(range(n - 1))))
+    demands = [0] + [1] * (n - 1)
+    result = orient_with_demands(path, demands)
+    assert result.is_oriented
+    assert all(ind >= f for ind, f in zip(result.oriented.indegrees(), demands))

@@ -193,6 +193,25 @@ def test_dot_outputs():
     assert dot.startswith("graph") and "0 -- 1" in dot
     tree = rainbow_spanning_tree(g)
     assert "1 -- 2" in rainbow_tree_to_dot(tree)
+    # byte-exact on H1's star expansion and its tree, so the two
+    # exports cannot drift
+    star = star_graph(DirectedHypergraph(H1, (2, 1, 2)))
+    assert coloured_graph_to_dot(star) == (
+        "graph coloured {\n  0;\n  1;\n  2;\n  3;\n"
+        '  0 -- 2 [label="0", color="#e6194b"];\n'
+        '  1 -- 2 [label="0", color="#e6194b"];\n'
+        '  1 -- 2 [label="1", color="#3cb44b"];\n'
+        '  1 -- 3 [label="1", color="#3cb44b"];\n'
+        '  2 -- 3 [label="2", color="#4363d8"];\n'
+        "}\n"
+    )
+    assert rainbow_tree_to_dot(rainbow_spanning_tree(star)) == (
+        "graph rainbow_tree {\n  0;\n  1;\n  2;\n  3;\n"
+        '  0 -- 2 [label="0", color="#e6194b", penwidth=2];\n'
+        '  1 -- 2 [label="1", color="#3cb44b", penwidth=2];\n'
+        '  2 -- 3 [label="2", color="#4363d8", penwidth=2];\n'
+        "}\n"
+    )
 
 
 def test_intersection_is_maximum():

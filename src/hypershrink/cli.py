@@ -53,6 +53,10 @@ def _read_file(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
 
 
 def _load_hypergraph(path: str) -> Hypergraph:

@@ -212,11 +212,20 @@ def hypergraph_to_json(hypergraph: Hypergraph) -> str:
     )
 
 
-def hypergraph_from_json(text: str) -> Hypergraph:
+def _parse_json(text: str):
+    """``json.loads`` with every refusal of the parser as a FormatError:
+    malformed text, an integer beyond the interpreter's digit limit, and
+    nesting deeper than the recursion limit."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise FormatError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
+
+
+def hypergraph_from_json(text: str) -> Hypergraph:
+    data = _parse_json(text)
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise FormatError('expected an object with "n" and "edges"')
     n, edges = data["n"], data["edges"]
@@ -268,10 +277,7 @@ def hypergraph_from_text(text: str) -> Hypergraph:
 
 def demands_from_json(text: str, n: int) -> DemandFunction:
     """Parse a demand file: a JSON array of n non-negative integers."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
+    data = _parse_json(text)
     if not isinstance(data, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) for x in data
     ):

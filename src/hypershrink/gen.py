@@ -50,12 +50,20 @@ class SplitMix64:
 
     def sample(self, population: list, count: int) -> list:
         """``count`` distinct elements via a partial Fisher-Yates shuffle."""
-        pool = list(population)
-        count = min(count, len(pool))
-        for i in range(count):
-            j = i + self.randrange(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:count]
+        return [population[i] for i in self.sample_indices(len(population), count)]
+
+    def sample_indices(self, size: int, count: int) -> list:
+        """The positions :meth:`sample` would pick from a population of
+        ``size``, in O(count): the shuffle runs lazily over the implicit
+        index range, keeping only the swapped slots in a dict."""
+        swapped = {}
+        picked = []
+        for i in range(min(count, size)):
+            j = i + self.randrange(size - i)
+            chosen = swapped.get(j, j)
+            swapped[j] = swapped.get(i, i)
+            picked.append(chosen)
+        return picked
 
 
 def _decode_tree(rng: SplitMix64, n: int) -> list:
@@ -118,9 +126,13 @@ def random_hypertree(n: int, k: int, seed: int, p: float = 0.5) -> tuple:
         expand = rng.chance(p) and k > 2
         edge = (u, v)
         if expand:
-            others = [w for w in range(n) if w != u and w != v]
+            # position i of the vertices other than u and v, ascending
+            lo, hi = min(u, v), max(u, v)
             for _ in range(_MAX_REDRAWS):
-                extra = rng.sample(others, 1 + rng.randrange(k - 2))
+                extra = [
+                    i + (i >= lo) + (i >= hi - 1)
+                    for i in rng.sample_indices(n - 2, 1 + rng.randrange(k - 2))
+                ]
                 candidate = tuple(sorted({u, v, *extra}))
                 if frozenset(candidate) not in seen:
                     edge = candidate

@@ -4,13 +4,21 @@ A rainbow spanning tree uses every colour at most once.  The finder runs
 matroid intersection specialised to the graphic matroid (forests) crossed
 with the partition matroid (one edge per colour): grow a greedy rainbow
 forest, scarcest colour first, then augment along shortest alternating
-paths in the exchange graph until the forest spans or no path remains.
-The exchange graph is never built: each augmentation searches it lazily,
-backwards from the edges of unused colours, with a skip structure over
-the rooted forest that labels each forest edge at most once, so one
-augmentation costs O(n + m alpha(n)) (after Gabow-Stallmann 1985 and
-Cunningham 1986).  An exhaustive checker for the component-count
-characterisation doubles as the test oracle.
+paths in the exchange graph until the forest spans or no path remains
+(after Gabow-Stallmann 1985 and Cunningham 1986).
+
+Only when the seed does not span is the augmentation engine built, once:
+the forest rooted by parent pointers, the owner of each colour, the
+unused colours and a merge-only union-find of the components.  Each
+augmentation searches the exchange graph lazily, backwards from the
+edges of the lowest unused colour (all unused colours only when that
+fails), with a skip structure over the rooted forest that labels each
+forest edge at most once, and then applies the path in place by cutting
+and re-linking tree edges.  Per-search marks are stamps, so an
+augmentation costs the part of the exchange graph it labels plus the
+tree paths it climbs and re-roots, not O(n + m) of set-up.  An
+exhaustive checker for the component-count characterisation doubles as
+the test oracle.
 """
 
 from collections import deque
@@ -126,14 +134,15 @@ def _colour_classes(graph: ColouredGraph) -> list:
     return classes
 
 
-def _greedy_rainbow_forest(graph: ColouredGraph, classes: list) -> list:
+def _greedy_rainbow_forest(graph: ColouredGraph, classes: list) -> tuple:
     """Seed forest: scan edges in (class size, colour, endpoint) order,
     keeping an edge iff it joins two components and its colour is unused.
 
     Scarcest colours go first.  Where the tree needs every colour, as on
     the expansions of a hypertree (n - 1 colours), a colour with a single
     edge forces that edge and a colour with few edges has few places to
-    go; placing them first leaves fewer augmentations to do.
+    go; placing them first leaves fewer augmentations to do.  Returns the
+    chosen edge indices and the union-find of their components.
     """
     edges = graph.edges
     order = sorted(
@@ -150,130 +159,258 @@ def _greedy_rainbow_forest(graph: ColouredGraph, classes: list) -> list:
         if uf.union(u, v):
             used_colour[c] = True
             chosen.append(i)
-    return chosen
+    return chosen, uf
 
 
-def _augment(graph: ColouredGraph, in_forest: list, classes: list) -> bool:
-    """One exchange-graph augmentation step; True if the forest grew.
+class _RainbowEngine:
+    """A rainbow forest kept rooted across exchange-graph augmentations.
 
-    In the exchange graph a non-forest edge x is a *source* when it joins
-    two forest components and a *sink* when its colour is unused; the arc
-    y -> x (y in the forest) exists when y lies on x's tree path, and the
-    arc x -> y when x and y share a colour.  Flipping a shortest
-    source-sink path keeps the forest a forest and the colours distinct.
-
-    The search runs backwards, breadth first, from all sinks at once in
-    ascending index order, and stops at the first source it labels.  A
-    non-forest edge steps back to the unlabelled forest edges on its tree
-    path; a skip structure over the vertices (a vertex whose parent edge
-    is labelled jumps to its parent) finds them, so each forest edge is
-    labelled at most once.  A forest edge steps back to the unlabelled
-    non-forest edges of its colour, each colour class being scanned at
-    most once since the forest owns one edge per colour.  A sink that
-    itself joins two components is added directly.  One call costs
-    O(n + m alpha(n)): rooting the forest is O(n + m), the search
-    O(m alpha(n)).
+    State, built once from a seed forest and updated in place:
+    ``owner[c]`` is the forest edge of colour c or -1, ``unused`` the
+    colours without one, ascending; ``parent``/``parent_edge`` root every
+    forest component (-1 at a root); ``uf`` is a merge-only union-find of
+    the components.  An augmentation along a shortest path keeps the span
+    of the old forest except that its source joins two components, so the
+    partition only coarsens and the source test ``uf.find(u) !=
+    uf.find(v)`` stays O(alpha(n)).  Per-search marks are stamps against
+    ``clock``, so nothing of size n or m is reset or reallocated between
+    augmentations.
     """
-    edges = graph.edges
-    n = graph.n
-    owner = [-1] * len(classes)
-    neighbours = [[] for _ in range(n)]
-    for i, (u, v, c) in enumerate(edges):
-        if in_forest[i]:
-            owner[c] = i
+
+    def __init__(self, graph: ColouredGraph, classes: list, seed, uf: UnionFind):
+        n = graph.n
+        self.edges = graph.edges
+        self.classes = classes
+        self.uf = uf
+        self.owner = [-1] * len(classes)
+        neighbours = [[] for _ in range(n)]
+        for i in seed:
+            u, v, c = self.edges[i]
+            self.owner[c] = i
             neighbours[u].append((v, i))
             neighbours[v].append((u, i))
-    sinks = [i for i in range(len(edges)) if owner[edges[i][2]] == -1]
+        self.unused = [c for c, i in enumerate(self.owner) if i == -1]
+        self.parent = [-1] * n
+        self.parent_edge = [-1] * n
+        rooted = [False] * n
+        for r in range(n):
+            if rooted[r]:
+                continue
+            rooted[r] = True
+            stack = [r]
+            while stack:
+                x = stack.pop()
+                for y, i in neighbours[x]:
+                    if not rooted[y]:
+                        rooted[y] = True
+                        self.parent[y] = x
+                        self.parent_edge[y] = i
+                        stack.append(y)
+        self.clock = 0
+        self.reached = [0] * len(self.edges)  # == clock: labelled this search
+        self.label = [-1] * len(self.edges)
+        self.skipped = [0] * n  # == clock: parent edge labelled, jump valid
+        self.jump = [0] * n
+        self.climb = [0] * n  # stamps of the two sides of one path climb
+        self.climbs = 0
 
-    # root each forest component; root[] doubles as the component id
-    root = [-1] * n
-    parent = [-1] * n
-    parent_edge = [-1] * n
-    depth = [0] * n
-    for r in range(n):
-        if root[r] != -1:
-            continue
-        root[r] = r
-        stack = [r]
-        while stack:
-            x = stack.pop()
-            for y, i in neighbours[x]:
-                if root[y] == -1:
-                    root[y] = r
-                    parent[y] = x
-                    parent_edge[y] = i
-                    depth[y] = depth[x] + 1
-                    stack.append(y)
+    def forest(self) -> tuple:
+        return tuple(sorted(i for i in self.owner if i != -1))
 
-    # label[i]: the edge i was reached from, i itself for a sink
-    label = [-1] * len(edges)
-    for i in sinks:
-        u, v, _ = edges[i]
-        if root[u] != root[v]:
-            in_forest[i] = True
-            return True
-        label[i] = i
+    def augment(self) -> bool:
+        """One exchange-graph augmentation step; True if the forest grew.
 
-    # jump[x]: x itself while its parent edge is unlabelled, else a vertex
-    # higher up on the way to the nearest such ancestor
-    jump = list(range(n))
+        In the exchange graph a non-forest edge x is a *source* when it
+        joins two forest components and a *sink* when its colour is
+        unused; the arc y -> x (y in the forest) exists when y lies on x's
+        tree path, and the arc x -> y when x and y share a colour.
+        Flipping a shortest source-sink path keeps the forest a forest and
+        the colours distinct, and that holds as well for a path that is
+        shortest only among those ending in one colour class.  So the
+        search starts from the sinks of the lowest unused colour, which
+        usually labels a fraction of the exchange graph, and falls back to
+        all sinks before the forest is declared maximum, which keeps the
+        negative answer exact.  A search costs O(labelled nodes +
+        tree-path climbs); applying the path costs, per edge it adds, the
+        climb to the nearer of that edge's endpoints' roots; nothing is
+        rebuilt.
+        """
+        unused = self.unused
+        if not unused:
+            return False
+        source = self._search(self.classes[unused[0]])
+        if source == -1 and len(unused) > 1:
+            source = self._search([i for c in unused for i in self.classes[c]])
+        if source == -1:
+            return False
+        self._apply(source)
+        return True
 
-    def skip(x: int) -> int:
-        while jump[x] != x:
-            jump[x] = jump[jump[x]]
-            x = jump[x]
+    def _skip(self, x: int) -> int:
+        """The nearest ancestor-or-self of x whose parent edge is not yet
+        labelled in this search (or the root), halving the jump path."""
+        jump, skipped, clock = self.jump, self.skipped, self.clock
+        while skipped[x] == clock:
+            j = jump[x]
+            if skipped[j] == clock:
+                j = jump[x] = jump[j]
+            x = j
         return x
 
-    source = -1
-    queue = deque(sinks)
-    while queue and source == -1:
-        x = queue.popleft()
-        if in_forest[x]:
-            for j in classes[edges[x][2]]:
-                if label[j] == -1 and not in_forest[j]:
-                    label[j] = x
-                    u, v, _ = edges[j]
-                    if root[u] != root[v]:
-                        source = j
-                        break
-                    queue.append(j)
-        else:
-            u, v, _ = edges[x]
-            a, b = skip(u), skip(v)
-            while a != b:
-                if depth[a] < depth[b]:
-                    a, b = b, a
-                y = parent_edge[a]
-                label[y] = x
-                queue.append(y)
-                jump[a] = parent[a]
-                a = skip(a)
-    if source == -1:
-        return False
-    i = source
-    while True:
-        in_forest[i] = not in_forest[i]
-        if label[i] == i:
-            return True
-        i = label[i]
+    def _unlabelled_path(self, u: int, v: int) -> list:
+        """The vertices whose parent edges are the unlabelled forest edges
+        on the tree path between u and v (same component).
+
+        Climbs alternately from both ends over the skip structure,
+        stamping each side, until one side steps onto the other's stamp:
+        that vertex is the lowest unlabelled-edge ancestor of the two
+        ends' meeting point, and whatever the other side climbed above it
+        is dropped.  No depths are needed, and each side climbs at most
+        as far as the other's path part plus one.
+        """
+        skip, parent, climb = self._skip, self.parent, self.climb
+        skipped, clock = self.skipped, self.clock
+        a = skip(u) if skipped[u] == clock else u
+        b = skip(v) if skipped[v] == clock else v
+        if a == b:
+            return []
+        self.climbs += 2
+        mark_a, mark_b = self.climbs - 1, self.climbs
+        climb[a], climb[b] = mark_a, mark_b
+        left, right = [a], [b]
+        while True:
+            up = parent[a]
+            if up != -1:
+                a = skip(up) if skipped[up] == clock else up
+                if climb[a] == mark_b:
+                    return left + right[: right.index(a)]
+                climb[a] = mark_a
+                left.append(a)
+            up = parent[b]
+            if up != -1:
+                b = skip(up) if skipped[up] == clock else up
+                if climb[b] == mark_a:
+                    return right + left[: left.index(b)]
+                climb[b] = mark_b
+                right.append(b)
+
+    def _search(self, sinks) -> int:
+        """Breadth-first search backwards from ``sinks``, in the given
+        order; the first source labelled, or -1.
+
+        A non-forest edge steps back to the unlabelled forest edges on its
+        tree path; the skip structure (a vertex whose parent edge is
+        labelled jumps towards its parent) finds them, so each forest edge
+        is labelled at most once.  A forest edge steps back to the other
+        edges of its colour, each colour class being scanned at most once
+        since the forest owns one edge per colour.  ``label[i]`` is the
+        edge i was reached from, i itself for a sink.
+        """
+        self.clock += 1
+        clock = self.clock
+        edges, owner, classes = self.edges, self.owner, self.classes
+        reached, label = self.reached, self.label
+        parent, parent_edge = self.parent, self.parent_edge
+        jump, skipped = self.jump, self.skipped
+        # equal union-find parents settle the source test without a call
+        find, up = self.uf.find, self.uf.parent
+        for i in sinks:
+            u, v, _ = edges[i]
+            reached[i] = clock
+            label[i] = i
+            if up[u] != up[v] and find(u) != find(v):
+                return i
+        queue = deque(sinks)
+        while queue:
+            x = queue.popleft()
+            u, v, c = edges[x]
+            if owner[c] == x:
+                for j in classes[c]:
+                    if reached[j] != clock:
+                        reached[j] = clock
+                        label[j] = x
+                        u, v, _ = edges[j]
+                        if up[u] != up[v] and find(u) != find(v):
+                            return j
+                        queue.append(j)
+            else:
+                for w in self._unlabelled_path(u, v):
+                    y = parent_edge[w]
+                    reached[y] = clock
+                    label[y] = x
+                    queue.append(y)
+                    jump[w] = parent[w]
+                    skipped[w] = clock
+        return -1
+
+    def _link(self, x: int) -> None:
+        """Add the non-forest edge x, whose endpoints lie in two different
+        trees.  Climbing from both endpoints alternately finds the one
+        nearer its root; reversing its root path makes it the root of its
+        tree, which then hangs below the other endpoint through x.  Costs
+        O(the smaller of the two depths)."""
+        parent, parent_edge = self.parent, self.parent_edge
+        u, v, _ = self.edges[x]
+        a, b = u, v
+        while parent[a] != -1 and parent[b] != -1:
+            a, b = parent[a], parent[b]
+        if parent[a] != -1:
+            u, v = v, u
+        up_vertex, up_edge = v, x
+        while u != -1:
+            next_vertex, next_edge = parent[u], parent_edge[u]
+            parent[u], parent_edge[u] = up_vertex, up_edge
+            up_vertex, up_edge, u = u, next_edge, next_vertex
+
+    def _apply(self, source: int) -> None:
+        """Flip the path source = x_0, y_1, x_1, ..., x_t = sink in place.
+
+        x_0 joins two trees.  Then, from the source end, each forest edge
+        y_i is cut, which splits its tree in two, and x_i joins the two
+        halves again.  That is valid because the path has no shortcuts:
+        y_1 .. y_{i-1} are not on x_i's tree path from before the
+        augmentation, so that path is still in the forest and runs
+        through y_i.  The search labels a forest edge from the first
+        non-forest edge that reaches it, so a search tree has no shortcuts
+        in any visiting order; breadth first makes the path shortest.
+        """
+        edges, owner, parent, parent_edge = (
+            self.edges, self.owner, self.parent, self.parent_edge
+        )
+        label = self.label
+        x = source
+        u, v, c = edges[x]
+        self.uf.union(u, v)
+        self._link(x)
+        owner[c] = x
+        while label[x] != x:
+            y = label[x]
+            x = label[y]
+            p, q, _ = edges[y]
+            child = p if parent_edge[p] == y else q
+            parent[child] = parent_edge[child] = -1
+            self._link(x)
+            c = edges[x][2]
+            owner[c] = x
+        self.unused.remove(c)
 
 
 def maximum_rainbow_forest(graph: ColouredGraph) -> tuple:
     """Indices of a maximum forest with pairwise distinct edge colours.
 
     A maximum common independent set of the graphic matroid and the
-    colour partition matroid: greedy seed, then exchange-graph
-    augmentation until the forest spans or no augmenting path remains.
+    colour partition matroid: greedy seed, then, unless the seed already
+    spans, exchange-graph augmentation until the forest spans or no
+    augmenting path remains.
     """
     classes = _colour_classes(graph)
-    in_forest = [False] * len(graph.edges)
-    size = 0
-    for i in _greedy_rainbow_forest(graph, classes):
-        in_forest[i] = True
-        size += 1
-    while size < graph.n - 1 and _augment(graph, in_forest, classes):
-        size += 1
-    return tuple(i for i, used in enumerate(in_forest) if used)
+    seed, uf = _greedy_rainbow_forest(graph, classes)
+    if uf.components == 1:
+        return tuple(sorted(seed))
+    engine = _RainbowEngine(graph, classes, seed, uf)
+    while uf.components > 1 and engine.augment():
+        pass
+    return engine.forest()
 
 
 def rainbow_spanning_tree(graph: ColouredGraph):

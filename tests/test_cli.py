@@ -50,6 +50,48 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def test_non_utf8_file_is_a_usage_error(tmp_path, h1_file, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 2, "edges": [[0, 1]]} \xff')
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot read {path}: not UTF-8 text (invalid start byte at byte 28)\n"
+    )
+    assert main(["orient", h1_file, "--demands", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {path}: not UTF-8 text (invalid start byte at byte 28)\n"
+    )
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_deeply_nested_json_is_a_usage_error(tmp_path, h1_file, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": 2, "edges": ' + DEEP + "}")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid JSON: nested too deeply\n"
+    demands = tmp_path / "deep_demands.json"
+    demands.write_text(DEEP)
+    assert main(["orient", h1_file, "--demands", str(demands)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid JSON: nested too deeply\n"
+
+
+def test_integer_beyond_the_digit_limit_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": ' + "1" * 5000 + ', "edges": []}')
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid JSON: ")
+
+
 def test_check_hypertree(h1_file, capsys):
     assert main(["check", h1_file]) == 0
     assert capsys.readouterr().out.strip() == "hypertree"

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from hypershrink import (
@@ -106,6 +109,59 @@ def test_random_hypertree_determinism():
     a = hypergraph_to_json(random_hypertree(30, 4, 99, 0.6)[0])
     b = hypergraph_to_json(random_hypertree(30, 4, 99, 0.6)[0])
     assert a == b
+
+
+# SHA-256 of hypergraph_to_json(H) + "\n" + the witness pairs as JSON +
+# "\n", recorded from the generator that copied an n-element candidate
+# list per expanded edge; the lazy shuffle must draw the same stream.
+# The cases cover n = 2, pools smaller than the draw, redraws and the
+# n = 500 instances of the benchmark pools.
+GEN_DIGESTS = {
+    (2, 2, 0, 0.5): "a5238c8b8ed9d098c9d452f0668eee4ab9601df2f49ad767f3fc9ea186dc5269",
+    (3, 5, 4, 1.0): "250388f415271f9929b4148b3ff79440c68876a6d647fd9364d3986d73ff0da1",
+    (4, 8, 5, 1.0): "d9b853db84820fdac674f6a2e8f05ada2ccb938fe3825c02cbf7c9a62501ebce",
+    (10, 3, 1, 0.5): "4eb6a412e6814f17a93e51330b28127e6620179ad30b3232fd1e2dba183a7fe2",
+    (50, 5, 7, 0.8): "1cf1e08da1781f179763c3897b201e754a7e62e206e9bff46d4fad1bd28a635b",
+    (200, 4, 3, 1.0): "016828c856f293f0b1f8b1d73135deeca14424c7aa1437869eb43a27b4cfb65b",
+    (500, 3, 1, 0.5): "4995e98b81b4d0ac43b94019a1f6024c3f6260007b977b154336b702de146373",
+    (500, 5, 2, 0.8): "2908cd31d80f3497821afae472b07e45777e977f487ec7ac70323cc46ef9a004",
+    (1000, 6, 11, 0.3): "a77d4a125e5ca39707836b468dffefbb64910546cbf400ea1d95840f1e3b1d20",
+    (2000, 5, 1, 0.8): "0d23a37fe3768e0a7899131953b0168210c1aad6e5d7885cfe6f62cd393cf39f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GEN_DIGESTS))
+def test_random_hypertree_pinned_digests(case):
+    hg, witness = random_hypertree(*case)
+    text = (
+        hypergraph_to_json(hg)
+        + "\n"
+        + json.dumps({"pairs": [list(pair) for pair in witness]})
+        + "\n"
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GEN_DIGESTS[case]
+
+
+def eager_shuffle_prefix(rng: SplitMix64, size: int, count: int) -> list:
+    """Partial Fisher-Yates over a materialised index list."""
+    pool = list(range(size))
+    count = min(count, size)
+    for i in range(count):
+        j = i + rng.randrange(size - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:count]
+
+
+def test_sample_indices_match_the_eager_shuffle():
+    for size in range(7):
+        for count in range(9):
+            seed = size * 9 + count
+            lazy = SplitMix64(seed).sample_indices(size, count)
+            assert lazy == eager_shuffle_prefix(SplitMix64(seed), size, count)
+            population = [10 * i for i in range(size)]
+            assert SplitMix64(seed).sample(population, count) == [
+                population[i] for i in lazy
+            ]
 
 
 def test_random_hypertree_preconditions():

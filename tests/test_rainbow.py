@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from hypershrink import (
     random_hypertree,
     star_graph,
 )
+from hypershrink import rainbow
 from helpers import (
     H1,
     brute_rainbow_tree_exists,
@@ -308,3 +310,173 @@ def test_public_names_resolve():
         assert hasattr(hypershrink, name), name
     assert "clique_graph" not in hypershrink.__all__
     assert not hasattr(hypershrink, "clique_graph")
+
+
+# ---------------------------------------------------------------------------
+# The persistent engine's state after every augmentation
+# ---------------------------------------------------------------------------
+
+
+def assert_engine_invariants(engine, graph: ColouredGraph) -> None:
+    """The forest is acyclic and rainbow, ``parent_edge`` holds exactly
+    its edges, and the union-find partition is its component partition."""
+    n, edges = graph.n, graph.edges
+    for c, i in enumerate(engine.owner):
+        assert i == -1 or edges[i][2] == c
+    forest = sorted(i for i in engine.owner if i != -1)
+    assert engine.unused == [c for c, i in enumerate(engine.owner) if i == -1]
+    hung = []
+    for v in range(n):
+        p, i = engine.parent[v], engine.parent_edge[v]
+        if p == -1:
+            assert i == -1
+        else:
+            assert edges[i][:2] == (min(v, p), max(v, p))
+            hung.append(i)
+    assert sorted(hung) == forest
+    assert component_count(n, [edges[i][:2] for i in forest]) == n - len(forest)
+    root = []
+    for v in range(n):
+        x, steps = v, 0
+        while engine.parent[x] != -1:
+            x = engine.parent[x]
+            steps += 1
+            assert steps < n, "parent pointers contain a cycle"
+        root.append(x)
+    blocks = {}
+    for v in range(n):
+        blocks.setdefault(engine.uf.find(v), set()).add(root[v])
+    assert all(len(b) == 1 for b in blocks.values())
+    assert len(blocks) == len(set(root)) == engine.uf.components
+
+
+def shortest_path_nodes(graph: ColouredGraph, forest, sink_colours):
+    """Node count of a shortest source-sink path in the explicit exchange
+    graph of ``forest``, with sinks restricted to the non-forest edges of
+    ``sink_colours``; None when there is no such path."""
+    edges = graph.edges
+    adjacent = [[] for _ in range(graph.n)]
+    for i in forest:
+        u, v, _ = edges[i]
+        adjacent[u].append((v, i))
+        adjacent[v].append((u, i))
+
+    def tree_path(u, v):
+        reached = {u: None}
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            for y, i in adjacent[x]:
+                if y not in reached:
+                    reached[y] = (x, i)
+                    stack.append(y)
+        if v not in reached:
+            return None
+        path = []
+        while v != u:
+            v, i = reached[v]
+            path.append(i)
+        return path
+
+    owner = {edges[i][2]: i for i in forest}
+    arcs = {}
+    sources = []
+    for x, (u, v, c) in enumerate(edges):
+        if x in forest:
+            continue
+        path = tree_path(u, v)
+        if path is None:
+            sources.append(x)
+        for y in path or ():
+            arcs.setdefault(y, []).append(x)
+        if c in owner:
+            arcs[x] = [owner[c]]
+    sinks = {x for x, e in enumerate(edges) if e[2] in sink_colours and x not in forest}
+    distance = {x: 1 for x in sources}
+    queue = collections.deque(sources)
+    while queue:
+        x = queue.popleft()
+        if x in sinks:
+            return distance[x]
+        for y in arcs.get(x, ()):
+            if y not in distance:
+                distance[y] = distance[x] + 1
+                queue.append(y)
+    return None
+
+
+def run_engine(graph: ColouredGraph, seed) -> tuple:
+    """Augment from the rainbow forest ``seed`` until maximum, checking the
+    invariants before the first and after every augmentation, and that
+    each augmentation flips a shortest path: to the sinks of the lowest
+    unused colour if there is one, else to any sink."""
+    uf = rainbow.UnionFind(graph.n)
+    for i in seed:
+        assert uf.union(*graph.edges[i][:2])
+    engine = rainbow._RainbowEngine(graph, rainbow._colour_classes(graph), seed, uf)
+    assert_engine_invariants(engine, graph)
+    while uf.components > 1:
+        before = engine.forest()
+        shortest = shortest_path_nodes(graph, before, engine.unused[:1])
+        if shortest is None:
+            shortest = shortest_path_nodes(graph, before, engine.unused)
+        grew = engine.augment()
+        assert grew == (shortest is not None)
+        if not grew:
+            break
+        assert len(set(before) ^ set(engine.forest())) == shortest
+        assert_engine_invariants(engine, graph)
+    return engine.forest()
+
+
+def rainbow_forests(graph: ColouredGraph) -> list:
+    """Every rainbow forest of ``graph``, as sorted edge-index tuples."""
+    found = []
+    for size in range(min(len(graph.edges), graph.n - 1) + 1):
+        for subset in itertools.combinations(range(len(graph.edges)), size):
+            chosen = [graph.edges[i] for i in subset]
+            if len({c for _, _, c in chosen}) < size:
+                continue
+            if component_count(graph.n, [e[:2] for e in chosen]) == graph.n - size:
+                found.append(subset)
+    return found
+
+
+def test_engine_invariants_on_every_small_coloured_graph():
+    # every colouring of the 6 pairs on 4 vertices by at most one of 3
+    # colours, augmented to the end from the empty forest and from the
+    # greedy seed
+    pairs = list(itertools.combinations(range(4), 2))
+    for colouring in itertools.product((None, 0, 1, 2), repeat=len(pairs)):
+        used = {c for c in colouring if c is not None}
+        if used != set(range(len(used))):
+            continue
+        graph = ColouredGraph(
+            4, tuple((u, v, c) for (u, v), c in zip(pairs, colouring) if c is not None)
+        )
+        best = brute_max_rainbow_forest(graph)
+        greedy, _ = rainbow._greedy_rainbow_forest(graph, rainbow._colour_classes(graph))
+        assert len(run_engine(graph, [])) == best
+        assert len(run_engine(graph, greedy)) == best
+
+
+def test_engine_invariants_from_every_start_on_random_multigraphs():
+    rng = random.Random(20240607)
+    for _ in range(60):
+        graph = random_coloured_graph(rng, n_max=6, c_max=6)
+        starts = rainbow_forests(graph)
+        best = max(len(f) for f in starts)
+        for seed in starts:
+            assert len(run_engine(graph, seed)) == best
+
+
+def test_engine_invariants_on_star_expansions():
+    # from the empty forest every edge arrives by augmentation, along
+    # paths far longer than the greedy seed leaves to do
+    for seed in range(12):
+        for k, p in ((3, 0.5), (5, 0.8)):
+            hg, _ = random_hypertree(40, k, seed, p)
+            star = star_graph(orient_floor(hg))
+            assert len(run_engine(star, [])) == hg.n - 1
+            greedy, _ = rainbow._greedy_rainbow_forest(star, rainbow._colour_classes(star))
+            assert len(run_engine(star, greedy)) == hg.n - 1

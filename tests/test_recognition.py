@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from hypershrink import Hypergraph, LimitExceededError, is_hypertree, is_hypertree_bruteforce
+from hypershrink import (
+    Hypergraph,
+    LimitExceededError,
+    is_hypertree,
+    is_hypertree_bruteforce,
+    random_hypertree,
+)
 from helpers import (
     H1,
     NESTED4,
@@ -102,3 +108,8 @@ def test_violating_subset_rechecks():
             inside = sum(1 for e in hg.edges if set(e) <= X)
             assert inside > len(X) - 1
     assert seen > 0
+
+
+def test_check_at_scale_10000():
+    hg, _ = random_hypertree(10000, 5, 2, 0.8)
+    assert is_hypertree(hg)

@@ -221,6 +221,12 @@ def test_shrink_at_scale():
     assert verify_shrinking(hg, s).all_passed
 
 
+def test_shrink_at_scale_10000():
+    hg, _ = random_hypertree(10000, 5, 2, 0.8)
+    s = shrink_hypertree(hg)
+    assert verify_shrinking(hg, s).all_passed
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=2, max_value=40),

@@ -205,6 +205,18 @@ def validate(hypergraph: Hypergraph) -> ValidationReport:
 # Parsers sort each edge; semantic checks are left to validate().
 # ---------------------------------------------------------------------------
 
+# Largest vertex count the parsers accept.  The pipeline allocates
+# per-vertex lists before it looks at the edges, so a short file naming a
+# huge n is refused as bad input rather than allowed to exhaust memory.
+MAX_VERTICES = 10_000_000
+
+
+def _check_vertex_count(n: int) -> None:
+    if n < 0:
+        raise FormatError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise FormatError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
+
 
 def hypergraph_to_json(hypergraph: Hypergraph) -> str:
     return json.dumps(
@@ -233,6 +245,7 @@ def hypergraph_from_json(text: str) -> Hypergraph:
         raise FormatError('"n" must be an integer')
     if not isinstance(edges, list):
         raise FormatError('"edges" must be a list')
+    _check_vertex_count(n)
     parsed = []
     for i, e in enumerate(edges):
         if not isinstance(e, list) or not all(
@@ -240,8 +253,6 @@ def hypergraph_from_json(text: str) -> Hypergraph:
         ):
             raise FormatError(f"edge {i} must be a list of integers")
         parsed.append(tuple(sorted(e)))
-    if n < 0:
-        raise FormatError("vertex count must be non-negative")
     return Hypergraph(n, tuple(parsed))
 
 
@@ -262,6 +273,7 @@ def hypergraph_from_text(text: str) -> Hypergraph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise FormatError(f"bad header: {exc}") from exc
+    _check_vertex_count(n)
     if len(lines) - 1 != m:
         raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -270,8 +282,6 @@ def hypergraph_from_text(text: str) -> Hypergraph:
             edges.append(tuple(sorted(int(tok) for tok in ln.split())))
         except ValueError as exc:
             raise FormatError(f"edge line {i}: {exc}") from exc
-    if n < 0:
-        raise FormatError("vertex count must be non-negative")
     return Hypergraph(n, tuple(edges))
 
 

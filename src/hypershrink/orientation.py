@@ -43,6 +43,15 @@ class OrientationResult:
         return self.oriented is not None
 
 
+def _incidence(hypergraph: Hypergraph) -> list:
+    """incident[v]: the indices of the hyperedges containing v, ascending."""
+    incident = [[] for _ in range(hypergraph.n)]
+    for i, e in enumerate(hypergraph.edges):
+        for v in e:
+            incident[v].append(i)
+    return incident
+
+
 def _repair(v: int, heads: list, need: list, incident: list):
     """Give the short vertex v one more head.
 
@@ -96,10 +105,7 @@ def orient_with_demands(hypergraph: Hypergraph, demands) -> OrientationResult:
         head = max(e, key=need.__getitem__)
         need[head] -= 1
         heads.append(head)
-    incident = [[] for _ in range(hypergraph.n)]
-    for i, e in enumerate(hypergraph.edges):
-        for v in e:
-            incident[v].append(i)
+    incident = _incidence(hypergraph)
     for v in range(hypergraph.n):
         while need[v] > 0:
             reached = _repair(v, heads, need, incident)

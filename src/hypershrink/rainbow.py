@@ -417,8 +417,8 @@ def rainbow_spanning_tree(graph: ColouredGraph):
     """A rainbow spanning tree of ``graph``, or None if there is none.
 
     Returns a :class:`RainbowTree` whose edge list is sorted by endpoints.
-    Absence is a legitimate outcome (the recognizer relies on it), hence a
-    value rather than an exception.
+    Absence is a legitimate outcome (``shrink_hypertree`` relies on it to
+    turn away non-hypertrees), hence a value rather than an exception.
     """
     if graph.n < 1:
         raise ValueError("graph must have at least one vertex")

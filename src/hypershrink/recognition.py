@@ -2,17 +2,18 @@
 
 A hypertree is a hypergraph in which every nonempty vertex set X contains
 at most |X|-1 hyperedges as subsets, with equality at the full vertex set.
-Equivalently, one pair of vertices can be chosen from each hyperedge so
-that the pairs form a spanning tree.  The production recognizer uses the
-second characterisation through the same star expansion and rainbow
-engine as shrinking; the exponential definition check is kept as a test
-oracle.
+Equivalently (Frank, Kiraly and Kriesell, Discrete Appl. Math. 131, 2003),
+it has n - 1 hyperedges and an orientation in which every vertex is
+reachable from one root.  The production recognizer decides the second
+form with the orientation stage alone: one demand-constrained orientation
+and the closed set its repair search reaches from the root.  The
+exponential definition check is kept as a test oracle.
 """
 
 from dataclasses import dataclass
 
-from .core import DirectedHypergraph, Hypergraph, LimitExceededError
-from .rainbow import rainbow_spanning_tree, star_graph
+from .core import Hypergraph, LimitExceededError, validate
+from .orientation import _incidence, _repair, orient_with_demands
 
 
 @dataclass(frozen=True)
@@ -59,16 +60,42 @@ def is_hypertree_bruteforce(hypergraph: Hypergraph, limit: int = 20) -> Brutefor
 
 
 def is_hypertree(hypergraph: Hypergraph) -> bool:
-    """Constructive recognizer: |E| = n - 1 and the star expansion, with
-    each hyperedge's smallest vertex as its head, admits a rainbow
-    spanning tree.
+    """Whether ``hypergraph`` is a hypertree, decided by one orientation.
 
-    Any heads work: for every set of dropped colours, a hyperedge's star
-    connects the same vertex set as its clique, so the component-count
-    condition for a rainbow tree, which picks one pair from each
-    hyperedge, holds for the star exactly when it holds for the clique.
+    Returns False unless |E| = n - 1, then orients with demand 0 at
+    vertex 0 and 1 everywhere else and returns False on a violator.
+    Otherwise it returns whether every vertex is reachable from vertex 0
+    by the moves "x -> head of a hyperedge containing x".  That is the
+    set the orientation's repair search reaches from 0 when no vertex has
+    a spare head to hand over.  The answer is exact, where i(X) counts
+    the hyperedges inside X and e*(F) those meeting F:
+
+    - The total demand is n - 1 = |E|, so every v != 0 heads exactly one
+      hyperedge and vertex 0 heads none.
+    - Sound: take any nonempty X.  A hyperedge inside X is headed in X,
+      so i(X) <= |X - {0}|.  If 0 is not in X and i(X) = |X|, then the
+      one hyperedge each x in X heads lies inside X, so no vertex of X is
+      reachable from 0.  Reaching every vertex leaves i(X) <= |X| - 1.
+    - Complete: in a hypertree every F != V meets e*(F) = |E| - i(V - F)
+      >= |F| hyperedges, so the demands are feasible.  A set X of
+      unreached vertices would hold the hyperedge each x in X heads, since
+      a reached member would reach its head; that gives i(X) >= |X|.
+
+    Raises ``ValueError("invalid hypergraph: ...")`` with the
+    :func:`~hypershrink.core.validate` report on a hypergraph that is not
+    simple (a loop, a duplicate, an out-of-range or unsorted edge), before
+    any vertex id is used as an index.
     """
-    if hypergraph.num_edges != hypergraph.n - 1:
+    report = validate(hypergraph)
+    if not report.ok:
+        raise ValueError(f"invalid hypergraph: {report}")
+    n = hypergraph.n
+    if hypergraph.num_edges != n - 1:
         return False
-    directed = DirectedHypergraph(hypergraph, tuple(e[0] for e in hypergraph.edges))
-    return rainbow_spanning_tree(star_graph(directed)) is not None
+    result = orient_with_demands(hypergraph, (0,) + (1,) * (n - 1))
+    if not result.is_oriented:
+        return False
+    # need is 0 everywhere, so the search finds no spare head and returns
+    # the closed set reached from 0
+    reached = _repair(0, result.oriented.heads, [0] * n, _incidence(hypergraph))
+    return len(reached) == n

@@ -142,6 +142,42 @@ def random_tree_count_hypergraph(rng: random.Random, n: int) -> Hypergraph:
     return Hypergraph(n, tuple(universe[i] for i in sorted(picked)))
 
 
+def break_hypertree(hg: Hypergraph) -> Hypergraph:
+    """Add a pair {u, w} beside two pairs {u, v} and {v, w} and drop a
+    hyperedge disjoint from {u, v, w}.  The edge count stays n - 1 while
+    X = {u, v, w} holds three hyperedges, more than |X| - 1, so the result
+    is certified not to be a hypertree."""
+    pairs_at = {}
+    for e in hg.edges:
+        if len(e) == 2:
+            for v in e:
+                pairs_at.setdefault(v, []).append(e)
+    v = min(x for x, at in pairs_at.items() if len(at) >= 2)
+    (u,) = set(pairs_at[v][0]) - {v}
+    (w,) = set(pairs_at[v][1]) - {v}
+    triangle = {u, v, w}
+    dropped = next(e for e in hg.edges if not set(e) & triangle)
+    edges = [e for e in hg.edges if e != dropped] + [tuple(sorted((u, w)))]
+    broken = Hypergraph(hg.n, tuple(sorted(edges)))
+    inside = [e for e in broken.edges if set(e) <= triangle]
+    # an explicit check, not an assert: pytest does not rewrite this
+    # module, so an assert here would vanish under python -O
+    if len(inside) != 3 or broken.num_edges != hg.n - 1:
+        raise AssertionError("the break did not produce a certified non-hypertree")
+    return broken
+
+
+def random_edge_family(rng: random.Random, n: int) -> Hypergraph:
+    """n - 1 distinct random hyperedges of 2 to 4 vertices on n >= 2
+    vertices.  Unlike random_tree_count_hypergraph, whose large
+    hyperedges make most draws hypertrees, many of these are not."""
+    seen = set()
+    while len(seen) < n - 1:
+        size = rng.randint(2, min(4, n))
+        seen.add(tuple(sorted(rng.sample(range(n), size))))
+    return Hypergraph(n, tuple(sorted(seen)))
+
+
 def random_coloured_graph(rng: random.Random, n_max: int = 8, c_max: int = 12) -> ColouredGraph:
     """Random edge-coloured simple graph with dense colour ids."""
     n = rng.randint(1, n_max)

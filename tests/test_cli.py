@@ -1,10 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hypershrink import OrientationResult
+from hypershrink import OrientationResult, core
 from hypershrink.cli import main
 from helpers import cli_env
 
@@ -241,6 +244,38 @@ def test_bad_input_exits_2(argv, message, h1_file, tmp_path, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+def test_vertex_limit_is_documented():
+    assert core.MAX_VERTICES == 10_000_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["check"], ["check", "--oracle"], ["shrink", "--k", "3"], ["orient"]],
+)
+@pytest.mark.parametrize(
+    "name, text",
+    [("big.json", '{"n": 9, "edges": [[0, 1]]}'), ("big.txt", "9 1\n0 1\n")],
+)
+def test_vertex_count_above_the_limit_exits_2(argv, name, text, tmp_path,
+                                              monkeypatch, capsys):
+    # the limit is lowered so that a regression cannot allocate much
+    monkeypatch.setattr(core, "MAX_VERTICES", 8)
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vertex count 9 exceeds the limit 8\n"
+
+
+def test_vertex_count_at_the_limit_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(core, "MAX_VERTICES", 3)
+    path = tmp_path / "path.json"
+    path.write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}')
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "hypertree\n"
+
+
 def test_gen_p_zero_is_plain_tree(capsys):
     assert main(["gen", "--n", "6", "--k", "4", "--seed", "3", "--p", "0"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -349,3 +384,114 @@ def test_internal_error_exits_3_under_optimisation(h1_file):
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("internal error:")
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: bytes and near-valid files through every reading command
+# ---------------------------------------------------------------------------
+
+FUZZ_COMMANDS = (
+    ["validate"],
+    ["check"],
+    ["shrink"],
+    ["orient"],
+    ["check", "--oracle", "--limit", "8"],
+)
+
+
+def _as_json(hypergraph) -> str:
+    n, edges = hypergraph
+    return json.dumps({"n": n, "edges": edges})
+
+
+def _as_text(hypergraph) -> str:
+    n, edges = hypergraph
+    return f"{n} {len(edges)}\n" + "".join(" ".join(map(str, e)) + "\n" for e in edges)
+
+
+def _cut(text: str):
+    """Every prefix of a file: truncated uploads and the like."""
+    return st.integers(0, len(text)).map(lambda i: text[:i])
+
+
+def _splice(data: bytes):
+    """The file with one byte put in or overwritten anywhere: a byte of
+    0x80 or above alone is not UTF-8."""
+    return st.tuples(st.integers(0, len(data)), st.integers(0, 255), st.booleans()).map(
+        lambda t: data[: t[0]] + bytes([t[1]]) + data[t[0] + t[2]:]
+    )
+
+
+def _simple_edges(edges):
+    """Distinct edges of at least two distinct vertices each."""
+    return list(dict.fromkeys(tuple(sorted(set(e))) for e in edges if len(set(e)) > 1))
+
+
+# simple hypergraphs on a few vertices with about n - 1 hyperedges, some
+# of them hypertrees
+_simple = st.integers(2, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=2, max_size=3),
+            min_size=n - 1,
+            max_size=n,
+        ).map(_simple_edges),
+    )
+)
+_odd_ids = st.integers(-2, 9) | st.sampled_from([10**9, 2**64, -(2**64)])
+_odd = st.tuples(_odd_ids, st.lists(st.lists(_odd_ids, max_size=4), max_size=8))
+_json_values = st.recursive(
+    st.none() | st.booleans() | _odd_ids | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "edges", "x"]), inner, max_size=3),
+    max_leaves=10,
+)
+_simple_files = st.builds(
+    lambda hypergraph, write: write(hypergraph), _simple, st.sampled_from((_as_json, _as_text))
+)
+_odd_files = st.one_of(
+    _odd.map(_as_json),
+    _odd.map(_as_text),
+    st.fixed_dictionaries({"n": _json_values, "edges": _json_values}).map(json.dumps),
+    _json_values.map(json.dumps),
+)
+
+
+def _damaged(clean: str):
+    """An odd hypergraph file, raw bytes, or a prefix or a one-byte splice
+    of ``clean`` or of an odd file."""
+    either = st.one_of(st.just(clean), _odd_files)
+    return st.one_of(
+        _odd_files.map(str.encode),
+        st.binary(min_size=1, max_size=48),
+        either.flatmap(_cut).map(str.encode),
+        either.map(str.encode).flatmap(_splice),
+    )
+
+
+# each example is a simple hypergraph file, which reaches the algorithms,
+# and one damaged file
+_fuzz_files = _simple_files.flatmap(
+    lambda clean: st.tuples(st.just(clean.encode()), _damaged(clean))
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(files=_fuzz_files)
+def test_fuzzed_files_never_leak_an_internal_error(fuzz_path, files):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "MAX_VERTICES", 64)
+        for data in files:
+            fuzz_path.write_bytes(data)
+            for command in FUZZ_COMMANDS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(command + [str(fuzz_path)])
+                assert code in (0, 1, 2), (command, data, err.getvalue())
+                assert "Traceback" not in err.getvalue()

@@ -9,7 +9,6 @@ import hypershrink
 from hypershrink import (
     ColouredGraph,
     DirectedHypergraph,
-    Hypergraph,
     LimitExceededError,
     RainbowTree,
     check_rainbow_condition,
@@ -25,6 +24,7 @@ from hypershrink import (
 from hypershrink import rainbow
 from helpers import (
     H1,
+    break_hypertree,
     brute_rainbow_tree_exists,
     clique_graph,
     component_count,
@@ -259,28 +259,6 @@ def assert_rainbow_tree_of(graph: ColouredGraph, tree) -> None:
     assert set(tree.edges) <= set(graph.edges)
     assert len({c for _, _, c in tree.edges}) == graph.n - 1
     assert is_spanning_tree(graph.n, [(u, v) for u, v, _ in tree.edges])
-
-
-def break_hypertree(hg: Hypergraph) -> Hypergraph:
-    """Add a pair {u, w} beside two pairs {u, v} and {v, w} and drop a
-    hyperedge disjoint from {u, v, w}.  The edge count stays n - 1 while
-    X = {u, v, w} holds three hyperedges, more than |X| - 1, so the result
-    is certified not to be a hypertree."""
-    pairs_at = {}
-    for e in hg.edges:
-        if len(e) == 2:
-            for v in e:
-                pairs_at.setdefault(v, []).append(e)
-    v = min(x for x, at in pairs_at.items() if len(at) >= 2)
-    (u,) = set(pairs_at[v][0]) - {v}
-    (w,) = set(pairs_at[v][1]) - {v}
-    triangle = {u, v, w}
-    dropped = next(e for e in hg.edges if not set(e) & triangle)
-    edges = [e for e in hg.edges if e != dropped] + [tuple(sorted((u, w)))]
-    broken = Hypergraph(hg.n, tuple(sorted(edges)))
-    inside = [e for e in broken.edges if set(e) <= triangle]
-    assert len(inside) == 3 and broken.num_edges == hg.n - 1
-    return broken
 
 
 @pytest.mark.parametrize("k", (3, 5))

@@ -5,8 +5,10 @@ import pytest
 from hypershrink import (
     Hypergraph,
     LimitExceededError,
+    adversarial_star,
     is_hypertree,
     is_hypertree_bruteforce,
+    orient_with_demands,
     random_hypertree,
 )
 from helpers import (
@@ -17,7 +19,9 @@ from helpers import (
     STAR7,
     TRIANGLE3,
     TRIANGLE4,
+    break_hypertree,
     brute_is_hypertree,
+    random_edge_family,
     random_tree_count_hypergraph,
 )
 
@@ -35,6 +39,8 @@ def test_triangle_on_three_vertices():
 
 
 def test_triangle_on_four_vertices():
+    # refused by the orientation: the triangle demands three heads
+    assert not orient_with_demands(TRIANGLE4, (0, 1, 1, 1)).is_oriented
     assert not is_hypertree(TRIANGLE4)
     assert not is_hypertree_bruteforce(TRIANGLE4)
 
@@ -113,3 +119,69 @@ def test_violating_subset_rechecks():
 def test_check_at_scale_10000():
     hg, _ = random_hypertree(10000, 5, 2, 0.8)
     assert is_hypertree(hg)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # a negative id would index from the end of a per-vertex list
+        (((-1, 0),), "vertex-range at edge 0: edge [-1, 0] leaves [0, 2)"),
+        (((),), "loop at edge 0: edge [] has size 0"),
+        (((0, 5),), "vertex-range at edge 0: edge [0, 5] leaves [0, 2)"),
+        (((1, 1),), "loop at edge 0: edge [1, 1] has size 1\n"
+                    "unsorted at edge 0: edge [1, 1] is not strictly sorted"),
+        (((1, 0),), "unsorted at edge 0: edge [1, 0] is not strictly sorted"),
+        (((0, 1), (0, 1)), "duplicate at edge 1: edge [0, 1] repeats edge 0"),
+    ],
+)
+def test_invalid_hypergraph_is_refused(edges, message):
+    with pytest.raises(ValueError) as info:
+        is_hypertree(Hypergraph(2, edges))
+    assert str(info.value) == f"invalid hypergraph: {message}"
+
+
+def test_orientable_but_unreachable_is_not_a_hypertree():
+    # vertex 0 reaches only {0, 4}: the triangle {1, 2, 3} holds three
+    # hyperedges, each headed inside it, while the orientation exists
+    hg = Hypergraph(5, ((1, 2), (2, 3), (1, 3), (0, 1, 4)))
+    assert orient_with_demands(hg, (0, 1, 1, 1, 1)).is_oriented
+    assert not is_hypertree(hg)
+    assert not brute_is_hypertree(hg)
+
+
+def test_agrees_with_the_definition_on_small_edge_families():
+    rng = random.Random(2003)
+    negatives = 0
+    for _ in range(1500):
+        hg = random_edge_family(rng, rng.randint(2, 8))
+        want = brute_is_hypertree(hg)
+        assert is_hypertree(hg) == want, hg
+        negatives += not want
+    assert negatives >= 150
+
+
+def path_in_three_orders(n: int):
+    path = [(i, i + 1) for i in range(n - 1)]
+    alternating = [path[i // 2] if i % 2 == 0 else path[-1 - i // 2] for i in range(n - 1)]
+    return path, path[::-1], alternating
+
+
+def test_long_paths_in_every_edge_order():
+    for edges in path_in_three_orders(20000):
+        assert is_hypertree(Hypergraph(20000, tuple(edges)))
+
+
+@pytest.mark.parametrize("k", (3, 4))
+def test_adversarial_star_in_both_labellings(k):
+    hub = adversarial_star(2000, k)
+    top = hub.n - 1
+    mirrored = Hypergraph(
+        hub.n, tuple(sorted(tuple(sorted(top - v for v in e)) for e in hub.edges))
+    )
+    assert is_hypertree(hub)
+    assert is_hypertree(mirrored)
+
+
+def test_certified_break_at_scale_10000():
+    hg, _ = random_hypertree(10000, 5, 2, 0.8)
+    assert not is_hypertree(break_hypertree(hg))

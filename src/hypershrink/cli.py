@@ -16,6 +16,7 @@ stderr.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -24,6 +25,7 @@ from .core import (
     Hypergraph,
     InternalError,
     LimitExceededError,
+    _check_vertex_count,
     demands_from_json,
     hypergraph_from_json,
     hypergraph_from_text,
@@ -32,7 +34,7 @@ from .core import (
 )
 from .gen import random_hypertree
 from .orientation import floor_demand, orient_floor, orient_with_demands
-from .recognition import is_hypertree, is_hypertree_bruteforce
+from .recognition import _decide_hypertree, is_hypertree_bruteforce
 from .shrink import (
     NotAHypertreeError,
     shrink_hypertree,
@@ -92,9 +94,11 @@ def _check_k(hypergraph: Hypergraph, k) -> None:
 
 def _check_generator_args(args) -> None:
     """Refuse ``--n``, ``--k`` or ``--p`` outside the generator's range
-    as bad input."""
+    as bad input, an ``--n`` above the parsers' vertex limit included,
+    before anything of size n is drawn."""
     if args.n < 2:
         raise FormatError("need at least two vertices")
+    _check_vertex_count(args.n)
     if args.k < 2:
         raise FormatError("rank bound k must be at least 2")
     if not 0.0 <= args.p <= 1.0:
@@ -125,7 +129,7 @@ def _cmd_validate(args) -> int:
 def _cmd_check(args) -> int:
     hypergraph = _load_valid_hypergraph(args.file)
     if not args.oracle:
-        if is_hypertree(hypergraph):
+        if _decide_hypertree(hypergraph):
             print("hypertree")
             return EXIT_OK
         print("not a hypertree")
@@ -254,6 +258,7 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypershrink",
@@ -321,6 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code (see the module
+    docstring).  The argument parser is built on the first call and
+    reused by every later call in the same process."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -8,6 +8,8 @@ immutable after construction and safe to share between threads.
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from operator import contains
 from typing import Iterable
 
 
@@ -30,7 +32,9 @@ class Hypergraph:
 
     The constructor normalises edges to tuples but does not enforce the
     simplicity invariants; use :func:`validate` to obtain a violation
-    report.  All query methods assume a valid hypergraph.
+    report.  All query methods assume a valid hypergraph.  The value is
+    immutable, so :meth:`degrees` and :meth:`rank` are computed once and
+    remembered.
     """
 
     n: int
@@ -40,7 +44,7 @@ class Hypergraph:
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
         object.__setattr__(
-            self, "edges", tuple(tuple(int(v) for v in e) for e in self.edges)
+            self, "edges", tuple([tuple(map(int, e)) for e in self.edges])
         )
 
     @property
@@ -54,16 +58,22 @@ class Hypergraph:
         return sum(1 for e in self.edges if v in e)
 
     def degrees(self) -> list:
-        """Degree of every vertex, indexed by vertex id."""
-        d = [0] * self.n
-        for e in self.edges:
-            for v in e:
+        """Degree of every vertex, indexed by vertex id (a fresh list)."""
+        d = self.__dict__.get("_degrees")
+        if d is None:
+            d = [0] * self.n
+            for v in chain.from_iterable(self.edges):
                 d[v] += 1
-        return d
+            object.__setattr__(self, "_degrees", d)
+        return d.copy()
 
     def rank(self) -> int:
         """Maximum hyperedge size; 0 for an edgeless hypergraph."""
-        return max((len(e) for e in self.edges), default=0)
+        r = self.__dict__.get("_rank")
+        if r is None:
+            r = max(map(len, self.edges), default=0)
+            object.__setattr__(self, "_rank", r)
+        return r
 
     def incident_edge_count(self, vertices: Iterable[int]) -> int:
         """Number of hyperedges meeting the given vertex set (e*(F))."""
@@ -83,12 +93,13 @@ class DirectedHypergraph:
     heads: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "heads", tuple(int(h) for h in self.heads))
+        object.__setattr__(self, "heads", tuple(map(int, self.heads)))
         if len(self.heads) != len(self.base.edges):
             raise ValueError("one head per hyperedge required")
-        for i, (e, h) in enumerate(zip(self.base.edges, self.heads)):
-            if h not in e:
-                raise ValueError(f"head {h} not a member of hyperedge {i}")
+        if not all(map(contains, self.base.edges, self.heads)):
+            for i, (e, h) in enumerate(zip(self.base.edges, self.heads)):
+                if h not in e:
+                    raise ValueError(f"head {h} not a member of hyperedge {i}")
 
     def indegree(self, v: int) -> int:
         """Number of hyperarcs whose head is ``v``."""
@@ -180,15 +191,16 @@ def validate(hypergraph: Hypergraph) -> ValidationReport:
     """
     problems = []
     seen = {}
+    n = hypergraph.n
     for i, e in enumerate(hypergraph.edges):
-        distinct = frozenset(e)
+        # the distinct vertices in order: their ends are the least and the
+        # greatest vertex, and the tuple names the vertex set
+        distinct = tuple(sorted(set(e)))
         if len(distinct) < 2:
             problems.append(Violation("loop", i, f"edge {list(e)} has size {len(distinct)}"))
-        if any(v < 0 or v >= hypergraph.n for v in e):
-            problems.append(
-                Violation("vertex-range", i, f"edge {list(e)} leaves [0, {hypergraph.n})")
-            )
-        if tuple(e) != tuple(sorted(distinct)):
+        if distinct and (distinct[0] < 0 or distinct[-1] >= n):
+            problems.append(Violation("vertex-range", i, f"edge {list(e)} leaves [0, {n})"))
+        if e != distinct:
             problems.append(Violation("unsorted", i, f"edge {list(e)} is not strictly sorted"))
         if distinct in seen:
             problems.append(
@@ -246,14 +258,19 @@ def hypergraph_from_json(text: str) -> Hypergraph:
     if not isinstance(edges, list):
         raise FormatError('"edges" must be a list')
     _check_vertex_count(n)
-    parsed = []
-    for i, e in enumerate(edges):
-        if not isinstance(e, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in e
-        ):
-            raise FormatError(f"edge {i} must be a list of integers")
-        parsed.append(tuple(sorted(e)))
-    return Hypergraph(n, tuple(parsed))
+    # json.loads makes exactly int for integers (bool for true/false), so
+    # one pass over the types decides; the per-edge scan only names the
+    # first bad edge
+    if not (
+        set(map(type, edges)) <= {list}
+        and set(map(type, chain.from_iterable(edges))) <= {int}
+    ):
+        for i, e in enumerate(edges):
+            if not isinstance(e, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in e
+            ):
+                raise FormatError(f"edge {i} must be a list of integers")
+    return Hypergraph(n, tuple([tuple(sorted(e)) for e in edges]))
 
 
 def hypergraph_to_text(hypergraph: Hypergraph) -> str:

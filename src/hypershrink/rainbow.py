@@ -24,6 +24,7 @@ the test oracle.
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter, lt
 
 from .core import DirectedHypergraph, LimitExceededError
 
@@ -68,26 +69,34 @@ class ColouredGraph:
     edges: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "edges", tuple((int(u), int(v), int(c)) for u, v, c in self.edges)
-        )
-        colours = set()
-        seen = set()
-        for u, v, c in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"bad endpoints ({u}, {v}) for n={self.n}")
-            if c < 0:
-                raise ValueError("colour ids must be non-negative")
-            if (u, v, c) in seen:
-                raise ValueError(f"repeated edge ({u}, {v}) with colour {c}")
-            seen.add((u, v, c))
-            colours.add(c)
-        if colours and colours != set(range(max(colours) + 1)):
+        edges = tuple([(int(u), int(v), int(c)) for u, v, c in self.edges])
+        object.__setattr__(self, "edges", edges)
+        us, vs, cs = zip(*edges) if edges else ((), (), ())
+        # whole-column passes decide; the per-edge scan only names the
+        # first offending edge
+        if not (
+            min(us, default=0) >= 0
+            and max(vs, default=-1) < self.n
+            and all(map(lt, us, vs))
+            and min(cs, default=0) >= 0
+            and len(set(edges)) == len(edges)
+        ):
+            seen = set()
+            for u, v, c in edges:
+                if not (0 <= u < v < self.n):
+                    raise ValueError(f"bad endpoints ({u}, {v}) for n={self.n}")
+                if c < 0:
+                    raise ValueError("colour ids must be non-negative")
+                if (u, v, c) in seen:
+                    raise ValueError(f"repeated edge ({u}, {v}) with colour {c}")
+                seen.add((u, v, c))
+        colours = set(cs)
+        if colours and len(colours) != max(colours) + 1:
             raise ValueError("colour ids must be dense 0..c-1")
 
     @property
     def num_colours(self) -> int:
-        return max((c for _, _, c in self.edges), default=-1) + 1
+        return max(map(itemgetter(2), self.edges), default=-1) + 1
 
 
 @dataclass(frozen=True)
@@ -99,16 +108,20 @@ class RainbowTree:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "edges", tuple((int(u), int(v), int(c)) for u, v, c in self.edges)
+            self, "edges", tuple([(int(u), int(v), int(c)) for u, v, c in self.edges])
         )
         if len(self.edges) != self.n - 1:
             raise ValueError(f"{len(self.edges)} edges cannot span {self.n} vertices")
-        uf = UnionFind(self.n)
+        parent = list(range(self.n))
         for u, v, _ in self.edges:
-            if not uf.union(u, v):
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
                 raise ValueError("edges contain a cycle")
-        colours = [c for _, _, c in self.edges]
-        if len(set(colours)) != len(colours):
+            parent[u] = v
+        if len({c for _, _, c in self.edges}) != len(self.edges):
             raise ValueError("colours are not pairwise distinct")
 
 
@@ -119,11 +132,14 @@ def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
     sum(|e| - 1) edges and one colour per hyperarc.
     """
     edges = []
+    append = edges.append
     for i, (e, h) in enumerate(zip(directed.base.edges, directed.heads)):
         for t in e:
-            if t != h:
-                edges.append((min(h, t), max(h, t), i))
-    return ColouredGraph(directed.base.n, tuple(edges))
+            if t < h:
+                append((t, h, i))
+            elif t > h:
+                append((h, t, i))
+    return ColouredGraph(directed.base.n, edges)
 
 
 def _colour_classes(graph: ColouredGraph) -> list:
@@ -141,24 +157,31 @@ def _greedy_rainbow_forest(graph: ColouredGraph, classes: list) -> tuple:
     Scarcest colours go first.  Where the tree needs every colour, as on
     the expansions of a hypertree (n - 1 colours), a colour with a single
     edge forces that edge and a colour with few edges has few places to
-    go; placing them first leaves fewer augmentations to do.  Returns the
-    chosen edge indices and the union-find of their components.
+    go; placing them first leaves fewer augmentations to do.  The scan
+    walks the colours stable-sorted by class size and each class sorted by
+    endpoints (its edges share the colour, so edge-tuple order is endpoint
+    order), and leaves a class at its first kept edge.  Returns the chosen
+    edge indices and the union-find of their components.
     """
     edges = graph.edges
-    order = sorted(
-        range(len(edges)),
-        key=lambda i: (len(classes[edges[i][2]]), edges[i][2]) + edges[i][:2],
-    )
     uf = UnionFind(graph.n)
-    used_colour = [False] * len(classes)
+    parent, size = uf.parent, uf.size
     chosen = []
-    for i in order:
-        u, v, c = edges[i]
-        if used_colour[c]:
-            continue
-        if uf.union(u, v):
-            used_colour[c] = True
-            chosen.append(i)
+    for c in sorted(range(len(classes)), key=list(map(len, classes)).__getitem__):
+        for i in sorted(classes[c], key=edges.__getitem__):
+            u, v, _ = edges[i]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                if size[u] < size[v]:
+                    u, v = v, u
+                parent[v] = u
+                size[u] += size[v]
+                chosen.append(i)
+                break
+    uf.components = graph.n - len(chosen)
     return chosen, uf
 
 

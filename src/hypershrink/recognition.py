@@ -89,6 +89,12 @@ def is_hypertree(hypergraph: Hypergraph) -> bool:
     report = validate(hypergraph)
     if not report.ok:
         raise ValueError(f"invalid hypergraph: {report}")
+    return _decide_hypertree(hypergraph)
+
+
+def _decide_hypertree(hypergraph: Hypergraph) -> bool:
+    """:func:`is_hypertree` for a hypergraph that already passed
+    :func:`~hypershrink.core.validate`, which it does not run again."""
     n = hypergraph.n
     if hypergraph.num_edges != n - 1:
         return False

@@ -11,7 +11,7 @@ hyperedge-to-tree-edge bijection off the colours.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .core import Hypergraph, LimitExceededError
 from .orientation import orient_floor
@@ -45,14 +45,14 @@ class Shrinking:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "tree", tuple((int(u), int(v)) for u, v in self.tree)
+            self, "tree", tuple([(int(u), int(v)) for u, v in self.tree])
         )
-        object.__setattr__(self, "assignment", tuple(int(i) for i in self.assignment))
+        object.__setattr__(self, "assignment", tuple(map(int, self.assignment)))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Shrinking":
         """Build from one chosen pair per hyperedge (pairs must be distinct)."""
-        normalised = [(min(u, v), max(u, v)) for u, v in pairs]
+        normalised = [(u, v) if u < v else (v, u) for u, v in pairs]
         tree = tuple(sorted(normalised))
         if len(set(tree)) != len(tree):
             raise ValueError("chosen pairs are not distinct")
@@ -64,13 +64,18 @@ class Shrinking:
         return self.tree[self.assignment[i]]
 
     def tree_degrees(self, n: int) -> list:
-        d = [0] * n
-        for u, v in self.tree:
-            if 0 <= u < n:
-                d[u] += 1
-            if 0 <= v < n:
-                d[v] += 1
-        return d
+        """Degree in the tree of every vertex 0..n-1 (a fresh list);
+        endpoints outside that range are not counted.  Computed once per
+        n and remembered, as the value is immutable."""
+        memo = self.__dict__.get("_tree_degrees")
+        if memo is None or memo[0] != n:
+            d = [0] * n
+            for v in chain.from_iterable(self.tree):
+                if 0 <= v < n:
+                    d[v] += 1
+            memo = (n, d)
+            object.__setattr__(self, "_tree_degrees", memo)
+        return memo[1].copy()
 
 
 def shrink_hypertree(hypergraph: Hypergraph, k: int = None) -> Shrinking:
@@ -95,8 +100,10 @@ def shrink_hypertree(hypergraph: Hypergraph, k: int = None) -> Shrinking:
             "no-rainbow-tree", "the star expansion has no rainbow spanning tree"
         )
     # n-1 pairwise-distinct colours on n-1 edges: every hyperedge occurs once
-    pair_of_colour = {c: (u, v) for u, v, c in tree.edges}
-    return Shrinking.from_pairs(pair_of_colour[i] for i in range(m))
+    pair_of_colour = [None] * m
+    for u, v, c in tree.edges:
+        pair_of_colour[c] = (u, v)
+    return Shrinking.from_pairs(pair_of_colour)
 
 
 @dataclass(frozen=True)
@@ -151,21 +158,26 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
     tree_ok = len(tree) == n - 1
     detail = "" if tree_ok else f"{len(tree)} edges for {n} vertices"
     if tree_ok:
-        uf = UnionFind(n)
+        parent = list(range(n))
         for u, v in tree:
             if not (0 <= u < n and 0 <= v < n and u != v):
                 tree_ok, detail = False, f"bad edge ({u}, {v})"
                 break
-            if not uf.union(u, v):
+            a, b = u, v
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b:
                 tree_ok, detail = False, f"cycle closed by ({u}, {v})"
                 break
+            parent[a] = b
     checks.append(VerificationCheck("spanning-tree", tree_ok, detail))
 
     bad = [
         i
-        for i in range(min(m, len(shrinking.assignment)))
-        if not (0 <= shrinking.assignment[i] < len(tree))
-        or not set(shrinking.pair_for(i)) <= set(hypergraph.edges[i])
+        for i, (j, e) in enumerate(zip(shrinking.assignment, hypergraph.edges))
+        if not (0 <= j < len(tree) and tree[j][0] in e and tree[j][1] in e)
     ]
     checks.append(
         VerificationCheck(

@@ -4,6 +4,7 @@ Everything here is deliberately naive: exhaustive searches and first
 principles definitions that the fast implementations are judged against.
 """
 
+import collections
 import itertools
 import os
 import random
@@ -193,3 +194,34 @@ def random_coloured_graph(rng: random.Random, n_max: int = 8, c_max: int = 12) -
     used = sorted({c for _, _, c in edges})
     remap = {c: i for i, c in enumerate(used)}
     return ColouredGraph(n, tuple((u, v, remap[c]) for u, v, c in edges))
+
+
+def sort_key_greedy(graph: ColouredGraph) -> tuple:
+    """The greedy rainbow seed as one scan of every edge sorted by (class
+    size, colour, u, v), keeping an edge iff its colour is unused and it
+    joins two components.  Returns the kept edge indices in scan order and
+    the number of components left."""
+    edges = graph.edges
+    size = collections.Counter(c for _, _, c in edges)
+    order = sorted(
+        range(len(edges)), key=lambda i: (size[edges[i][2]], edges[i][2]) + edges[i][:2]
+    )
+    parent = list(range(graph.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    used = set()
+    chosen = []
+    for i in order:
+        u, v, c = edges[i]
+        if c in used:
+            continue
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            used.add(c)
+            chosen.append(i)
+    return chosen, graph.n - len(chosen)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -7,7 +8,13 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypershrink import OrientationResult, core
+from hypershrink import (
+    OrientationResult,
+    adversarial_star,
+    core,
+    hypergraph_to_json,
+    random_hypertree,
+)
 from hypershrink.cli import main
 from helpers import cli_env
 
@@ -276,6 +283,36 @@ def test_vertex_count_at_the_limit_is_read(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "hypertree\n"
 
 
+def refuse_to_generate(*args):
+    raise AssertionError("the generator ran on a refused --n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--k", "3", "--seed", "0"],
+     ["bench", "--trials", "1", "--k", "3", "--seed", "0"]],
+)
+def test_generator_refuses_n_above_the_vertex_limit(argv, monkeypatch, capsys):
+    monkeypatch.setattr("hypershrink.cli.random_hypertree", refuse_to_generate)
+    limit = core.MAX_VERTICES
+    assert main(argv + ["--n", str(limit + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: vertex count {limit + 1} exceeds the limit {limit}\n"
+    assert main(argv + ["--n", "1000000000"]) == 2
+    assert capsys.readouterr().err.startswith("error: vertex count 1000000000 exceeds")
+
+
+def test_generator_accepts_n_at_the_vertex_limit(monkeypatch, capsys):
+    monkeypatch.setattr(core, "MAX_VERTICES", 6)
+    assert main(["gen", "--n", "6", "--k", "3", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 6
+    assert main(["bench", "--trials", "1", "--n", "6", "--k", "3", "--seed", "0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert main(["gen", "--n", "7", "--k", "3", "--seed", "0"]) == 2
+    assert capsys.readouterr().err == "error: vertex count 7 exceeds the limit 6\n"
+
+
 def test_gen_p_zero_is_plain_tree(capsys):
     assert main(["gen", "--n", "6", "--k", "4", "--seed", "3", "--p", "0"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -346,7 +383,7 @@ def test_unexpected_exception_exits_3(h1_file, monkeypatch, capsys):
     def broken(hypergraph):
         raise KeyError("lost")
 
-    monkeypatch.setattr("hypershrink.cli.is_hypertree", broken)
+    monkeypatch.setattr("hypershrink.cli._decide_hypertree", broken)
     assert main(["check", h1_file]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -358,7 +395,7 @@ def test_internal_value_error_exits_3(h1_file, monkeypatch, capsys):
     def broken(hypergraph):
         raise ValueError("bug")
 
-    monkeypatch.setattr("hypershrink.cli.is_hypertree", broken)
+    monkeypatch.setattr("hypershrink.cli._decide_hypertree", broken)
     assert main(["check", h1_file]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -495,3 +532,56 @@ def test_fuzzed_files_never_leak_an_internal_error(fuzz_path, files):
                     code = main(command + [str(fuzz_path)])
                 assert code in (0, 1, 2), (command, data, err.getvalue())
                 assert "Traceback" not in err.getvalue()
+
+
+# SHA-256 of the stdout and of the stderr of `hypershrink shrink FILE
+# [flags]`, recorded before the per-layer passes of the shrink pipeline
+# were rewritten; they pin the JSON, the DOT overlay and the verification
+# report byte for byte.  Random instances are random_hypertree(n, k, seed,
+# p), hubs adversarial_star(m, k).
+SHRINK_DIGESTS = {
+    ("random", (500, 3, 1, 0.5), ()): (
+        "ca8b55738a81ed5230fd9d8ba8f23a453820af6a3aa79a6ef030316e60bd7d13",
+        "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
+    ("random", (500, 3, 2, 0.8), ()): (
+        "2cffaa4322d2396c6a4d905c1ca5335a538a75e22ae89d60d1c6788b34297e5b",
+        "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
+    ("random", (500, 5, 3, 0.5), ()): (
+        "d31df74cd33510f50366f1996eeadadc285ee2544e259891e88927674e15c144",
+        "473157a4e93d03e3051303f4b5a0ee5b33084eaaabf500cd6a71d8124e7580df"),
+    ("random", (500, 5, 4, 0.8), ()): (
+        "92a135631440b184ef325aa9f4cce4852a2861210624df424aea636779060980",
+        "473157a4e93d03e3051303f4b5a0ee5b33084eaaabf500cd6a71d8124e7580df"),
+    ("hub", (1500, 3), ()): (
+        "adb9e5cb3d02d00684186a87807e5dd5f1f46ca17d2d2b28274489eb08cbc1bf",
+        "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
+    ("hub", (1500, 4), ()): (
+        "65d4b8bfe9afb2171a5d74bf9aff165d052f5a0d9c43a632c25800e0122993c1",
+        "473157a4e93d03e3051303f4b5a0ee5b33084eaaabf500cd6a71d8124e7580df"),
+    ("random", (9, 3, 5, 0.8), ()): (
+        "254579ed38e0a88a555e024e86116ac20f6751c8a48fc264c31422e9f7968419",
+        "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
+    ("random", (9, 3, 5, 0.8), ("--out", "dot")): (
+        "186009240d3f3218ace54b1428635f3c106ebddfef2ed94e67142613b4a8fc24",
+        "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
+    ("random", (9, 3, 5, 0.8), ("--k", "4")): (
+        "631e3630cb727bd0576b66b4f11d2029ff0d9b6cda82b0bd736be5ba9c7aa8ee",
+        "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
+}
+
+
+@pytest.mark.parametrize("case", list(SHRINK_DIGESTS), ids=str)
+def test_shrink_output_is_pinned(case, tmp_path, capsys):
+    family, params, flags = case
+    if family == "random":
+        hypergraph = random_hypertree(*params)[0]
+    else:
+        hypergraph = adversarial_star(*params)
+    path = tmp_path / "h.json"
+    path.write_text(hypergraph_to_json(hypergraph))
+    assert main(["shrink", str(path), *flags]) == 0
+    captured = capsys.readouterr()
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest() for text in (captured.out, captured.err)
+    )
+    assert digests == SHRINK_DIGESTS[case]

@@ -72,6 +72,34 @@ def test_validate_flags_unsorted():
     assert any(v.kind == "unsorted" and v.edge_index == 0 for v in report)
 
 
+def test_validate_reports_every_violation_in_edge_order():
+    hg = Hypergraph(4, ((1,), (2, 0), (0, 5), (0, 2), (2, 0), (), (-1, 3),
+                        (3, 3, 1), (0, 2), (7,)))
+    assert str(validate(hg)).splitlines() == [
+        "loop at edge 0: edge [1] has size 1",
+        "unsorted at edge 1: edge [2, 0] is not strictly sorted",
+        "vertex-range at edge 2: edge [0, 5] leaves [0, 4)",
+        "duplicate at edge 3: edge [0, 2] repeats edge 1",
+        "unsorted at edge 4: edge [2, 0] is not strictly sorted",
+        "duplicate at edge 4: edge [2, 0] repeats edge 1",
+        "loop at edge 5: edge [] has size 0",
+        "vertex-range at edge 6: edge [-1, 3] leaves [0, 4)",
+        "unsorted at edge 7: edge [3, 3, 1] is not strictly sorted",
+        "duplicate at edge 8: edge [0, 2] repeats edge 1",
+        "loop at edge 9: edge [7] has size 1",
+        "vertex-range at edge 9: edge [7] leaves [0, 4)",
+    ]
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_degrees_and_rank_without_edges(n):
+    hg = Hypergraph(n, ())
+    assert hg.degrees() == [0] * n
+    assert hg.degrees() == [0] * n  # remembered value
+    assert hg.rank() == 0
+    assert hg.rank() == 0
+
+
 def test_validation_report_str_names_edge():
     report = validate(Hypergraph(3, ((1, 1),)))
     assert "edge 0" in str(report)
@@ -89,9 +117,12 @@ def test_directed_hypergraph_queries():
 
 
 def test_directed_hypergraph_rejects_bad_heads():
-    with pytest.raises(ValueError):
-        DirectedHypergraph(H1, (3, 2, 3))  # 3 not in edge 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^head 3 not a member of hyperedge 0$"):
+        DirectedHypergraph(H1, (3, 2, 3))
+    # the first bad head is named when several are bad
+    with pytest.raises(ValueError, match=r"^head 0 not a member of hyperedge 1$"):
+        DirectedHypergraph(H1, (0, 0, 0))
+    with pytest.raises(ValueError, match=r"^one head per hyperedge required$"):
         DirectedHypergraph(H1, (2, 2))
 
 
@@ -129,6 +160,23 @@ def test_json_parse_errors():
         hypergraph_from_json('{"n": 3, "edges": [[0, "x"]]}')
     with pytest.raises(FormatError):
         hypergraph_from_json('{"n": 3}')
+
+
+@pytest.mark.parametrize(
+    "edges, index",
+    [
+        ("[[0, true]]", 0),  # a bool is not an integer
+        ("[[0, 1], [[1], 2]]", 1),  # nested list
+        ("[[0, 1], [0, 1.0]]", 1),
+        ("[[0, 1], 7]", 1),  # an edge that is not a list
+        ('[[0, 1], "01"]', 1),
+        ("[[0, 1], [1, 2], [false, 2], [[0], 1], 3]", 2),  # first of several
+    ],
+)
+def test_json_parser_names_the_first_bad_edge(edges, index):
+    text = f'{{"n": 3, "edges": {edges}}}'
+    with pytest.raises(FormatError, match=rf"^edge {index} must be a list of integers$"):
+        hypergraph_from_json(text)
 
 
 def test_text_parse_errors():

@@ -30,6 +30,7 @@ from helpers import (
     component_count,
     is_spanning_tree,
     random_coloured_graph,
+    sort_key_greedy,
 )
 
 
@@ -51,16 +52,36 @@ def brute_max_rainbow_forest(graph: ColouredGraph) -> int:
 
 def test_coloured_graph_validation():
     ColouredGraph(3, ((0, 1, 0), (1, 2, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad endpoints \(1, 0\) for n=3$"):
         ColouredGraph(3, ((1, 0, 0),))  # endpoints out of order
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad endpoints \(0, 0\) for n=3$"):
         ColouredGraph(3, ((0, 0, 0),))  # loop
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad endpoints \(0, 3\) for n=2$"):
         ColouredGraph(2, ((0, 3, 0),))  # vertex range
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad endpoints \(-1, 1\) for n=2$"):
+        ColouredGraph(2, ((-1, 1, 0),))
+    with pytest.raises(ValueError, match=r"^colour ids must be non-negative$"):
+        ColouredGraph(3, ((0, 1, 0), (1, 2, -1)))
+    with pytest.raises(ValueError, match=r"^colour ids must be dense 0\.\.c-1$"):
         ColouredGraph(3, ((0, 1, 1),))  # colour 0 unused
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^repeated edge \(0, 1\) with colour 0$"):
         ColouredGraph(3, ((0, 1, 0), (0, 1, 0)))  # duplicate triple
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # the first offending edge is named, whatever its kind
+        (((0, 1, 0), (0, 1, 0), (2, 1, 1), (0, 2, -1)),
+         r"^repeated edge \(0, 1\) with colour 0$"),
+        (((0, 1, 0), (2, 1, 1), (0, 1, 0)), r"^bad endpoints \(2, 1\) for n=3$"),
+        (((0, 1, 0), (0, 2, -1), (1, 1, 0)), r"^colour ids must be non-negative$"),
+        (((0, 1, 2), (1, 2, 0), (0, 5, 0)), r"^bad endpoints \(0, 5\) for n=3$"),
+    ],
+)
+def test_coloured_graph_names_the_first_offender(edges, message):
+    with pytest.raises(ValueError, match=message):
+        ColouredGraph(3, edges)
 
 
 def test_parallel_edges_with_distinct_colours_allowed():
@@ -70,12 +91,42 @@ def test_parallel_edges_with_distinct_colours_allowed():
 
 def test_rainbow_tree_invariants():
     RainbowTree(3, ((0, 1, 0), (1, 2, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^1 edges cannot span 3 vertices$"):
         RainbowTree(3, ((0, 1, 0),))  # too few edges
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edges contain a cycle$"):
         RainbowTree(3, ((0, 1, 0), (0, 1, 1)))  # not spanning
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edges contain a cycle$"):
+        RainbowTree(5, ((0, 1, 0), (2, 3, 1), (1, 3, 2), (0, 2, 3)))
+    with pytest.raises(ValueError, match=r"^colours are not pairwise distinct$"):
         RainbowTree(3, ((0, 1, 0), (1, 2, 0)))  # repeated colour
+    # a cycle is reported before a repeated colour
+    with pytest.raises(ValueError, match=r"^edges contain a cycle$"):
+        RainbowTree(3, ((0, 1, 0), (0, 1, 0)))
+
+
+def test_greedy_seed_matches_the_sort_key_scan():
+    # the seed walks colour classes by size and each class by endpoints;
+    # the oracle sorts every edge by (class size, colour, u, v) at once
+    rng = random.Random(2718)
+    graphs = []
+    for _ in range(300):
+        g = random_coloured_graph(rng, n_max=9, c_max=10)
+        edges = list(g.edges)
+        rng.shuffle(edges)  # classes out of endpoint order
+        graphs += [g, ColouredGraph(g.n, tuple(edges))]
+    for seed in range(30):
+        hg, _ = random_hypertree(rng.randint(2, 40), rng.randint(2, 5), seed, 0.7)
+        heads = tuple(rng.choice(e) for e in hg.edges)
+        graphs.append(star_graph(DirectedHypergraph(hg, heads)))
+    unsorted = 0
+    for g in graphs:
+        classes = rainbow._colour_classes(g)
+        unsorted += any(
+            [g.edges[i] for i in cl] != sorted(g.edges[i] for i in cl) for cl in classes
+        )
+        chosen, uf = rainbow._greedy_rainbow_forest(g, classes)
+        assert (chosen, uf.components) == sort_key_greedy(g)
+    assert unsorted >= 100
 
 
 def test_star_graph_of_directed_h1():

@@ -191,6 +191,24 @@ def test_json_output_shape():
     assert len(data["tree"]) == 3
 
 
+def test_returned_degree_lists_are_fresh():
+    # degrees() and tree_degrees() are remembered on their immutable
+    # values; what a caller does to a returned list must not leak back
+    hg = Hypergraph(4, ((0, 1, 2), (1, 2, 3), (2, 3)))
+    s = shrink_hypertree(hg)
+    expected = shrinking_to_json(hg, s)
+    hg.degrees()[2] = 99
+    hg.degrees().append(7)
+    s.tree_degrees(4)[0] = 99
+    s.tree_degrees(4).clear()
+    assert hg.degrees() == [1, 2, 3, 2]
+    assert hg.degrees() is not hg.degrees()
+    assert s.tree_degrees(4) == json.loads(expected)["degrees"]["tree"]
+    assert s.tree_degrees(3) == s.tree_degrees(4)[:3]
+    assert shrinking_to_json(hg, s) == expected
+    assert verify_shrinking(hg, s).all_passed
+
+
 def test_dot_output_shape():
     s = shrink_hypertree(H1)
     dot = shrinking_to_dot(H1, s)

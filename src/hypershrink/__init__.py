@@ -28,8 +28,11 @@ from .core import (
 )
 from .gen import SplitMix64, adversarial_star, random_hypertree, random_tree
 from .orientation import (
+    BruteforceResult,
     OrientationResult,
     floor_demand,
+    is_hypertree,
+    is_hypertree_bruteforce,
     orient_floor,
     orient_with_demands,
 )
@@ -43,7 +46,6 @@ from .rainbow import (
     rainbow_tree_to_dot,
     star_graph,
 )
-from .recognition import BruteforceResult, is_hypertree, is_hypertree_bruteforce
 from .shrink import (
     NotAHypertreeError,
     Shrinking,

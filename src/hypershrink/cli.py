@@ -33,8 +33,13 @@ from .core import (
     validate,
 )
 from .gen import random_hypertree
-from .orientation import floor_demand, orient_floor, orient_with_demands
-from .recognition import _decide_hypertree, is_hypertree_bruteforce
+from .orientation import (
+    _decide_hypertree,
+    floor_demand,
+    is_hypertree_bruteforce,
+    orient_floor,
+    orient_with_demands,
+)
 from .shrink import (
     NotAHypertreeError,
     shrink_hypertree,

@@ -15,12 +15,22 @@ gives up a spare one, and every vertex between keeps its count.  If the
 search ends without such a vertex, the set F it reached is closed: every
 hyperedge meeting F is headed inside F, no vertex of F heads more than it
 needs and v heads fewer, so e*(F) < f(F) and F is the violator.
+
+The same stage recognises hypertrees (:func:`is_hypertree`), and the
+exhaustive subset-count check is kept at the end as a test oracle.
 """
 
 from collections import deque
 from dataclasses import dataclass
 
-from .core import DemandFunction, DirectedHypergraph, Hypergraph, InternalError
+from .core import (
+    DemandFunction,
+    DirectedHypergraph,
+    Hypergraph,
+    InternalError,
+    LimitExceededError,
+    validate,
+)
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,29 @@ def _repair(v: int, heads: list, need: list, incident: list):
     return came_from
 
 
+def _orient(hypergraph: Hypergraph, need: list) -> tuple:
+    """The greedy pass, then the repair searches in vertex order.
+
+    ``need[v]`` starts as the demand f(v) and is updated in place to
+    f(v) - indegree(v): positive while v is short, negative while v heads
+    a spare hyperedge.  Returns ``(heads, incident, violator)``, where
+    ``violator`` is None on success and otherwise the sorted closed set
+    reached by the first failed search.
+    """
+    heads = []
+    for e in hypergraph.edges:
+        head = max(e, key=need.__getitem__)
+        need[head] -= 1
+        heads.append(head)
+    incident = _incidence(hypergraph)
+    for v in range(hypergraph.n):
+        while need[v] > 0:
+            reached = _repair(v, heads, need, incident)
+            if reached is not None:
+                return heads, incident, tuple(sorted(reached))
+    return heads, incident, None
+
+
 def orient_with_demands(hypergraph: Hypergraph, demands) -> OrientationResult:
     """Orient so that every vertex v has indegree >= f(v), if possible.
 
@@ -97,21 +130,57 @@ def orient_with_demands(hypergraph: Hypergraph, demands) -> OrientationResult:
     # cheap necessary condition: total demand cannot exceed the edge count
     if demands.total() > hypergraph.num_edges:
         return OrientationResult(violator=tuple(range(hypergraph.n)))
-    # need[v] = f(v) - indegree(v): positive while v is short, negative
-    # while v heads a spare hyperedge
-    need = list(demands.values)
-    heads = []
-    for e in hypergraph.edges:
-        head = max(e, key=need.__getitem__)
-        need[head] -= 1
-        heads.append(head)
-    incident = _incidence(hypergraph)
-    for v in range(hypergraph.n):
-        while need[v] > 0:
-            reached = _repair(v, heads, need, incident)
-            if reached is not None:
-                return OrientationResult(violator=tuple(sorted(reached)))
+    heads, _, violator = _orient(hypergraph, list(demands.values))
+    if violator is not None:
+        return OrientationResult(violator=violator)
     return OrientationResult(oriented=DirectedHypergraph(hypergraph, heads))
+
+
+def is_hypertree(hypergraph: Hypergraph) -> bool:
+    """Whether ``hypergraph`` is a hypertree, decided by one orientation.
+
+    Returns False unless |E| = n - 1, then orients with demand 0 at
+    vertex 0 and 1 everywhere else and returns False on a violator.
+    Otherwise it returns whether every vertex is reachable from vertex 0
+    by the moves "x -> head of a hyperedge containing x".  That is the
+    set the orientation's repair search reaches from 0 when no vertex has
+    a spare head to hand over.  The answer is exact, where i(X) counts
+    the hyperedges inside X and e*(F) those meeting F:
+
+    - The total demand is n - 1 = |E|, so every v != 0 heads exactly one
+      hyperedge and vertex 0 heads none.
+    - Sound: take any nonempty X.  A hyperedge inside X is headed in X,
+      so i(X) <= |X - {0}|.  If 0 is not in X and i(X) = |X|, then the
+      one hyperedge each x in X heads lies inside X, so no vertex of X is
+      reachable from 0.  Reaching every vertex leaves i(X) <= |X| - 1.
+    - Complete: in a hypertree every F != V meets e*(F) = |E| - i(V - F)
+      >= |F| hyperedges, so the demands are feasible.  A set X of
+      unreached vertices would hold the hyperedge each x in X heads, since
+      a reached member would reach its head; that gives i(X) >= |X|.
+
+    Raises ``ValueError("invalid hypergraph: ...")`` with the
+    :func:`~hypershrink.core.validate` report on a hypergraph that is not
+    simple (a loop, a duplicate, an out-of-range or unsorted edge), before
+    any vertex id is used as an index.
+    """
+    report = validate(hypergraph)
+    if not report.ok:
+        raise ValueError(f"invalid hypergraph: {report}")
+    return _decide_hypertree(hypergraph)
+
+
+def _decide_hypertree(hypergraph: Hypergraph) -> bool:
+    """:func:`is_hypertree` for a hypergraph that already passed
+    :func:`~hypershrink.core.validate`, which it does not run again."""
+    n = hypergraph.n
+    if hypergraph.num_edges != n - 1:
+        return False
+    heads, incident, violator = _orient(hypergraph, [0] + [1] * (n - 1))
+    if violator is not None:
+        return False
+    # need is 0 everywhere, so the search finds no spare head and returns
+    # the closed set reached from 0
+    return len(_repair(0, heads, [0] * n, incident)) == n
 
 
 def floor_demand(hypergraph: Hypergraph, k: int) -> DemandFunction:
@@ -130,19 +199,67 @@ def floor_demand(hypergraph: Hypergraph, k: int) -> DemandFunction:
 def orient_floor(hypergraph: Hypergraph, k: int = None) -> DirectedHypergraph:
     """Orientation with indegree(v) >= floor(degree(v)/k) for every v.
 
-    ``k`` defaults to the rank.  Floor demands are always feasible for
-    k >= rank (each hyperedge meets at most k vertices, so no vertex set
-    can demand more heads than it has incident hyperedges), so a violator
-    outcome here means the implementation is broken: it raises
-    :class:`InternalError`.
+    ``k`` defaults to the rank, or 1 for an edgeless hypergraph.  Floor
+    demands are always feasible for k >= rank (each hyperedge meets at
+    most k vertices, so no vertex set can demand more heads than it has
+    incident hyperedges), so a violator outcome here means the
+    implementation is broken: it raises :class:`InternalError`.
     """
-    if hypergraph.num_edges == 0:
-        return DirectedHypergraph(hypergraph, ())
     if k is None:
-        k = hypergraph.rank()
+        k = max(hypergraph.rank(), 1)
     result = orient_with_demands(hypergraph, floor_demand(hypergraph, k))
     if not result.is_oriented:
         raise InternalError(
             f"floor demands must be feasible for k={k}, got violator {result.violator}"
         )
     return result.oriented
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive oracle, for tests and small inputs only.  It checks the
+# definition: a hypertree is a hypergraph in which every nonempty vertex
+# set X contains at most |X| - 1 hyperedges, with equality at V.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BruteforceResult:
+    """Outcome of the definitional check, with a witness on failure.
+
+    ``violating_subset`` is a vertex set containing too many hyperedges;
+    ``bad_edge_count`` flags a hypergraph that passes every subset bound
+    but misses the equality |E| = n - 1 at the full vertex set.
+    """
+
+    is_hypertree: bool
+    violating_subset: tuple = None
+    bad_edge_count: bool = False
+
+    def __bool__(self) -> bool:
+        return self.is_hypertree
+
+
+def is_hypertree_bruteforce(hypergraph: Hypergraph, limit: int = 20) -> BruteforceResult:
+    """Check the subset-count definition over all 2^n vertex subsets.
+
+    Scans nonempty subsets in ascending bitmask order and reports the
+    first X whose contained-edge count exceeds |X| - 1.  Refuses inputs
+    with more than ``limit`` vertices.
+    """
+    n = hypergraph.n
+    if n > limit:
+        raise LimitExceededError(f"n={n} exceeds the exhaustive limit {limit}")
+    edge_masks = [0] * hypergraph.num_edges
+    for i, e in enumerate(hypergraph.edges):
+        mask = 0
+        for v in e:
+            mask |= 1 << v
+        edge_masks[i] = mask
+    for subset in range(1, 1 << n):
+        inside = sum(1 for mask in edge_masks if mask & ~subset == 0)
+        if inside > bin(subset).count("1") - 1:
+            witness = tuple(v for v in range(n) if subset >> v & 1)
+            return BruteforceResult(False, violating_subset=witness)
+    if hypergraph.num_edges != n - 1:
+        return BruteforceResult(False, bad_edge_count=True)
+    return BruteforceResult(True)

@@ -91,19 +91,18 @@ def shrink_hypertree(hypergraph: Hypergraph, k: int = None) -> Shrinking:
         raise NotAHypertreeError(
             "edge-count", f"a hypertree on {n} vertices has {n - 1} hyperedges, got {m}"
         )
-    if n == 1:
-        return Shrinking((), ())
     oriented = orient_floor(hypergraph, k)
     tree = rainbow_spanning_tree(star_graph(oriented))
     if tree is None:
         raise NotAHypertreeError(
             "no-rainbow-tree", "the star expansion has no rainbow spanning tree"
         )
-    # n-1 pairwise-distinct colours on n-1 edges: every hyperedge occurs once
-    pair_of_colour = [None] * m
-    for u, v, c in tree.edges:
-        pair_of_colour[c] = (u, v)
-    return Shrinking.from_pairs(pair_of_colour)
+    # the tree's edges are sorted by endpoints and use each of the n - 1
+    # colours once, so hyperedge c is assigned the position of colour c
+    assignment = [0] * m
+    for j, (_, _, c) in enumerate(tree.edges):
+        assignment[c] = j
+    return Shrinking([(u, v) for u, v, _ in tree.edges], assignment)
 
 
 @dataclass(frozen=True)
@@ -197,36 +196,20 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
     if n == 1:
         checks.append(VerificationCheck("degree-floor-bound", True, "single vertex"))
         checks.append(VerificationCheck("halving-corollary", True, "single vertex"))
+        bounds = []
     else:
-        low = [
-            v
-            for v in range(n)
-            if tree_deg[v] < max(1, hyper_deg[v] // k)
+        floor_low = [v for v in range(n) if tree_deg[v] < max(1, hyper_deg[v] // k)]
+        half_low = [v for v in range(n) if 2 * k * tree_deg[v] < hyper_deg[v]]
+        bounds = [
+            ("degree-floor-bound", floor_low, f"max(1, floor(d/{k}))"),
+            ("halving-corollary", half_low, f"d/(2*{k})"),
         ]
-        checks.append(
-            VerificationCheck(
-                "degree-floor-bound",
-                not low,
-                "" if not low else f"vertices {low} fall below max(1, floor(d/{k}))",
-            )
-        )
-        low2 = [v for v in range(n) if 2 * k * tree_deg[v] < hyper_deg[v]]
-        checks.append(
-            VerificationCheck(
-                "halving-corollary",
-                not low2,
-                "" if not low2 else f"vertices {low2} fall below d/(2*{k})",
-            )
-        )
     if hypergraph.rank() == 3:
-        low3 = [v for v in range(n) if 100 * tree_deg[v] < hyper_deg[v]]
-        checks.append(
-            VerificationCheck(
-                "hundredth-bound",
-                not low3,
-                "" if not low3 else f"vertices {low3} fall below d/100",
-            )
-        )
+        hundredth_low = [v for v in range(n) if 100 * tree_deg[v] < hyper_deg[v]]
+        bounds.append(("hundredth-bound", hundredth_low, "d/100"))
+    for name, low, bound in bounds:
+        detail = f"vertices {low} fall below {bound}" if low else ""
+        checks.append(VerificationCheck(name, not low, detail))
     return VerificationReport(tuple(checks))
 
 

@@ -105,6 +105,12 @@ def test_orient_floor_edgeless():
     assert directed.heads == ()
 
 
+def test_orient_floor_edgeless_refuses_k_below_one():
+    # the same refusal as on every hypergraph with edges
+    with pytest.raises(ValueError, match="k must be positive"):
+        orient_floor(Hypergraph(3, ()), k=0)
+
+
 def test_orient_floor_bound_on_random_hypergraphs():
     rng = random.Random(5150)
     for _ in range(150):

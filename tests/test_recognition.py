@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from hypershrink import (
     orient_with_demands,
     random_hypertree,
 )
+from hypershrink import orientation
 from helpers import (
     H1,
     NESTED4,
@@ -114,6 +116,25 @@ def test_violating_subset_rechecks():
             inside = sum(1 for e in hg.edges if set(e) <= X)
             assert inside > len(X) - 1
     assert seen > 0
+
+
+def test_incidence_is_built_once(monkeypatch):
+    # count every build, whichever package module calls it
+    builds = []
+    real = orientation._incidence
+
+    def counted(hypergraph):
+        builds.append(hypergraph)
+        return real(hypergraph)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hypershrink.") and getattr(module, "_incidence", None) is real:
+            monkeypatch.setattr(module, "_incidence", counted)
+    hg, _ = random_hypertree(60, 4, 9, 0.8)
+    for hypertree in (H1, hg):
+        builds.clear()
+        assert is_hypertree(hypertree)
+        assert builds == [hypertree]
 
 
 def test_check_at_scale_10000():

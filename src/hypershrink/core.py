@@ -26,6 +26,20 @@ class InternalError(RuntimeError):
     which means the implementation, not the input, is at fault."""
 
 
+def _exact_int_tuples(rows: tuple, width: int = None) -> bool:
+    """Whether every row is a tuple of exact ``int`` (not ``bool`` or
+    another int-like), each of length ``width`` if given.
+
+    Whole-column C-level passes decide, so constructors can keep such
+    rows as they are and rebuild any other input with ``int()``.
+    """
+    return (
+        set(map(type, rows)) <= {tuple}
+        and (width is None or set(map(len, rows)) <= {width})
+        and set(map(type, chain.from_iterable(rows))) <= {int}
+    )
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """A hypergraph on vertices ``0..n-1`` with an ordered list of hyperedges.
@@ -43,9 +57,10 @@ class Hypergraph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
-        object.__setattr__(
-            self, "edges", tuple([tuple(map(int, e)) for e in self.edges])
-        )
+        edges = tuple(self.edges)
+        if not _exact_int_tuples(edges):
+            edges = tuple([tuple(map(int, e)) for e in edges])
+        object.__setattr__(self, "edges", edges)
 
     @property
     def num_edges(self) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from .core import Hypergraph, LimitExceededError
+from .core import Hypergraph, LimitExceededError, _exact_int_tuples
 from .orientation import orient_floor
 from .rainbow import UnionFind, _dot_document, _dot_edge, rainbow_spanning_tree, star_graph
 
@@ -44,10 +44,14 @@ class Shrinking:
     assignment: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "tree", tuple([(int(u), int(v)) for u, v in self.tree])
-        )
-        object.__setattr__(self, "assignment", tuple(map(int, self.assignment)))
+        tree = tuple(self.tree)
+        if not _exact_int_tuples(tree, 2):
+            tree = tuple([(int(u), int(v)) for u, v in tree])
+        object.__setattr__(self, "tree", tree)
+        assignment = tuple(self.assignment)
+        if not set(map(type, assignment)) <= {int}:
+            assignment = tuple(map(int, assignment))
+        object.__setattr__(self, "assignment", assignment)
 
     @classmethod
     def from_pairs(cls, pairs) -> "Shrinking":

@@ -535,22 +535,25 @@ def test_fuzzed_files_never_leak_an_internal_error(fuzz_path, files):
 
 
 # SHA-256 of the stdout and of the stderr of `hypershrink shrink FILE
-# [flags]`, recorded before the per-layer passes of the shrink pipeline
-# were rewritten; they pin the JSON, the DOT overlay and the verification
+# [flags]`; they pin the JSON, the DOT overlay and the verification
 # report byte for byte.  Random instances are random_hypertree(n, k, seed,
-# p), hubs adversarial_star(m, k).
+# p), hubs adversarial_star(m, k).  The four n = 500 random stdout digests
+# were recorded after the forced rainbow seed was added, which changes
+# the tree chosen where the scarcest-first scan does not span; the others
+# predate it and stay, since there the scan spans and the forced seed
+# never runs.
 SHRINK_DIGESTS = {
     ("random", (500, 3, 1, 0.5), ()): (
-        "ca8b55738a81ed5230fd9d8ba8f23a453820af6a3aa79a6ef030316e60bd7d13",
+        "eb0637531f79837d7eb07fa461becc9f723622eec9c19f2563face30cc4fb6cf",
         "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
     ("random", (500, 3, 2, 0.8), ()): (
-        "2cffaa4322d2396c6a4d905c1ca5335a538a75e22ae89d60d1c6788b34297e5b",
+        "e0eec0ea64fbdf91db5bb5eb71925a08df0779ea084cfcc6e452eb9cb9188b93",
         "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
     ("random", (500, 5, 3, 0.5), ()): (
-        "d31df74cd33510f50366f1996eeadadc285ee2544e259891e88927674e15c144",
+        "b8fd09cb26f5840df7f66a34723fe80dd8d4279b4cc4d8db2597391b9dc83b9e",
         "473157a4e93d03e3051303f4b5a0ee5b33084eaaabf500cd6a71d8124e7580df"),
     ("random", (500, 5, 4, 0.8), ()): (
-        "92a135631440b184ef325aa9f4cce4852a2861210624df424aea636779060980",
+        "5667b6c2ce7cefab90d5e85a18e458cfab7fa2307660d07355942514f6088b03",
         "473157a4e93d03e3051303f4b5a0ee5b33084eaaabf500cd6a71d8124e7580df"),
     ("hub", (1500, 3), ()): (
         "adb9e5cb3d02d00684186a87807e5dd5f1f46ca17d2d2b28274489eb08cbc1bf",

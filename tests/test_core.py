@@ -1,11 +1,16 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hypershrink import (
+    ColouredGraph,
     DemandFunction,
     DirectedHypergraph,
     FormatError,
     Hypergraph,
+    RainbowTree,
+    Shrinking,
     demands_from_json,
     hypergraph_from_json,
     hypergraph_from_text,
@@ -34,6 +39,30 @@ def test_degree_out_of_range():
         H1.degree(4)
     with pytest.raises(ValueError):
         H1.degree(-1)
+
+
+def test_exact_int_tuples_kept_and_other_input_normalised():
+    # tuples of exact ints are kept as they are; lists, bools and other
+    # int-likes take the int() rebuild and give an equal value of ints
+    class Index(int):
+        pass
+
+    cases = (
+        (Hypergraph, (4, ((0, 1), (1, 2, 3))), (4, [[False, True], (Index(1), 2.0, 3)])),
+        (ColouredGraph, (3, ((0, 1, 0), (1, 2, 1))), (3, [[False, True, 0], (1, 2, True)])),
+        (RainbowTree, (3, ((0, 1, 1), (1, 2, 0))), (3, [[0, True, Index(1)], (1, 2.0, False)])),
+        (Shrinking, (((0, 1), (1, 2)), (1, 0)), ([[0, True], (1, 2)], [True, Index(0)])),
+    )
+    for cls, exact_args, loose_args in cases:
+        exact, loose = cls(*exact_args), cls(*loose_args)
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert all(getattr(exact, a) is b for a, b in zip(names, exact_args))
+        assert loose == exact
+        flat = []
+        for value in map(loose.__getattribute__, names):
+            for item in value if isinstance(value, tuple) else (value,):
+                flat.extend(item if isinstance(item, tuple) else (item,))
+        assert {type(x) for x in flat} == {int}
 
 
 def test_negative_vertex_count_rejected():

@@ -19,7 +19,9 @@ from hypershrink import (
     rainbow_spanning_tree,
     rainbow_tree_to_dot,
     random_hypertree,
+    shrink_hypertree,
     star_graph,
+    verify_shrinking,
 )
 from hypershrink import rainbow
 from helpers import (
@@ -184,6 +186,15 @@ def test_rainbow_needs_exchange_not_just_greed():
     tree = rainbow_spanning_tree(g)
     assert tree is not None
     assert is_spanning_tree(g.n, [(u, v) for u, v, _ in tree.edges])
+    # the forced seed spans here on its own (vertex 3 has colour 0 only),
+    # so the exchange step is driven on the engine from the scan's seed
+    classes = rainbow._colour_classes(g)
+    seed, uf = rainbow._greedy_rainbow_forest(g, classes)
+    assert [g.edges[i] for i in seed] == [(0, 2, 2), (0, 1, 0)]
+    engine = rainbow._RainbowEngine(g, classes, seed, uf)
+    assert engine.augment()
+    assert uf.components == 1
+    assert [g.edges[i] for i in engine.forest()] == [(2, 3, 0), (0, 1, 1), (0, 2, 2)]
 
 
 def test_single_vertex_graph():
@@ -471,10 +482,24 @@ def rainbow_forests(graph: ColouredGraph) -> list:
     return found
 
 
+def seeds(graph: ColouredGraph) -> tuple:
+    """The scan's seed and the forced seed of ``graph``, each checked to
+    be a rainbow forest whose union-find holds its components."""
+    classes = rainbow._colour_classes(graph)
+    found = []
+    for build in (rainbow._greedy_rainbow_forest, rainbow._forced_rainbow_forest):
+        chosen, uf = build(graph, classes)
+        pairs = [graph.edges[i][:2] for i in chosen]
+        assert len({graph.edges[i][2] for i in chosen}) == len(chosen)
+        assert component_count(graph.n, pairs) == graph.n - len(chosen) == uf.components
+        found.append(chosen)
+    return tuple(found)
+
+
 def test_engine_invariants_on_every_small_coloured_graph():
     # every colouring of the 6 pairs on 4 vertices by at most one of 3
-    # colours, augmented to the end from the empty forest and from the
-    # greedy seed
+    # colours, augmented to the end from the empty forest and from both
+    # seeds
     pairs = list(itertools.combinations(range(4), 2))
     for colouring in itertools.product((None, 0, 1, 2), repeat=len(pairs)):
         used = {c for c in colouring if c is not None}
@@ -484,9 +509,9 @@ def test_engine_invariants_on_every_small_coloured_graph():
             4, tuple((u, v, c) for (u, v), c in zip(pairs, colouring) if c is not None)
         )
         best = brute_max_rainbow_forest(graph)
-        greedy, _ = rainbow._greedy_rainbow_forest(graph, rainbow._colour_classes(graph))
         assert len(run_engine(graph, [])) == best
-        assert len(run_engine(graph, greedy)) == best
+        for seed in seeds(graph):
+            assert len(run_engine(graph, seed)) == best
 
 
 def test_engine_invariants_from_every_start_on_random_multigraphs():
@@ -495,7 +520,7 @@ def test_engine_invariants_from_every_start_on_random_multigraphs():
         graph = random_coloured_graph(rng, n_max=6, c_max=6)
         starts = rainbow_forests(graph)
         best = max(len(f) for f in starts)
-        for seed in starts:
+        for seed in starts + list(seeds(graph)):
             assert len(run_engine(graph, seed)) == best
 
 
@@ -507,5 +532,27 @@ def test_engine_invariants_on_star_expansions():
             hg, _ = random_hypertree(40, k, seed, p)
             star = star_graph(orient_floor(hg))
             assert len(run_engine(star, [])) == hg.n - 1
-            greedy, _ = rainbow._greedy_rainbow_forest(star, rainbow._colour_classes(star))
-            assert len(run_engine(star, greedy)) == hg.n - 1
+            for start in seeds(star):
+                assert len(run_engine(star, start)) == hg.n - 1
+
+
+@pytest.mark.parametrize("k, p", ((3, 0.5), (3, 0.8), (5, 0.5), (5, 0.8)))
+def test_forced_seed_halves_the_augmentations(k, p, monkeypatch):
+    # where the scan leaves components the forced seed leaves at most half
+    # as many, and shrinking augments from it, not from the scan's seed
+    hg, _ = random_hypertree(2000, k, 1, p)
+    star = star_graph(orient_floor(hg))
+    classes = rainbow._colour_classes(star)
+    _, scanned = rainbow._greedy_rainbow_forest(star, classes)
+    _, forced = rainbow._forced_rainbow_forest(star, classes)
+    assert 2 * forced.components <= scanned.components
+    calls = []
+    augment = rainbow._RainbowEngine.augment
+
+    def counted(engine):
+        calls.append(engine)
+        return augment(engine)
+
+    monkeypatch.setattr(rainbow._RainbowEngine, "augment", counted)
+    assert verify_shrinking(hg, shrink_hypertree(hg))
+    assert 2 * len(calls) <= scanned.components

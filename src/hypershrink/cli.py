@@ -42,6 +42,7 @@ from .orientation import (
 )
 from .shrink import (
     NotAHypertreeError,
+    _shrink,
     shrink_hypertree,
     shrinking_to_dot,
     shrinking_to_json,
@@ -164,7 +165,7 @@ def _cmd_shrink(args) -> int:
     hypergraph = _load_valid_hypergraph(args.file)
     _check_k(hypergraph, args.k)
     try:
-        shrinking = shrink_hypertree(hypergraph, args.k)
+        shrinking = _shrink(hypergraph, args.k)
     except NotAHypertreeError as exc:
         print(f"not a hypertree ({exc.reason}): {exc}", file=sys.stderr)
         return EXIT_NEGATIVE

@@ -8,36 +8,22 @@ graph until the forest spans or no path remains (after Gabow-Stallmann
 1985 and Cunningham 1986).  Each augmentation joins two components, so
 the fewer the seed leaves, the fewer exchange-graph searches are run.
 
-The seed has two tiers.  A scan takes one edge per colour, scarcest
-colour first; where it spans (on ``adversarial_star`` hubs, say) that is
-the answer.  Otherwise a forced-choice seed replaces it: a vertex met by
-one undecided colour is attached through that colour, and when there is
-none the scarcest undecided colour is placed where the vertices meet the
-fewest undecided colours.  It costs about three times the scan per
-colour, but on the star expansions of ``random_hypertree(n, k, 1, p)`` it
-leaves a tenth to two fifths of the scan's components.  There, at k = 5
-and p = 0.8, the forest stage took 0.028 s instead of 0.09 s at
-n = 2000, 0.35-0.6 s instead of 0.9-1.1 s at n = 8000 and 1.3-1.7 s
-instead of 5.0-5.7 s at n = 16000 (process CPU, CPython 3.11, a shared
-2-vCPU machine).
+The seed has two tiers: a scarcest-colour-first scan, which is the answer
+where it spans (on ``adversarial_star`` hubs, say), else a forced-choice
+seed that leaves far fewer components.  Only when the seed does not span
+is the augmentation engine built, once; it flips each shortest path in
+place and labels only the part of the exchange graph it searches.
 
-Only when the seed does not span is the augmentation engine built, once:
-the forest rooted by parent pointers, the owner of each colour, the
-unused colours and a merge-only union-find of the components.  Each
-augmentation searches the exchange graph lazily, backwards from the
-edges of the lowest unused colour (all unused colours only when that
-fails), with a skip structure over the rooted forest that labels each
-forest edge at most once, and then applies the path in place by cutting
-and re-linking tree edges.  Per-search marks are stamps, so an
-augmentation costs the part of the exchange graph it labels plus the
-tree paths it climbs and re-roots, not O(n + m) of set-up.  An
-exhaustive checker for the component-count characterisation doubles as
-the test oracle.
+``shrink`` expands its orientation with :func:`_star_expansion`, which
+runs no :class:`ColouredGraph` check and keeps each colour class as an
+index range; library callers get the checked types.  The same engine
+serves both.  An exhaustive checker for the component-count
+characterisation doubles as the test oracle.
 """
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import itemgetter, lt
 
 from .core import DirectedHypergraph, LimitExceededError, _exact_int_tuples
@@ -129,24 +115,19 @@ class RainbowTree:
         object.__setattr__(self, "edges", edges)
         if len(self.edges) != self.n - 1:
             raise ValueError(f"{len(self.edges)} edges cannot span {self.n} vertices")
-        parent = list(range(self.n))
-        for u, v, _ in self.edges:
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u == v:
-                raise ValueError("edges contain a cycle")
-            parent[u] = v
+        uf = UnionFind(self.n)
+        if not all(uf.union(u, v) for u, v, _ in self.edges):
+            raise ValueError("edges contain a cycle")
         if len({c for _, _, c in self.edges}) != len(self.edges):
             raise ValueError("colours are not pairwise distinct")
 
 
-def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
-    """One star per hyperarc: centre at the head, leaves at the tails.
-
-    All edges of the star for hyperarc i get colour i, so the output has
-    sum(|e| - 1) edges and one colour per hyperarc.
+def _star_expansion(directed: DirectedHypergraph) -> ColouredGraph:
+    """One star per hyperarc: centre at the head, leaves at the tails, all
+    of colour i for hyperarc i.  The hyperedges are trusted to be strictly
+    sorted and to hold their heads, so no check is run and each colour
+    class is the index range of its star: ``(t, h)`` for the tails below
+    the head, then ``(h, t)`` for those above, already in endpoint order.
     """
     edges = []
     append = edges.append
@@ -156,14 +137,29 @@ def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
                 append((t, h, i))
             elif t > h:
                 append((h, t, i))
-    return ColouredGraph(directed.base.n, edges)
+    bounds = list(accumulate([len(e) - 1 for e in directed.base.edges], initial=0))
+    graph = object.__new__(ColouredGraph)
+    object.__setattr__(graph, "n", directed.base.n)
+    object.__setattr__(graph, "edges", tuple(edges))
+    object.__setattr__(graph, "_classes", list(map(range, bounds, bounds[1:])))
+    return graph
+
+
+def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
+    """:func:`_star_expansion` with every :class:`ColouredGraph` check."""
+    return ColouredGraph(directed.base.n, _star_expansion(directed).edges)
 
 
 def _colour_classes(graph: ColouredGraph) -> list:
-    """``classes[c]``: indices of the edges of colour c, ascending."""
-    classes = [[] for _ in range(graph.num_colours)]
-    for i, (_, _, c) in enumerate(graph.edges):
-        classes[c].append(i)
+    """``classes[c]``: indices of the edges of colour c in endpoint order,
+    which the seeds' tie rules rely on; remembered on the graph."""
+    classes = graph.__dict__.get("_classes")
+    if classes is None:
+        edges = graph.edges
+        classes = [[] for _ in range(graph.num_colours)]
+        for i in sorted(range(len(edges)), key=edges.__getitem__):
+            classes[edges[i][2]].append(i)
+        object.__setattr__(graph, "_classes", classes)
     return classes
 
 
@@ -180,21 +176,18 @@ def _greedy_rainbow_forest(graph: ColouredGraph, classes: list) -> tuple:
     the expansions of a hypertree (n - 1 colours), a colour with a single
     edge forces that edge and a colour with few edges has few places to
     go; placing them first leaves fewer augmentations to do.  The scan
-    walks the colours stable-sorted by class size and each class sorted by
-    endpoints (its edges share the colour, so edge-tuple order is endpoint
-    order), and leaves a class at its first kept edge.  Returns the chosen
-    edge indices and the union-find of their components.
-
-    This is the first seed tier.  It is cheap, and where it spans, as on
-    the expansions of ``adversarial_star`` hubs, it is the answer; where
-    it leaves components, :func:`_forced_rainbow_forest` is built instead.
+    walks the colours stable-sorted by class size and each class in the
+    endpoint order of :func:`_colour_classes`, and leaves a class at its
+    first kept edge.  Returns the chosen edge indices and the union-find
+    of their components.  It is the first seed tier: cheap, and the answer
+    where it spans.
     """
     edges = graph.edges
     uf = UnionFind(graph.n)
     parent, size = uf.parent, uf.size
     chosen = []
     for c in _scarcest_first(classes):
-        for i in sorted(classes[c], key=edges.__getitem__):
+        for i in classes[c]:
             u, v, _ = edges[i]
             while parent[u] != u:
                 parent[u] = u = parent[parent[u]]
@@ -234,13 +227,10 @@ def _forced_rainbow_forest(graph: ColouredGraph, classes: list) -> tuple:
     union-find test, so the seed is a rainbow forest.  Returns the chosen
     edge indices and the union-find of their components.
 
-    It costs about three times the scan per colour (about 20 against
-    6 ms on the expansion of ``adversarial_star(1800, 4)``, where the scan
-    spans), so it is a second tier, not a replacement.  On the star
-    expansions of ``random_hypertree(n, k, seed, p)``, k in {3, 5}, p in
-    {0.5, 0.8}, seeds 1-5, it leaves 4-14 components where the scan
-    leaves 28-61 at n = 500, and at most 0.4 of the scan's count (0.34
-    at n = 2000); each component it saves is one exchange-graph search.
+    It costs about three times the scan per colour (20 against 6 ms on the
+    expansion of ``adversarial_star(1800, 4)``), so it is a second tier.
+    On ``random_hypertree(500, k, seed, p)`` expansions it leaves 4-14
+    components where the scan leaves 28-61, each one a search saved.
     """
     edges, n = graph.edges, graph.n
     # mark[x] is c while colour c is counted at x, ~c once c is decided
@@ -285,9 +275,7 @@ def _forced_rainbow_forest(graph: ColouredGraph, classes: list) -> tuple:
                 parent[b] = b = parent[parent[b]]
             if a != b:
                 score = count[u] + count[v]
-                if best == -1 or score < best_score or (
-                    score == best_score and edges[i] < edges[best]
-                ):
+                if best == -1 or score < best_score:
                     best, best_score, best_roots = i, score, (a, b)
         if best != -1:
             a, b = best_roots
@@ -569,8 +557,8 @@ def rainbow_spanning_tree(graph: ColouredGraph):
     """A rainbow spanning tree of ``graph``, or None if there is none.
 
     Returns a :class:`RainbowTree` whose edge list is sorted by endpoints.
-    Absence is a legitimate outcome (``shrink_hypertree`` relies on it to
-    turn away non-hypertrees), hence a value rather than an exception.
+    Absence is a legitimate outcome (the star expansion of a
+    non-hypertree has none), hence a value rather than an exception.
     """
     if graph.n < 1:
         raise ValueError("graph must have at least one vertex")

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from .core import Hypergraph, LimitExceededError, _exact_int_tuples
+from .core import Hypergraph, LimitExceededError, _exact_int_tuples, validate
 from .orientation import orient_floor
-from .rainbow import UnionFind, _dot_document, _dot_edge, rainbow_spanning_tree, star_graph
+from .rainbow import UnionFind, _dot_document, _dot_edge, _star_expansion, maximum_rainbow_forest
 
 
 class NotAHypertreeError(Exception):
@@ -89,24 +89,36 @@ def shrink_hypertree(hypergraph: Hypergraph, k: int = None) -> Shrinking:
     accepted for experiments.  Raises :class:`NotAHypertreeError` when the
     input is not a hypertree; the check is lazy (|E| != n-1 up front, a
     missing rainbow tree otherwise), no separate recognition pass is run.
+    A hypergraph that is not simple is refused first, exactly as
+    :func:`~hypershrink.orientation.is_hypertree` refuses it.
     """
+    report = validate(hypergraph)
+    if not report.ok:
+        raise ValueError(f"invalid hypergraph: {report}")
+    return _shrink(hypergraph, k)
+
+
+def _shrink(hypergraph: Hypergraph, k: int = None) -> Shrinking:
+    """:func:`shrink_hypertree` for a hypergraph that already passed
+    :func:`~hypershrink.core.validate`.  Each stage trusts what the one
+    before it guarantees; :func:`verify_shrinking` checks the result."""
     n, m = hypergraph.n, hypergraph.num_edges
     if m != n - 1:
         raise NotAHypertreeError(
             "edge-count", f"a hypertree on {n} vertices has {n - 1} hyperedges, got {m}"
         )
-    oriented = orient_floor(hypergraph, k)
-    tree = rainbow_spanning_tree(star_graph(oriented))
-    if tree is None:
+    graph = _star_expansion(orient_floor(hypergraph, k))
+    forest = maximum_rainbow_forest(graph)
+    if len(forest) < n - 1:
         raise NotAHypertreeError(
             "no-rainbow-tree", "the star expansion has no rainbow spanning tree"
         )
-    # the tree's edges are sorted by endpoints and use each of the n - 1
-    # colours once, so hyperedge c is assigned the position of colour c
+    # each colour is held once, so hyperedge c gets colour c's position
+    tree = sorted(map(graph.edges.__getitem__, forest))
     assignment = [0] * m
-    for j, (_, _, c) in enumerate(tree.edges):
+    for j, (_, _, c) in enumerate(tree):
         assignment[c] = j
-    return Shrinking([(u, v) for u, v, _ in tree.edges], assignment)
+    return Shrinking([(u, v) for u, v, _ in tree], assignment)
 
 
 @dataclass(frozen=True)

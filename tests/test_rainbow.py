@@ -123,8 +123,14 @@ def test_greedy_seed_matches_the_sort_key_scan():
     unsorted = 0
     for g in graphs:
         classes = rainbow._colour_classes(g)
+        # the classes come in endpoint order; the graph's own edge order
+        # is what the shuffle above breaks
+        assert all(
+            [g.edges[i] for i in cl] == sorted(g.edges[i] for i in cl) for cl in classes
+        )
         unsorted += any(
-            [g.edges[i] for i in cl] != sorted(g.edges[i] for i in cl) for cl in classes
+            [g.edges[i] for i in sorted(cl)] != sorted(g.edges[i] for i in cl)
+            for cl in classes
         )
         chosen, uf = rainbow._greedy_rainbow_forest(g, classes)
         assert (chosen, uf.components) == sort_key_greedy(g)

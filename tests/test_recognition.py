@@ -11,6 +11,7 @@ from hypershrink import (
     is_hypertree_bruteforce,
     orient_with_demands,
     random_hypertree,
+    shrink_hypertree,
 )
 from hypershrink import orientation
 from helpers import (
@@ -156,9 +157,10 @@ def test_check_at_scale_10000():
     ],
 )
 def test_invalid_hypergraph_is_refused(edges, message):
-    with pytest.raises(ValueError) as info:
-        is_hypertree(Hypergraph(2, edges))
-    assert str(info.value) == f"invalid hypergraph: {message}"
+    for public in (is_hypertree, shrink_hypertree):
+        with pytest.raises(ValueError) as info:
+            public(Hypergraph(2, edges))
+        assert str(info.value) == f"invalid hypergraph: {message}"
 
 
 def test_orientable_but_unreachable_is_not_a_hypertree():

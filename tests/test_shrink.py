@@ -5,21 +5,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypershrink import (
+    ColouredGraph,
     Hypergraph,
     LimitExceededError,
     NotAHypertreeError,
+    RainbowTree,
     Shrinking,
+    adversarial_star,
     brute_force_shrink,
     orient_floor,
+    rainbow_spanning_tree,
     random_hypertree,
     shrink_hypertree,
     shrinking_to_dot,
     shrinking_to_json,
+    star_graph,
     verify_shrinking,
 )
+from hypershrink import rainbow
+from hypershrink.shrink import _shrink
 import json
 
-from helpers import H1, TRIANGLE4, is_spanning_tree, random_tree_count_hypergraph
+from helpers import (
+    H1,
+    TRIANGLE4,
+    break_hypertree,
+    is_spanning_tree,
+    random_tree_count_hypergraph,
+)
 
 
 def test_from_pairs_sorts_and_maps():
@@ -180,6 +193,47 @@ def test_shrink_agrees_with_brute_force():
         assert fast == (bf is not None)
         both.add(fast)
     assert both == {True, False}
+
+
+def test_lean_shrink_matches_the_checked_path():
+    # _shrink trusts that each star is a contiguous run of edges in
+    # endpoint order and reads the Shrinking off the forest; the checked
+    # path builds star_graph, sorts the classes and goes through
+    # RainbowTree, so equal answers pin what the lean path trusts
+    hypergraphs = [
+        random_hypertree(n, k, seed, p)[0]
+        for n in (9, 40, 500)
+        for k in (3, 5)
+        for p in (0.5, 0.8)
+        for seed in (1, 2, 3)
+    ]
+    hypergraphs += [adversarial_star(m, k) for m, k in ((40, 3), (300, 4), (1000, 3))]
+    for hg in hypergraphs:
+        directed = orient_floor(hg)
+        star = star_graph(directed)
+        trusted = rainbow._star_expansion(directed)
+        assert trusted.edges == star.edges
+        assert [list(cl) for cl in rainbow._colour_classes(trusted)] == (
+            rainbow._colour_classes(star)
+        )
+        pairs = {c: (u, v) for u, v, c in rainbow_spanning_tree(star).edges}
+        assert _shrink(hg) == Shrinking.from_pairs([pairs[i] for i in range(hg.num_edges)])
+    for hg in hypergraphs[24:36]:  # n = 500, each with pairs to break
+        broken = break_hypertree(hg)
+        assert rainbow_spanning_tree(star_graph(orient_floor(broken))) is None
+        with pytest.raises(NotAHypertreeError) as info:
+            _shrink(broken)
+        assert info.value.reason == "no-rainbow-tree"
+
+
+def test_shrink_builds_no_checked_graph_or_tree(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built on the shrink path")
+
+    monkeypatch.setattr(ColouredGraph, "__post_init__", refuse)
+    monkeypatch.setattr(RainbowTree, "__post_init__", refuse)
+    for hg in (random_hypertree(500, 5, 1, 0.8)[0], adversarial_star(1000, 4)):
+        assert verify_shrinking(hg, shrink_hypertree(hg)).all_passed
 
 
 def test_json_output_shape():

@@ -34,15 +34,14 @@ from .core import (
 )
 from .gen import random_hypertree
 from .orientation import (
-    _decide_hypertree,
     floor_demand,
+    is_hypertree,
     is_hypertree_bruteforce,
     orient_floor,
     orient_with_demands,
 )
 from .shrink import (
     NotAHypertreeError,
-    _shrink,
     shrink_hypertree,
     shrinking_to_dot,
     shrinking_to_json,
@@ -115,8 +114,8 @@ def _directed_to_json(directed) -> str:
     return json.dumps(
         {
             "n": directed.base.n,
-            "edges": [list(e) for e in directed.base.edges],
-            "heads": list(directed.heads),
+            "edges": directed.base.edges,
+            "heads": directed.heads,
         }
     )
 
@@ -135,7 +134,7 @@ def _cmd_validate(args) -> int:
 def _cmd_check(args) -> int:
     hypergraph = _load_valid_hypergraph(args.file)
     if not args.oracle:
-        if _decide_hypertree(hypergraph):
+        if is_hypertree(hypergraph):
             print("hypertree")
             return EXIT_OK
         print("not a hypertree")
@@ -165,7 +164,7 @@ def _cmd_shrink(args) -> int:
     hypergraph = _load_valid_hypergraph(args.file)
     _check_k(hypergraph, args.k)
     try:
-        shrinking = _shrink(hypergraph, args.k)
+        shrinking = shrink_hypertree(hypergraph, args.k)
     except NotAHypertreeError as exc:
         print(f"not a hypertree ({exc.reason}): {exc}", file=sys.stderr)
         return EXIT_NEGATIVE

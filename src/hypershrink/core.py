@@ -47,8 +47,8 @@ class Hypergraph:
     The constructor normalises edges to tuples but does not enforce the
     simplicity invariants; use :func:`validate` to obtain a violation
     report.  All query methods assume a valid hypergraph.  The value is
-    immutable, so :meth:`degrees` and :meth:`rank` are computed once and
-    remembered.
+    immutable, so :meth:`degrees`, :meth:`rank` and the :func:`validate`
+    report are computed once and remembered.
     """
 
     n: int
@@ -202,8 +202,10 @@ def validate(hypergraph: Hypergraph) -> ValidationReport:
     ``duplicate`` (an earlier hyperedge has the same vertex set),
     ``vertex-range`` (id outside ``[0, n)``) and ``unsorted`` (edge not
     strictly increasing).  The report is empty exactly when the input is
-    a valid simple hypergraph.
+    a valid simple hypergraph; it is remembered on the value.
     """
+    if "_report" in hypergraph.__dict__:
+        return hypergraph._report
     problems = []
     seen = {}
     n = hypergraph.n
@@ -223,7 +225,15 @@ def validate(hypergraph: Hypergraph) -> ValidationReport:
             )
         else:
             seen[distinct] = i
-    return ValidationReport(tuple(problems))
+    report = ValidationReport(tuple(problems))
+    object.__setattr__(hypergraph, "_report", report)
+    return report
+
+
+def _require_valid(hypergraph: Hypergraph) -> None:
+    """Raise ``ValueError("invalid hypergraph: <report>")`` unless :func:`validate` accepts it."""
+    if not (report := validate(hypergraph)).ok:
+        raise ValueError(f"invalid hypergraph: {report}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +257,7 @@ def _check_vertex_count(n: int) -> None:
 
 def hypergraph_to_json(hypergraph: Hypergraph) -> str:
     return json.dumps(
-        {"n": hypergraph.n, "edges": [list(e) for e in hypergraph.edges]}
+        {"n": hypergraph.n, "edges": hypergraph.edges}
     )
 
 

@@ -29,7 +29,7 @@ from .core import (
     Hypergraph,
     InternalError,
     LimitExceededError,
-    validate,
+    _require_valid,
 )
 
 
@@ -121,6 +121,7 @@ def orient_with_demands(hypergraph: Hypergraph, demands) -> OrientationResult:
     the module docstring), so the result is deterministic.  Returns the
     closed set reached by the first failed search as the violator.
     """
+    _require_valid(hypergraph)
     if not isinstance(demands, DemandFunction):
         demands = DemandFunction(tuple(demands))
     if len(demands) != hypergraph.n:
@@ -163,15 +164,7 @@ def is_hypertree(hypergraph: Hypergraph) -> bool:
     simple (a loop, a duplicate, an out-of-range or unsorted edge), before
     any vertex id is used as an index.
     """
-    report = validate(hypergraph)
-    if not report.ok:
-        raise ValueError(f"invalid hypergraph: {report}")
-    return _decide_hypertree(hypergraph)
-
-
-def _decide_hypertree(hypergraph: Hypergraph) -> bool:
-    """:func:`is_hypertree` for a hypergraph that already passed
-    :func:`~hypershrink.core.validate`, which it does not run again."""
+    _require_valid(hypergraph)
     n = hypergraph.n
     if hypergraph.num_edges != n - 1:
         return False
@@ -189,6 +182,7 @@ def floor_demand(hypergraph: Hypergraph, k: int) -> DemandFunction:
     Requires k >= rank: the feasibility argument charges each hyperedge at
     most |e| * (1/k) <= 1 against the incident-edge count.
     """
+    _require_valid(hypergraph)
     if k < 1:
         raise ValueError("k must be positive")
     if k < hypergraph.rank():
@@ -246,6 +240,7 @@ def is_hypertree_bruteforce(hypergraph: Hypergraph, limit: int = 20) -> Brutefor
     first X whose contained-edge count exceeds |X| - 1.  Refuses inputs
     with more than ``limit`` vertices.
     """
+    _require_valid(hypergraph)
     n = hypergraph.n
     if n > limit:
         raise LimitExceededError(f"n={n} exceeds the exhaustive limit {limit}")

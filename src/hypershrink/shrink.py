@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from .core import Hypergraph, LimitExceededError, _exact_int_tuples, validate
+from .core import Hypergraph, LimitExceededError, _exact_int_tuples, _require_valid
 from .orientation import orient_floor
 from .rainbow import UnionFind, _dot_document, _dot_edge, _star_expansion, maximum_rainbow_forest
 
@@ -90,18 +90,11 @@ def shrink_hypertree(hypergraph: Hypergraph, k: int = None) -> Shrinking:
     input is not a hypertree; the check is lazy (|E| != n-1 up front, a
     missing rainbow tree otherwise), no separate recognition pass is run.
     A hypergraph that is not simple is refused first, exactly as
-    :func:`~hypershrink.orientation.is_hypertree` refuses it.
+    :func:`~hypershrink.orientation.is_hypertree` refuses it.  Past that
+    check each stage trusts what the one before it guarantees;
+    :func:`verify_shrinking` checks the result.
     """
-    report = validate(hypergraph)
-    if not report.ok:
-        raise ValueError(f"invalid hypergraph: {report}")
-    return _shrink(hypergraph, k)
-
-
-def _shrink(hypergraph: Hypergraph, k: int = None) -> Shrinking:
-    """:func:`shrink_hypertree` for a hypergraph that already passed
-    :func:`~hypershrink.core.validate`.  Each stage trusts what the one
-    before it guarantees; :func:`verify_shrinking` checks the result."""
+    _require_valid(hypergraph)
     n, m = hypergraph.n, hypergraph.num_edges
     if m != n - 1:
         raise NotAHypertreeError(
@@ -164,9 +157,12 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
     consequence d_T(v) >= d_H(v)/(2k), and for rank-3 inputs the weaker
     d_T(v) >= d_H(v)/100.
     """
+    _require_valid(hypergraph)
     n, m = hypergraph.n, hypergraph.num_edges
     if k is None:
         k = max(hypergraph.rank(), 1)
+    elif k < 1:
+        raise ValueError("k must be positive")
     checks = []
 
     tree = shrinking.tree
@@ -238,6 +234,7 @@ def brute_force_shrink(hypergraph: Hypergraph, limit: int = 10**6):
     spans, which certifies the input is not a hypertree.  Refuses when the
     choice space exceeds ``limit``.
     """
+    _require_valid(hypergraph)
     n, m = hypergraph.n, hypergraph.num_edges
     if m != n - 1:
         return None
@@ -277,13 +274,16 @@ def brute_force_shrink(hypergraph: Hypergraph, limit: int = 10**6):
 
 def shrinking_to_json(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None) -> str:
     """Serialise a shrinking with its degree data and per-vertex bound."""
+    _require_valid(hypergraph)
     if k is None:
         k = max(hypergraph.rank(), 1)
+    elif k < 1:
+        raise ValueError("k must be positive")
     hyper_deg = hypergraph.degrees()
     return json.dumps(
         {
-            "tree": [list(e) for e in shrinking.tree],
-            "assignment": list(shrinking.assignment),
+            "tree": shrinking.tree,
+            "assignment": shrinking.assignment,
             "degrees": {
                 "hyper": hyper_deg,
                 "tree": shrinking.tree_degrees(hypergraph.n),
@@ -298,6 +298,7 @@ def shrinking_to_json(hypergraph: Hypergraph, shrinking: Shrinking, k: int = Non
 def shrinking_to_dot(hypergraph: Hypergraph, shrinking: Shrinking) -> str:
     """Overlay the tree (bold, coloured by hyperedge) on the clique
     expansion (gray) for visual inspection."""
+    _require_valid(hypergraph)
     chosen = {
         (shrinking.pair_for(i), i)
         for i in range(min(hypergraph.num_edges, len(shrinking.assignment)))

@@ -377,13 +377,32 @@ def test_internal_error_exits_3(h1_file, monkeypatch, capsys):
         assert captured.err.startswith("internal error:")
 
 
+def test_one_validation_report_per_operation(h1_file, monkeypatch, capsys):
+    # the report built while loading is remembered on the hypergraph, so
+    # the checks inside shrink_hypertree, is_hypertree, verify_shrinking
+    # and the serialiser only look it up
+    built = []
+    real = core.ValidationReport
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "ValidationReport", counted)
+    for command in ("shrink", "check"):
+        built.clear()
+        assert main([command, h1_file]) == 0
+        capsys.readouterr()
+        assert len(built) == 1, command
+
+
 def test_unexpected_exception_exits_3(h1_file, monkeypatch, capsys):
     # exit 1 is reserved for negative answers, so a stray exception from a
     # bug must not leak out of main() as a traceback
     def broken(hypergraph):
         raise KeyError("lost")
 
-    monkeypatch.setattr("hypershrink.cli._decide_hypertree", broken)
+    monkeypatch.setattr("hypershrink.cli.is_hypertree", broken)
     assert main(["check", h1_file]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -395,7 +414,7 @@ def test_internal_value_error_exits_3(h1_file, monkeypatch, capsys):
     def broken(hypergraph):
         raise ValueError("bug")
 
-    monkeypatch.setattr("hypershrink.cli._decide_hypertree", broken)
+    monkeypatch.setattr("hypershrink.cli.is_hypertree", broken)
     assert main(["check", h1_file]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

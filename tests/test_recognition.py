@@ -6,12 +6,19 @@ import pytest
 from hypershrink import (
     Hypergraph,
     LimitExceededError,
+    Shrinking,
     adversarial_star,
+    brute_force_shrink,
+    floor_demand,
     is_hypertree,
     is_hypertree_bruteforce,
+    orient_floor,
     orient_with_demands,
     random_hypertree,
     shrink_hypertree,
+    shrinking_to_dot,
+    shrinking_to_json,
+    verify_shrinking,
 )
 from hypershrink import orientation
 from helpers import (
@@ -161,6 +168,41 @@ def test_invalid_hypergraph_is_refused(edges, message):
         with pytest.raises(ValueError) as info:
             public(Hypergraph(2, edges))
         assert str(info.value) == f"invalid hypergraph: {message}"
+
+
+# every other entry point that uses vertex ids as indices, each given a
+# well-formed demand, k or shrinking for the path 0 - 1 - 2
+PATH_SHRINKING = Shrinking(((0, 1), (1, 2)), (0, 1))
+INDEXING_ENTRY_POINTS = {
+    "orient_with_demands": lambda h: orient_with_demands(h, (0, 1, 1)),
+    "floor_demand": lambda h: floor_demand(h, 2),
+    "orient_floor": lambda h: orient_floor(h, 2),
+    "verify_shrinking": lambda h: verify_shrinking(h, PATH_SHRINKING),
+    "shrinking_to_json": lambda h: shrinking_to_json(h, PATH_SHRINKING),
+    "shrinking_to_dot": lambda h: shrinking_to_dot(h, PATH_SHRINKING),
+    "brute_force_shrink": brute_force_shrink,
+    "is_hypertree_bruteforce": is_hypertree_bruteforce,
+}
+
+
+@pytest.mark.parametrize("entry_point", list(INDEXING_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # -1 indexes from the end of a per-vertex list: unchecked, it gives
+        # head -1, the floor demand (1, 0, 0) and the tree edge (-1, 0)
+        (((-1, 0), (0, 1)), "vertex-range at edge 0: edge [-1, 0] leaves [0, 3)"),
+        # past the end: IndexError, or a hypertree by the subset count
+        (((0, 5), (1, 2)), "vertex-range at edge 0: edge [0, 5] leaves [0, 3)"),
+    ],
+    ids=["below-range", "above-range"],
+)
+def test_every_indexing_entry_point_refuses_an_invalid_hypergraph(
+    entry_point, edges, message
+):
+    with pytest.raises(ValueError) as info:
+        INDEXING_ENTRY_POINTS[entry_point](Hypergraph(3, edges))
+    assert str(info.value) == f"invalid hypergraph: {message}"
 
 
 def test_orientable_but_unreachable_is_not_a_hypertree():

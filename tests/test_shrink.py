@@ -23,7 +23,6 @@ from hypershrink import (
     verify_shrinking,
 )
 from hypershrink import rainbow
-from hypershrink.shrink import _shrink
 import json
 
 from helpers import (
@@ -104,6 +103,17 @@ def test_verify_respects_k_override():
     assert report.all_passed
     with pytest.raises(ValueError):
         shrink_hypertree(H1, k=2)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_is_refused(k):
+    # unchecked, k = 0 divides by zero and k = -1 fails every vertex on
+    # halving-corollary and puts 1 in every JSON bound
+    s = shrink_hypertree(H1)
+    for public in (verify_shrinking, shrinking_to_json):
+        with pytest.raises(ValueError) as info:
+            public(H1, s, k)
+        assert str(info.value) == "k must be positive"
 
 
 def test_floor_halving_boundary():
@@ -196,7 +206,7 @@ def test_shrink_agrees_with_brute_force():
 
 
 def test_lean_shrink_matches_the_checked_path():
-    # _shrink trusts that each star is a contiguous run of edges in
+    # shrink_hypertree trusts that each star is a contiguous run of edges in
     # endpoint order and reads the Shrinking off the forest; the checked
     # path builds star_graph, sorts the classes and goes through
     # RainbowTree, so equal answers pin what the lean path trusts
@@ -217,12 +227,12 @@ def test_lean_shrink_matches_the_checked_path():
             rainbow._colour_classes(star)
         )
         pairs = {c: (u, v) for u, v, c in rainbow_spanning_tree(star).edges}
-        assert _shrink(hg) == Shrinking.from_pairs([pairs[i] for i in range(hg.num_edges)])
+        assert shrink_hypertree(hg) == Shrinking.from_pairs([pairs[i] for i in range(hg.num_edges)])
     for hg in hypergraphs[24:36]:  # n = 500, each with pairs to break
         broken = break_hypertree(hg)
         assert rainbow_spanning_tree(star_graph(orient_floor(broken))) is None
         with pytest.raises(NotAHypertreeError) as info:
-            _shrink(broken)
+            shrink_hypertree(broken)
         assert info.value.reason == "no-rainbow-tree"
 
 

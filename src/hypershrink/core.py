@@ -9,7 +9,7 @@ immutable after construction and safe to share between threads.
 import json
 from dataclasses import dataclass
 from itertools import chain
-from operator import contains
+from operator import contains, itemgetter, lt
 from typing import Iterable
 
 
@@ -38,6 +38,12 @@ def _exact_int_tuples(rows: tuple, width: int = None) -> bool:
         and (width is None or set(map(len, rows)) <= {width})
         and set(map(type, chain.from_iterable(rows))) <= {int}
     )
+
+
+def _exact_ints(values) -> tuple:
+    """``values`` as a tuple of exact ``int``, kept as it is when it is one."""
+    values = tuple(values)
+    return values if set(map(type, values)) <= {int} else tuple(map(int, values))
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,7 @@ class DirectedHypergraph:
     heads: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "heads", tuple(map(int, self.heads)))
+        object.__setattr__(self, "heads", _exact_ints(self.heads))
         if len(self.heads) != len(self.base.edges):
             raise ValueError("one head per hyperedge required")
         if not all(map(contains, self.base.edges, self.heads)):
@@ -145,8 +151,8 @@ class DemandFunction:
     values: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(x) for x in self.values))
-        if any(x < 0 for x in self.values):
+        object.__setattr__(self, "values", _exact_ints(self.values))
+        if min(self.values, default=0) < 0:
             raise ValueError("demands must be non-negative")
 
     def __len__(self) -> int:
@@ -206,10 +212,23 @@ def validate(hypergraph: Hypergraph) -> ValidationReport:
     """
     if "_report" in hypergraph.__dict__:
         return hypergraph._report
+    n, edges = hypergraph.n, hypergraph.edges
+    flat = list(chain.from_iterable(edges))
+    # Whole-column passes decide; the per-edge scan only names violations.
+    # Every edge is strictly sorted iff the ascending adjacent pairs of flat,
+    # less those straddling two edges, number len(flat) - len(edges).
+    valid = (
+        min(map(len, edges), default=2) >= 2
+        and min(flat, default=0) >= 0
+        and max(flat, default=-1) < n
+        and sum(map(lt, flat, flat[1:]))
+        - sum(map(lt, map(itemgetter(-1), edges), map(itemgetter(0), edges[1:])))
+        == len(flat) - len(edges)
+        and len(set(edges)) == len(edges)
+    )
     problems = []
     seen = {}
-    n = hypergraph.n
-    for i, e in enumerate(hypergraph.edges):
+    for i, e in enumerate(() if valid else edges):
         # the distinct vertices in order: their ends are the least and the
         # greatest vertex, and the tuple names the vertex set
         distinct = tuple(sorted(set(e)))

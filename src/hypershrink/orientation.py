@@ -22,6 +22,8 @@ exhaustive subset-count check is kept at the end as a test oracle.
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import floordiv
 
 from .core import (
     DemandFunction,
@@ -98,13 +100,16 @@ def _orient(hypergraph: Hypergraph, need: list) -> tuple:
     f(v) - indegree(v): positive while v is short, negative while v heads
     a spare hyperedge.  Returns ``(heads, incident, violator)``, where
     ``violator`` is None on success and otherwise the sorted closed set
-    reached by the first failed search.
+    reached by the first failed search.  ``incident`` is None unless some
+    vertex was short after the greedy pass, as only repairs read it.
     """
     heads = []
     for e in hypergraph.edges:
         head = max(e, key=need.__getitem__)
         need[head] -= 1
         heads.append(head)
+    if max(need, default=0) <= 0:
+        return heads, None, None
     incident = _incidence(hypergraph)
     for v in range(hypergraph.n):
         while need[v] > 0:
@@ -172,8 +177,8 @@ def is_hypertree(hypergraph: Hypergraph) -> bool:
     if violator is not None:
         return False
     # need is 0 everywhere, so the search finds no spare head and returns
-    # the closed set reached from 0
-    return len(_repair(0, heads, [0] * n, incident)) == n
+    # the closed set reached from 0; the lists exist if a repair ran
+    return len(_repair(0, heads, [0] * n, incident or _incidence(hypergraph))) == n
 
 
 def floor_demand(hypergraph: Hypergraph, k: int) -> DemandFunction:
@@ -187,7 +192,7 @@ def floor_demand(hypergraph: Hypergraph, k: int) -> DemandFunction:
         raise ValueError("k must be positive")
     if k < hypergraph.rank():
         raise ValueError(f"k={k} is below the rank {hypergraph.rank()}")
-    return DemandFunction(tuple(d // k for d in hypergraph.degrees()))
+    return DemandFunction(tuple(map(floordiv, hypergraph.degrees(), repeat(k))))
 
 
 def orient_floor(hypergraph: Hypergraph, k: int = None) -> DirectedHypergraph:

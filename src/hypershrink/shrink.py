@@ -11,9 +11,10 @@ hyperedge-to-tree-edge bijection off the colours.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations, compress, count, product, repeat
+from operator import contains, itemgetter, lt, mul
 
-from .core import Hypergraph, LimitExceededError, _exact_int_tuples, _require_valid
+from .core import Hypergraph, LimitExceededError, _exact_int_tuples, _exact_ints, _require_valid
 from .orientation import orient_floor
 from .rainbow import UnionFind, _dot_document, _dot_edge, _star_expansion, maximum_rainbow_forest
 
@@ -48,10 +49,7 @@ class Shrinking:
         if not _exact_int_tuples(tree, 2):
             tree = tuple([(int(u), int(v)) for u, v in tree])
         object.__setattr__(self, "tree", tree)
-        assignment = tuple(self.assignment)
-        if not set(map(type, assignment)) <= {int}:
-            assignment = tuple(map(int, assignment))
-        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "assignment", _exact_ints(self.assignment))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Shrinking":
@@ -149,6 +147,18 @@ class VerificationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
+def _degree_bound(hypergraph: Hypergraph, k) -> list:
+    """max(1, floor(d_H(v)/k)) per vertex, one division per distinct degree,
+    remembered for the last k and its type (a float k gives floats); read only."""
+    memo = hypergraph.__dict__.get("_bound")
+    if memo is None or memo[0] != (type(k), k):
+        degrees = hypergraph.degrees()
+        per_degree = {d: max(1, d // k) for d in set(degrees)}
+        memo = ((type(k), k), list(map(per_degree.__getitem__, degrees)))
+        object.__setattr__(hypergraph, "_bound", memo)
+    return memo[1]
+
+
 def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None) -> VerificationReport:
     """Re-check every promise of a shrinking, reporting per-item pass/fail.
 
@@ -185,22 +195,27 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
             parent[a] = b
     checks.append(VerificationCheck("spanning-tree", tree_ok, detail))
 
-    bad = [
+    assignment, edges = shrinking.assignment, hypergraph.edges
+    # the range test comes first, so that no entry indexes from the end
+    contained = min(assignment, default=0) >= 0 and max(assignment, default=-1) < len(tree)
+    if contained:
+        ends = list(map(tree.__getitem__, assignment))
+        contained = all(map(contains, edges, map(itemgetter(0), ends)))
+        contained = contained and all(map(contains, edges, map(itemgetter(1), ends)))
+    bad = [] if contained else [
         i
-        for i, (j, e) in enumerate(zip(shrinking.assignment, hypergraph.edges))
+        for i, (j, e) in enumerate(zip(assignment, edges))
         if not (0 <= j < len(tree) and tree[j][0] in e and tree[j][1] in e)
     ]
     checks.append(
         VerificationCheck(
             "containment",
-            not bad and len(shrinking.assignment) == m,
+            not bad and len(assignment) == m,
             "" if not bad else f"hyperedges {bad} do not contain their tree edge",
         )
     )
 
-    bijective = len(shrinking.assignment) == m and sorted(
-        shrinking.assignment
-    ) == list(range(len(tree)))
+    bijective = len(assignment) == m and sorted(assignment) == list(range(len(tree)))
     checks.append(VerificationCheck("bijection", bijective))
 
     hyper_deg = hypergraph.degrees()
@@ -210,14 +225,15 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
         checks.append(VerificationCheck("halving-corollary", True, "single vertex"))
         bounds = []
     else:
-        floor_low = [v for v in range(n) if tree_deg[v] < max(1, hyper_deg[v] // k)]
-        half_low = [v for v in range(n) if 2 * k * tree_deg[v] < hyper_deg[v]]
+        # the vertices below each bound, ascending
+        floor_low = list(compress(count(), map(lt, tree_deg, _degree_bound(hypergraph, k))))
+        half_low = list(compress(count(), map(lt, map(mul, tree_deg, repeat(2 * k)), hyper_deg)))
         bounds = [
             ("degree-floor-bound", floor_low, f"max(1, floor(d/{k}))"),
             ("halving-corollary", half_low, f"d/(2*{k})"),
         ]
     if hypergraph.rank() == 3:
-        hundredth_low = [v for v in range(n) if 100 * tree_deg[v] < hyper_deg[v]]
+        hundredth_low = list(compress(count(), map(lt, map(mul, tree_deg, repeat(100)), hyper_deg)))
         bounds.append(("hundredth-bound", hundredth_low, "d/100"))
     for name, low, bound in bounds:
         detail = f"vertices {low} fall below {bound}" if low else ""
@@ -279,19 +295,19 @@ def shrinking_to_json(hypergraph: Hypergraph, shrinking: Shrinking, k: int = Non
         k = max(hypergraph.rank(), 1)
     elif k < 1:
         raise ValueError("k must be positive")
-    hyper_deg = hypergraph.degrees()
     return json.dumps(
         {
             "tree": shrinking.tree,
             "assignment": shrinking.assignment,
             "degrees": {
-                "hyper": hyper_deg,
+                "hyper": hypergraph.degrees(),
                 "tree": shrinking.tree_degrees(hypergraph.n),
             },
-            "bound": [max(1, d // k) for d in hyper_deg]
+            "bound": _degree_bound(hypergraph, k)
             if hypergraph.n > 1
             else [0] * hypergraph.n,
-        }
+        },
+        check_circular=False,  # ints in tuples and lists: no cycle to find
     )
 
 

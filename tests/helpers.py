@@ -6,12 +6,15 @@ principles definitions that the fast implementations are judged against.
 
 import collections
 import itertools
+import json
 import os
 import random
 from pathlib import Path
 
 import hypershrink
 from hypershrink import ColouredGraph, Hypergraph
+from hypershrink.core import ValidationReport, Violation, _require_valid
+from hypershrink.shrink import VerificationCheck, VerificationReport
 
 H1 = Hypergraph(4, ((0, 1, 2), (1, 2, 3), (2, 3)))
 
@@ -225,3 +228,128 @@ def sort_key_greedy(graph: ColouredGraph) -> tuple:
             used.add(c)
             chosen.append(i)
     return chosen, graph.n - len(chosen)
+
+
+# ---------------------------------------------------------------------------
+# Per-edge reference copies of validate, verify_shrinking and
+# shrinking_to_json, one Python step per hyperedge or vertex.  The package
+# decides with whole-column passes; its reports and JSON must match these
+# byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def reference_validate(hypergraph: Hypergraph) -> ValidationReport:
+    problems = []
+    seen = {}
+    n = hypergraph.n
+    for i, e in enumerate(hypergraph.edges):
+        distinct = tuple(sorted(set(e)))
+        if len(distinct) < 2:
+            problems.append(Violation("loop", i, f"edge {list(e)} has size {len(distinct)}"))
+        if distinct and (distinct[0] < 0 or distinct[-1] >= n):
+            problems.append(Violation("vertex-range", i, f"edge {list(e)} leaves [0, {n})"))
+        if e != distinct:
+            problems.append(Violation("unsorted", i, f"edge {list(e)} is not strictly sorted"))
+        if distinct in seen:
+            problems.append(
+                Violation("duplicate", i, f"edge {list(e)} repeats edge {seen[distinct]}")
+            )
+        else:
+            seen[distinct] = i
+    return ValidationReport(tuple(problems))
+
+
+def reference_verify_shrinking(hypergraph, shrinking, k=None) -> VerificationReport:
+    _require_valid(hypergraph)
+    n, m = hypergraph.n, hypergraph.num_edges
+    if k is None:
+        k = max(hypergraph.rank(), 1)
+    elif k < 1:
+        raise ValueError("k must be positive")
+    checks = []
+    tree = shrinking.tree
+    tree_ok = len(tree) == n - 1
+    detail = "" if tree_ok else f"{len(tree)} edges for {n} vertices"
+    if tree_ok:
+        parent = list(range(n))
+        for u, v in tree:
+            if not (0 <= u < n and 0 <= v < n and u != v):
+                tree_ok, detail = False, f"bad edge ({u}, {v})"
+                break
+            a, b = u, v
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b:
+                tree_ok, detail = False, f"cycle closed by ({u}, {v})"
+                break
+            parent[a] = b
+    checks.append(VerificationCheck("spanning-tree", tree_ok, detail))
+    bad = [
+        i
+        for i, (j, e) in enumerate(zip(shrinking.assignment, hypergraph.edges))
+        if not (0 <= j < len(tree) and tree[j][0] in e and tree[j][1] in e)
+    ]
+    checks.append(
+        VerificationCheck(
+            "containment",
+            not bad and len(shrinking.assignment) == m,
+            "" if not bad else f"hyperedges {bad} do not contain their tree edge",
+        )
+    )
+    bijective = len(shrinking.assignment) == m and sorted(
+        shrinking.assignment
+    ) == list(range(len(tree)))
+    checks.append(VerificationCheck("bijection", bijective))
+    hyper_deg = hypergraph.degrees()
+    tree_deg = reference_tree_degrees(shrinking, n)
+    if n == 1:
+        checks.append(VerificationCheck("degree-floor-bound", True, "single vertex"))
+        checks.append(VerificationCheck("halving-corollary", True, "single vertex"))
+        bounds = []
+    else:
+        floor_low = [v for v in range(n) if tree_deg[v] < max(1, hyper_deg[v] // k)]
+        half_low = [v for v in range(n) if 2 * k * tree_deg[v] < hyper_deg[v]]
+        bounds = [
+            ("degree-floor-bound", floor_low, f"max(1, floor(d/{k}))"),
+            ("halving-corollary", half_low, f"d/(2*{k})"),
+        ]
+    if hypergraph.rank() == 3:
+        hundredth_low = [v for v in range(n) if 100 * tree_deg[v] < hyper_deg[v]]
+        bounds.append(("hundredth-bound", hundredth_low, "d/100"))
+    for name, low, bound in bounds:
+        detail = f"vertices {low} fall below {bound}" if low else ""
+        checks.append(VerificationCheck(name, not low, detail))
+    return VerificationReport(tuple(checks))
+
+
+def reference_tree_degrees(shrinking, n: int) -> list:
+    d = [0] * n
+    for u, v in shrinking.tree:
+        for x in (u, v):
+            if 0 <= x < n:
+                d[x] += 1
+    return d
+
+
+def reference_shrinking_to_json(hypergraph, shrinking, k=None) -> str:
+    _require_valid(hypergraph)
+    if k is None:
+        k = max(hypergraph.rank(), 1)
+    elif k < 1:
+        raise ValueError("k must be positive")
+    hyper_deg = hypergraph.degrees()
+    return json.dumps(
+        {
+            "tree": [list(p) for p in shrinking.tree],
+            "assignment": list(shrinking.assignment),
+            "degrees": {
+                "hyper": hyper_deg,
+                "tree": reference_tree_degrees(shrinking, hypergraph.n),
+            },
+            "bound": [max(1, d // k) for d in hyper_deg]
+            if hypergraph.n > 1
+            else [0] * hypergraph.n,
+        }
+    )

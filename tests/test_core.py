@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypershrink import (
     ColouredGraph,
@@ -18,7 +18,7 @@ from hypershrink import (
     hypergraph_to_text,
     validate,
 )
-from helpers import H1
+from helpers import H1, reference_validate
 
 
 def test_degrees_and_rank():
@@ -120,6 +120,56 @@ def test_validate_reports_every_violation_in_edge_order():
     ]
 
 
+class _IntLike(int):
+    """An int subclass, as integer ids from other libraries arrive."""
+
+
+def _styled(v: int, style: str):
+    if style == "bool" and v in (0, 1):
+        return bool(v)
+    return _IntLike(v) if style == "int-like" else v
+
+
+@st.composite
+def raw_hypergraphs(draw):
+    """A simple family on n in 0..8 vertices with up to two defects
+    spliced in: an arbitrary list of ids from -1 to n, or an edge of the
+    family repeated or reversed."""
+    n = draw(st.integers(0, 8))
+    edges = []
+    if n >= 2:
+        sets = st.sets(st.integers(0, n - 1), min_size=2, max_size=4).map(sorted)
+        edges = draw(st.lists(sets, max_size=7, unique_by=tuple))
+    for _ in range(draw(st.integers(0, 2))):
+        defect = draw(st.lists(st.integers(-1, n), max_size=4))
+        if edges and draw(st.booleans()):
+            e = draw(st.sampled_from(edges))
+            defect = draw(st.sampled_from((e, e[::-1])))
+        edges.insert(draw(st.integers(0, len(edges))), defect)
+    return n, edges
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(raw_hypergraphs(), st.sampled_from(("int", "bool", "int-like")), st.booleans())
+@example((3, [[1, 2], [0, 1]]), "int", False)  # valid, edges out of order
+@example((3, [[0, 1], [2, 1]]), "int", False)  # unsorted after an ascending straddle
+@example((3, [[1, 1, 2]]), "int", False)  # a vertex repeated inside an edge
+@example((3, [[1], [], [0, 2]]), "int", True)  # loop, empty edge
+@example((3, [[-1, 0], [0, 3]]), "bool", False)  # negative, too large
+@example((3, [[0, 1], [1, 2], [0, 1]]), "int-like", True)  # duplicate
+@example((0, []), "int", False)
+@example((0, [[0, 1]]), "int", False)
+def test_validate_matches_the_per_edge_reference(data, style, as_tuples):
+    n, edges = data
+    shape = tuple if as_tuples else list
+    hg = Hypergraph(n, [shape(_styled(v, style) for v in e) for e in edges])
+    expected = reference_validate(Hypergraph(n, tuple(map(tuple, edges))))
+    report = validate(hg)
+    assert report == expected
+    assert str(report) == str(expected)
+    assert validate(hg) is report
+
+
 @pytest.mark.parametrize("n", [0, 1, 5])
 def test_degrees_and_rank_without_edges(n):
     hg = Hypergraph(n, ())
@@ -153,6 +203,20 @@ def test_directed_hypergraph_rejects_bad_heads():
         DirectedHypergraph(H1, (0, 0, 0))
     with pytest.raises(ValueError, match=r"^one head per hyperedge required$"):
         DirectedHypergraph(H1, (2, 2))
+
+
+def test_heads_and_demands_of_exact_ints_kept_as_they_are():
+    heads, values = (2, 2, 3), (0, 1, 2)
+    assert DirectedHypergraph(H1, heads).heads is heads
+    assert DemandFunction(values).values is values
+    loose_heads = DirectedHypergraph(H1, [2.0, _IntLike(2), 3]).heads
+    loose_values = DemandFunction([False, True, _IntLike(2)]).values
+    assert (loose_heads, loose_values) == (heads, values)
+    assert set(map(type, loose_heads + loose_values)) == {int}
+    with pytest.raises(ValueError, match=r"^head 3 not a member of hyperedge 0$"):
+        DirectedHypergraph(H1, (3.0, 2, 3))
+    with pytest.raises(ValueError, match=r"^demands must be non-negative$"):
+        DemandFunction((0, -1.0))
 
 
 def test_demand_function():

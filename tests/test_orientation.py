@@ -10,15 +10,19 @@ from hypershrink import (
     OrientationResult,
     adversarial_star,
     floor_demand,
+    is_hypertree,
     orient_floor,
     orient_with_demands,
     random_hypertree,
+    shrink_hypertree,
+    verify_shrinking,
 )
 from hypershrink import orientation
 from helpers import (
     H1,
     PATH3,
     STAR7,
+    TRIANGLE4,
     brute_orientation_exists,
     random_valid_hypergraph,
 )
@@ -224,3 +228,32 @@ def test_long_path_with_descending_edges():
     result = orient_with_demands(path, demands)
     assert result.is_oriented
     assert all(ind >= f for ind, f in zip(result.oriented.indegrees(), demands))
+
+
+def test_shrink_builds_no_incidence_when_no_vertex_is_short(monkeypatch):
+    # no vertex of these is short after the greedy heads, so the incidence
+    # lists, which only the repair searches read, are never built
+    def refuse(hypergraph):
+        raise AssertionError("incidence lists built without a repair search")
+
+    monkeypatch.setattr(orientation, "_incidence", refuse)
+    for hg in (adversarial_star(1000, 4), random_hypertree(500, 5, 1, 0.8)[0]):
+        assert verify_shrinking(hg, shrink_hypertree(hg)).all_passed
+
+
+def test_incidence_built_once_where_it_is_read(monkeypatch):
+    built = []
+    incidence = orientation._incidence
+    monkeypatch.setattr(orientation, "_incidence", lambda hg: built.append(hg) or incidence(hg))
+    # greedy heads edge 0 at 2, so vertex 0 is short and one repair runs
+    result = orient_with_demands(H1, (1, 0, 2, 0))
+    assert result.oriented.heads == (0, 2, 2)
+    assert len(built) == 1
+    # is_hypertree reads the lists after the orientation, repair or not:
+    # no vertex of H1 is short, the descending path repairs its far end
+    # and TRIANGLE4's isolated vertex 3 ends in a violator
+    descending = Hypergraph(6, tuple((i, i + 1) for i in reversed(range(5))))
+    for hg, answer in ((H1, True), (descending, True), (TRIANGLE4, False)):
+        built.clear()
+        assert is_hypertree(hg) == answer
+        assert len(built) == 1

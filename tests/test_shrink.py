@@ -31,6 +31,8 @@ from helpers import (
     break_hypertree,
     is_spanning_tree,
     random_tree_count_hypergraph,
+    reference_shrinking_to_json,
+    reference_verify_shrinking,
 )
 
 
@@ -114,6 +116,44 @@ def test_k_below_one_is_refused(k):
         with pytest.raises(ValueError) as info:
             public(H1, s, k)
         assert str(info.value) == "k must be positive"
+
+
+def _shrinkings_to_report():
+    """Valid shrinkings and one of each defect verify_shrinking names."""
+    good = shrink_hypertree(H1)
+    tree, assignment = good.tree, good.assignment
+    yield H1, good
+    # -1 in place of the last tree edge, which the hyperedge does contain:
+    # only the range test tells the two apart
+    last = assignment.index(len(tree) - 1)
+    yield H1, Shrinking(tree, assignment[:last] + (-1,) + assignment[last + 1 :])
+    yield H1, Shrinking(tree, assignment[:2] + (len(tree),))
+    yield H1, Shrinking(tree, assignment[:2])
+    yield H1, Shrinking(tree, assignment + (0,))
+    yield H1, Shrinking(((0, 3), (1, 2), (2, 3)), (0, 1, 2))
+    yield H1, Shrinking(((0, 9), (1, 2), (2, 3)), (0, 1, 2))
+    # rank 3, and the hub of degree 150 keeps no tree edge: every check
+    # but containment and bijection fails, hundredth-bound included
+    star = adversarial_star(150, 3)
+    yield star, Shrinking([e[-2:] for e in star.edges], range(star.num_edges))
+    yield star, shrink_hypertree(star)
+    yield Hypergraph(1, ()), Shrinking((), ())
+    yield Hypergraph(1, ()), Shrinking(((0, 1),), ())
+    random500 = random_hypertree(500, 5, 1, 0.8)[0]
+    yield random500, shrink_hypertree(random500)
+
+
+def test_reports_and_json_match_the_per_vertex_reference():
+    for hg, s in _shrinkings_to_report():
+        # k past the rank too; one hypergraph value serves every k, so a
+        # remembered bound must follow k
+        for k in (None, max(hg.rank(), 1), hg.rank() + 2, None):
+            expected = reference_verify_shrinking(Hypergraph(hg.n, hg.edges), s, k)
+            assert str(verify_shrinking(hg, s, k)) == str(expected)
+            assert verify_shrinking(hg, s, k) == expected
+            assert shrinking_to_json(hg, s, k) == reference_shrinking_to_json(
+                Hypergraph(hg.n, hg.edges), s, k
+            )
 
 
 def test_floor_halving_boundary():

@@ -19,6 +19,7 @@ import csv
 import functools
 import json
 import sys
+from operator import sub
 
 from .core import (
     FormatError,
@@ -26,13 +27,14 @@ from .core import (
     InternalError,
     LimitExceededError,
     _check_vertex_count,
+    _degree_guarantee,
     demands_from_json,
     hypergraph_from_json,
     hypergraph_from_text,
     hypergraph_to_json,
     validate,
 )
-from .gen import random_hypertree
+from .gen import _check_hypertree_args, random_hypertree
 from .orientation import (
     floor_demand,
     is_hypertree,
@@ -99,15 +101,13 @@ def _check_k(hypergraph: Hypergraph, k) -> None:
 
 def _check_generator_args(args) -> None:
     """Refuse ``--n``, ``--k`` or ``--p`` outside the generator's range
-    as bad input, an ``--n`` above the parsers' vertex limit included,
+    as bad input, an ``--n`` above the parsers' vertex limit first,
     before anything of size n is drawn."""
-    if args.n < 2:
-        raise FormatError("need at least two vertices")
-    _check_vertex_count(args.n)
-    if args.k < 2:
-        raise FormatError("rank bound k must be at least 2")
-    if not 0.0 <= args.p <= 1.0:
-        raise FormatError("expansion probability must lie in [0, 1]")
+    _check_vertex_count(max(args.n, 0))  # a negative n has too few vertices
+    try:
+        _check_hypertree_args(args.n, args.k, args.p)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def _directed_to_json(directed) -> str:
@@ -243,11 +243,11 @@ def _cmd_bench(args) -> int:
         seed = args.seed + trial
         hypergraph, _ = random_hypertree(args.n, args.k, seed, args.p)
         shrinking = shrink_hypertree(hypergraph)
-        k = hypergraph.rank()
+        k, bound = _degree_guarantee(hypergraph)
         hyper = hypergraph.degrees()
         tree = shrinking.tree_degrees(hypergraph.n)
         scaled = min(t * k / d for t, d in zip(tree, hyper))
-        slack = min(t - max(1, d // k) for t, d in zip(tree, hyper))
+        slack = min(map(sub, tree, bound))
         ratio = min(t / d for t, d in zip(tree, hyper))
         writer.writerow(
             [

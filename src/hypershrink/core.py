@@ -255,6 +255,26 @@ def _require_valid(hypergraph: Hypergraph) -> None:
         raise ValueError(f"invalid hypergraph: {report}")
 
 
+def _degree_guarantee(hypergraph: Hypergraph, k=None) -> tuple:
+    """``(k, bound)`` on a valid hypergraph: k defaults to the rank (1 if
+    edgeless) and must be positive; ``bound[v]`` = max(1, floor(d_H(v)/k)),
+    the tree degree promised to v, or 0 when n <= 1.  The list is kept for
+    the last k and its type (a float k gives floats) and is read only."""
+    _require_valid(hypergraph)
+    if k is None:
+        k = max(hypergraph.rank(), 1)
+    elif k < 1:
+        raise ValueError("k must be positive")
+    memo = hypergraph.__dict__.get("_bound")
+    if memo is None or memo[0] != (type(k), k):
+        degrees = hypergraph.degrees()
+        least = 1 if hypergraph.n > 1 else 0  # a tree on one vertex has no edge
+        per_degree = {d: max(least, d // k) for d in set(degrees)}
+        memo = ((type(k), k), list(map(per_degree.__getitem__, degrees)))
+        object.__setattr__(hypergraph, "_bound", memo)
+    return k, memo[1]
+
+
 # ---------------------------------------------------------------------------
 # File formats.  JSON: {"n": <int>, "edges": [[v, ...], ...]}.
 # Text: first line "n m", then m lines of space-separated vertex ids.

@@ -100,6 +100,16 @@ def random_tree(n: int, seed: int) -> tuple:
 _MAX_REDRAWS = 32
 
 
+def _check_hypertree_args(n: int, k: int, p: float) -> None:
+    """Refuse, with ``ValueError``, what the hypertree generators cannot draw."""
+    if n < 2:
+        raise ValueError("need at least two vertices")
+    if k < 2:
+        raise ValueError("rank bound k must be at least 2")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("expansion probability must lie in [0, 1]")
+
+
 def random_hypertree(n: int, k: int, seed: int, p: float = 0.5) -> tuple:
     """Random hypertree of rank <= k with its shrink witness.
 
@@ -112,12 +122,7 @@ def random_hypertree(n: int, k: int, seed: int, p: float = 0.5) -> tuple:
     hyperedge i; the witness pairs form the original spanning tree, so
     the output is a hypertree by construction.
     """
-    if n < 2:
-        raise ValueError("need at least two vertices")
-    if k < 2:
-        raise ValueError("rank bound k must be at least 2")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("expansion probability must lie in [0, 1]")
+    _check_hypertree_args(n, k, p)
     rng = SplitMix64(seed)
     witness = _decode_tree(rng, n)
     seen = set()
@@ -152,8 +157,7 @@ def adversarial_star(m: int, k: int) -> Hypergraph:
     """
     if m < 1:
         raise ValueError("need at least one branch")
-    if k < 2:
-        raise ValueError("rank bound k must be at least 2")
+    _check_hypertree_args(m + 1, k, 0.0)  # the hub and m leaves: only k can fail
     edges = []
     next_free = m + 1
     for leaf in range(1, m + 1):

@@ -31,6 +31,7 @@ from .core import (
     Hypergraph,
     InternalError,
     LimitExceededError,
+    _degree_guarantee,
     _require_valid,
 )
 
@@ -187,9 +188,7 @@ def floor_demand(hypergraph: Hypergraph, k: int) -> DemandFunction:
     Requires k >= rank: the feasibility argument charges each hyperedge at
     most |e| * (1/k) <= 1 against the incident-edge count.
     """
-    _require_valid(hypergraph)
-    if k < 1:
-        raise ValueError("k must be positive")
+    _degree_guarantee(hypergraph, k)  # refuses an invalid hypergraph, then k < 1
     if k < hypergraph.rank():
         raise ValueError(f"k={k} is below the rank {hypergraph.rank()}")
     return DemandFunction(tuple(map(floordiv, hypergraph.degrees(), repeat(k))))
@@ -204,8 +203,7 @@ def orient_floor(hypergraph: Hypergraph, k: int = None) -> DirectedHypergraph:
     incident hyperedges), so a violator outcome here means the
     implementation is broken: it raises :class:`InternalError`.
     """
-    if k is None:
-        k = max(hypergraph.rank(), 1)
+    k, _ = _degree_guarantee(hypergraph, k)
     result = orient_with_demands(hypergraph, floor_demand(hypergraph, k))
     if not result.is_oriented:
         raise InternalError(

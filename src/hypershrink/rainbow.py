@@ -24,13 +24,13 @@ characterisation doubles as the test oracle.
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from operator import itemgetter, lt
+from operator import itemgetter
 
 from .core import DirectedHypergraph, LimitExceededError, _exact_int_tuples
 
 
 class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
+    """Disjoint sets over 0..n-1 with path halving and union by size."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -38,12 +38,10 @@ class UnionFind:
         self.components = n
 
     def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
     def union(self, a: int, b: int) -> bool:
         ra, rb = self.find(a), self.find(b)
@@ -73,26 +71,16 @@ class ColouredGraph:
         if not _exact_int_tuples(edges, 3):
             edges = tuple([(int(u), int(v), int(c)) for u, v, c in edges])
         object.__setattr__(self, "edges", edges)
-        us, vs, cs = zip(*edges) if edges else ((), (), ())
-        # whole-column passes decide; the per-edge scan only names the
-        # first offending edge
-        if not (
-            min(us, default=0) >= 0
-            and max(vs, default=-1) < self.n
-            and all(map(lt, us, vs))
-            and min(cs, default=0) >= 0
-            and len(set(edges)) == len(edges)
-        ):
-            seen = set()
-            for u, v, c in edges:
-                if not (0 <= u < v < self.n):
-                    raise ValueError(f"bad endpoints ({u}, {v}) for n={self.n}")
-                if c < 0:
-                    raise ValueError("colour ids must be non-negative")
-                if (u, v, c) in seen:
-                    raise ValueError(f"repeated edge ({u}, {v}) with colour {c}")
-                seen.add((u, v, c))
-        colours = set(cs)
+        seen = set()
+        for u, v, c in edges:
+            if not (0 <= u < v < self.n):
+                raise ValueError(f"bad endpoints ({u}, {v}) for n={self.n}")
+            if c < 0:
+                raise ValueError("colour ids must be non-negative")
+            if (u, v, c) in seen:
+                raise ValueError(f"repeated edge ({u}, {v}) with colour {c}")
+            seen.add((u, v, c))
+        colours = set(map(itemgetter(2), edges))
         if colours and len(colours) != max(colours) + 1:
             raise ValueError("colour ids must be dense 0..c-1")
 
@@ -152,14 +140,14 @@ def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
 
 def _colour_classes(graph: ColouredGraph) -> list:
     """``classes[c]``: indices of the edges of colour c in endpoint order,
-    which the seeds' tie rules rely on; remembered on the graph."""
+    which the seeds' tie rules rely on; the ranges :func:`_star_expansion`
+    leaves on its graph are read as they are."""
     classes = graph.__dict__.get("_classes")
     if classes is None:
         edges = graph.edges
         classes = [[] for _ in range(graph.num_colours)]
         for i in sorted(range(len(edges)), key=edges.__getitem__):
             classes[edges[i][2]].append(i)
-        object.__setattr__(graph, "_classes", classes)
     return classes
 
 

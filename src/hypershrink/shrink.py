@@ -10,11 +10,10 @@ hyperedge-to-tree-edge bijection off the colours.
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations, compress, count, product, repeat
 from operator import contains, itemgetter, lt, mul
 
-from .core import Hypergraph, LimitExceededError, _exact_int_tuples, _exact_ints, _require_valid
+from .core import Hypergraph, LimitExceededError, _degree_guarantee, _exact_int_tuples, _exact_ints, _require_valid
 from .orientation import orient_floor
 from .rainbow import UnionFind, _dot_document, _dot_edge, _star_expansion, maximum_rainbow_forest
 
@@ -147,18 +146,6 @@ class VerificationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def _degree_bound(hypergraph: Hypergraph, k) -> list:
-    """max(1, floor(d_H(v)/k)) per vertex, one division per distinct degree,
-    remembered for the last k and its type (a float k gives floats); read only."""
-    memo = hypergraph.__dict__.get("_bound")
-    if memo is None or memo[0] != (type(k), k):
-        degrees = hypergraph.degrees()
-        per_degree = {d: max(1, d // k) for d in set(degrees)}
-        memo = ((type(k), k), list(map(per_degree.__getitem__, degrees)))
-        object.__setattr__(hypergraph, "_bound", memo)
-    return memo[1]
-
-
 def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None) -> VerificationReport:
     """Re-check every promise of a shrinking, reporting per-item pass/fail.
 
@@ -167,12 +154,8 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
     consequence d_T(v) >= d_H(v)/(2k), and for rank-3 inputs the weaker
     d_T(v) >= d_H(v)/100.
     """
-    _require_valid(hypergraph)
+    k, bound = _degree_guarantee(hypergraph, k)
     n, m = hypergraph.n, hypergraph.num_edges
-    if k is None:
-        k = max(hypergraph.rank(), 1)
-    elif k < 1:
-        raise ValueError("k must be positive")
     checks = []
 
     tree = shrinking.tree
@@ -226,7 +209,7 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
         bounds = []
     else:
         # the vertices below each bound, ascending
-        floor_low = list(compress(count(), map(lt, tree_deg, _degree_bound(hypergraph, k))))
+        floor_low = list(compress(count(), map(lt, tree_deg, bound)))
         half_low = list(compress(count(), map(lt, map(mul, tree_deg, repeat(2 * k)), hyper_deg)))
         bounds = [
             ("degree-floor-bound", floor_low, f"max(1, floor(d/{k}))"),
@@ -250,6 +233,8 @@ def brute_force_shrink(hypergraph: Hypergraph, limit: int = 10**6):
     spans, which certifies the input is not a hypertree.  Refuses when the
     choice space exceeds ``limit``.
     """
+    from fractions import Fraction  # the oracle's import, kept off the fast path
+
     _require_valid(hypergraph)
     n, m = hypergraph.n, hypergraph.num_edges
     if m != n - 1:
@@ -290,11 +275,7 @@ def brute_force_shrink(hypergraph: Hypergraph, limit: int = 10**6):
 
 def shrinking_to_json(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None) -> str:
     """Serialise a shrinking with its degree data and per-vertex bound."""
-    _require_valid(hypergraph)
-    if k is None:
-        k = max(hypergraph.rank(), 1)
-    elif k < 1:
-        raise ValueError("k must be positive")
+    _, bound = _degree_guarantee(hypergraph, k)
     return json.dumps(
         {
             "tree": shrinking.tree,
@@ -303,9 +284,7 @@ def shrinking_to_json(hypergraph: Hypergraph, shrinking: Shrinking, k: int = Non
                 "hyper": hypergraph.degrees(),
                 "tree": shrinking.tree_degrees(hypergraph.n),
             },
-            "bound": _degree_bound(hypergraph, k)
-            if hypergraph.n > 1
-            else [0] * hypergraph.n,
+            "bound": bound,
         },
         check_circular=False,  # ints in tuples and lists: no cycle to find
     )
@@ -313,11 +292,14 @@ def shrinking_to_json(hypergraph: Hypergraph, shrinking: Shrinking, k: int = Non
 
 def shrinking_to_dot(hypergraph: Hypergraph, shrinking: Shrinking) -> str:
     """Overlay the tree (bold, coloured by hyperedge) on the clique
-    expansion (gray) for visual inspection."""
+    expansion (gray) for visual inspection.  An assignment entry outside
+    the tree's index range bolds no edge."""
     _require_valid(hypergraph)
+    tree = shrinking.tree
     chosen = {
-        (shrinking.pair_for(i), i)
-        for i in range(min(hypergraph.num_edges, len(shrinking.assignment)))
+        (tree[j], i)
+        for i, j in enumerate(shrinking.assignment[: hypergraph.num_edges])
+        if 0 <= j < len(tree)
     }
     edge_lines = []
     for i, e in enumerate(hypergraph.edges):

@@ -15,7 +15,7 @@ from hypershrink import (
     hypergraph_to_json,
     random_hypertree,
 )
-from hypershrink.cli import main
+from hypershrink.cli import _build_parser, main
 from helpers import cli_env
 
 H1_JSON = '{"n": 4, "edges": [[0, 1, 2], [1, 2, 3], [2, 3]]}'
@@ -249,6 +249,12 @@ def test_bad_input_exits_2(argv, message, h1_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+    if argv[0] in ("gen", "bench") and argv[:3] != ["bench", "--trials", "0"]:
+        # the library refuses the same arguments in the same words
+        args = _build_parser().parse_args(argv)
+        with pytest.raises(ValueError) as info:
+            random_hypertree(args.n, args.k, args.seed, args.p)
+        assert str(info.value) == message
 
 
 def test_vertex_limit_is_documented():
@@ -607,3 +613,13 @@ def test_shrink_output_is_pinned(case, tmp_path, capsys):
         hashlib.sha256(text.encode()).hexdigest() for text in (captured.out, captured.err)
     )
     assert digests == SHRINK_DIGESTS[case]
+
+
+def test_cli_start_loads_no_oracle_only_module():
+    # fractions (with decimal and numbers) serves brute_force_shrink alone
+    code = "import sys, hypershrink.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

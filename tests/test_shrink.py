@@ -1,4 +1,7 @@
+import csv
+import io
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from hypershrink import (
     Shrinking,
     adversarial_star,
     brute_force_shrink,
+    floor_demand,
     orient_floor,
     rainbow_spanning_tree,
     random_hypertree,
@@ -22,7 +26,7 @@ from hypershrink import (
     star_graph,
     verify_shrinking,
 )
-from hypershrink import rainbow
+from hypershrink import cli, rainbow
 import json
 
 from helpers import (
@@ -32,6 +36,7 @@ from helpers import (
     is_spanning_tree,
     random_tree_count_hypergraph,
     reference_shrinking_to_json,
+    reference_tree_degrees,
     reference_verify_shrinking,
 )
 
@@ -107,15 +112,53 @@ def test_verify_respects_k_override():
         shrink_hypertree(H1, k=2)
 
 
+def _guarantee_hypergraphs():
+    return (H1, adversarial_star(40, 3), random_hypertree(500, 5, 1, 0.8)[0], Hypergraph(1, ()))
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_k_below_one_is_refused(k):
     # unchecked, k = 0 divides by zero and k = -1 fails every vertex on
     # halving-corollary and puts 1 in every JSON bound
-    s = shrink_hypertree(H1)
-    for public in (verify_shrinking, shrinking_to_json):
-        with pytest.raises(ValueError) as info:
-            public(H1, s, k)
-        assert str(info.value) == "k must be positive"
+    for hg in _guarantee_hypergraphs():
+        s = shrink_hypertree(hg)
+        calls = (
+            lambda: floor_demand(hg, k),
+            lambda: orient_floor(hg, k),
+            lambda: verify_shrinking(hg, s, k),
+            lambda: shrinking_to_json(hg, s, k),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == "k must be positive"
+
+
+def test_every_consumer_of_the_guarantee_agrees(monkeypatch, capsys):
+    for hg in _guarantee_hypergraphs():
+        s = shrink_hypertree(hg)
+        shrinkings = [s]
+        if hg.n > 1:
+            # each hyperedge keeps only its last pair, which leaves some
+            # vertices below their bound
+            shrinkings.append(Shrinking([e[-2:] for e in hg.edges], range(hg.num_edges)))
+        for candidate in shrinkings:
+            for k in (None, max(hg.rank(), 1), hg.rank() + 2):
+                reference = Hypergraph(hg.n, hg.edges)  # nothing remembered
+                bound = json.loads(reference_shrinking_to_json(reference, candidate, k))["bound"]
+                assert json.loads(shrinking_to_json(hg, candidate, k))["bound"] == bound
+                assert verify_shrinking(hg, candidate, k)["degree-floor-bound"] == (
+                    reference_verify_shrinking(reference, candidate, k)["degree-floor-bound"]
+                )
+        if hg.n > 1:
+            # bench states the guarantee for the rank; it shrinks hg itself
+            monkeypatch.setattr(cli, "random_hypertree", lambda *_: (hg, None))
+            argv = ["bench", "--trials", "1", "--n", str(hg.n), "--k", "3", "--seed", "1"]
+            assert cli.main(argv) == 0
+            row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+            bound = json.loads(reference_shrinking_to_json(Hypergraph(hg.n, hg.edges), s))["bound"]
+            tree = reference_tree_degrees(s, hg.n)
+            assert int(row["min_slack"]) == min(t - b for t, b in zip(tree, bound))
 
 
 def _shrinkings_to_report():
@@ -154,6 +197,22 @@ def test_reports_and_json_match_the_per_vertex_reference():
             assert shrinking_to_json(hg, s, k) == reference_shrinking_to_json(
                 Hypergraph(hg.n, hg.edges), s, k
             )
+
+
+def test_dot_bolds_only_in_range_assignment_entries():
+    # an entry of -1 once bolded the last tree edge, and one of len(tree)
+    # raised IndexError
+    bold = re.compile(r'  (\d+) -- (\d+) \[label="(\d+)", color="[^"]*", penwidth=2\];')
+    for hg, s in _shrinkings_to_report():
+        tree, assignment = s.tree, s.assignment
+        lines = shrinking_to_dot(hg, s).splitlines()
+        drawn = [tuple(map(int, m.groups())) for m in map(bold.fullmatch, lines) if m]
+        for a, b, i in drawn:
+            assert 0 <= assignment[i] < len(tree) and tree[assignment[i]] == (a, b)
+        assert len(drawn) == sum(
+            0 <= j < len(tree) and set(tree[j]) <= set(e)
+            for j, e in zip(assignment, hg.edges)
+        )
 
 
 def test_floor_halving_boundary():

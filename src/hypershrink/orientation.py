@@ -185,10 +185,11 @@ def is_hypertree(hypergraph: Hypergraph) -> bool:
 def floor_demand(hypergraph: Hypergraph, k: int) -> DemandFunction:
     """The demand function v -> floor(degree(v) / k).
 
-    Requires k >= rank: the feasibility argument charges each hyperedge at
-    most |e| * (1/k) <= 1 against the incident-edge count.
+    Requires k >= rank (``None`` reads as the rank, 1 if edgeless): the
+    feasibility argument charges each hyperedge at most |e| * (1/k) <= 1
+    against the incident-edge count.
     """
-    _degree_guarantee(hypergraph, k)  # refuses an invalid hypergraph, then k < 1
+    k, _ = _degree_guarantee(hypergraph, k)  # refuses an invalid hypergraph, then k < 1
     if k < hypergraph.rank():
         raise ValueError(f"k={k} is below the rank {hypergraph.rank()}")
     return DemandFunction(tuple(map(floordiv, hypergraph.degrees(), repeat(k))))

@@ -14,11 +14,11 @@ seed that leaves far fewer components.  Only when the seed does not span
 is the augmentation engine built, once; it flips each shortest path in
 place and labels only the part of the exchange graph it searches.
 
-``shrink`` expands its orientation with :func:`_star_expansion`, which
-runs no :class:`ColouredGraph` check and keeps each colour class as an
-index range; library callers get the checked types.  The same engine
-serves both.  An exhaustive checker for the component-count
-characterisation doubles as the test oracle.
+Every :class:`ColouredGraph` carries its colour classes, sorted once when
+it is built.  :func:`star_graph`, the one hypergraph expansion, refuses an
+invalid base and then trusts it: it runs no per-edge check and keeps each
+colour class as an index range.  An exhaustive checker for the
+component-count characterisation doubles as the test oracle.
 """
 
 from collections import deque
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 from operator import itemgetter
 
-from .core import DirectedHypergraph, LimitExceededError, _exact_int_tuples
+from .core import DirectedHypergraph, LimitExceededError, _exact_int_tuples, _require_valid
 
 
 class UnionFind:
@@ -61,6 +61,7 @@ class ColouredGraph:
 
     Edges are ``(u, v, colour)`` triples with ``u < v``; parallel edges
     must differ in colour and colour ids are dense ``0..c-1``.
+    ``_classes[c]``: the indices of the colour-c edges in endpoint order.
     """
 
     n: int
@@ -83,10 +84,14 @@ class ColouredGraph:
         colours = set(map(itemgetter(2), edges))
         if colours and len(colours) != max(colours) + 1:
             raise ValueError("colour ids must be dense 0..c-1")
+        classes = [[] for _ in colours]
+        for i in sorted(range(len(edges)), key=edges.__getitem__):
+            classes[edges[i][2]].append(i)
+        object.__setattr__(self, "_classes", classes)
 
     @property
     def num_colours(self) -> int:
-        return max(map(itemgetter(2), self.edges), default=-1) + 1
+        return len(self._classes)
 
 
 @dataclass(frozen=True)
@@ -110,13 +115,18 @@ class RainbowTree:
             raise ValueError("colours are not pairwise distinct")
 
 
-def _star_expansion(directed: DirectedHypergraph) -> ColouredGraph:
+def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
     """One star per hyperarc: centre at the head, leaves at the tails, all
-    of colour i for hyperarc i.  The hyperedges are trusted to be strictly
-    sorted and to hold their heads, so no check is run and each colour
-    class is the index range of its star: ``(t, h)`` for the tails below
-    the head, then ``(h, t)`` for those above, already in endpoint order.
+    of colour i for hyperarc i.  An invalid base is refused with
+    ``ValueError("invalid hypergraph: <report>")``.  A valid one has
+    strictly sorted, distinct hyperedges of at least two in-range
+    vertices, each holding its head, so every star edge has u < v < n, the
+    colours are exactly 0..m-1 and no triple repeats.  So no
+    :class:`ColouredGraph` check is run, and each colour class is the
+    index range of its star: ``(t, h)`` for the tails below the head, then
+    ``(h, t)`` for those above, already in endpoint order.
     """
+    _require_valid(directed.base)
     edges = []
     append = edges.append
     for i, (e, h) in enumerate(zip(directed.base.edges, directed.heads)):
@@ -133,30 +143,12 @@ def _star_expansion(directed: DirectedHypergraph) -> ColouredGraph:
     return graph
 
 
-def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
-    """:func:`_star_expansion` with every :class:`ColouredGraph` check."""
-    return ColouredGraph(directed.base.n, _star_expansion(directed).edges)
-
-
-def _colour_classes(graph: ColouredGraph) -> list:
-    """``classes[c]``: indices of the edges of colour c in endpoint order,
-    which the seeds' tie rules rely on; the ranges :func:`_star_expansion`
-    leaves on its graph are read as they are."""
-    classes = graph.__dict__.get("_classes")
-    if classes is None:
-        edges = graph.edges
-        classes = [[] for _ in range(graph.num_colours)]
-        for i in sorted(range(len(edges)), key=edges.__getitem__):
-            classes[edges[i][2]].append(i)
-    return classes
-
-
 def _scarcest_first(classes: list) -> list:
     """The colours stable-sorted by class size."""
     return sorted(range(len(classes)), key=list(map(len, classes)).__getitem__)
 
 
-def _greedy_rainbow_forest(graph: ColouredGraph, classes: list) -> tuple:
+def _greedy_rainbow_forest(graph: ColouredGraph) -> tuple:
     """Seed forest: scan edges in (class size, colour, endpoint) order,
     keeping an edge iff it joins two components and its colour is unused.
 
@@ -165,12 +157,12 @@ def _greedy_rainbow_forest(graph: ColouredGraph, classes: list) -> tuple:
     edge forces that edge and a colour with few edges has few places to
     go; placing them first leaves fewer augmentations to do.  The scan
     walks the colours stable-sorted by class size and each class in the
-    endpoint order of :func:`_colour_classes`, and leaves a class at its
+    endpoint order of ``graph._classes``, and leaves a class at its
     first kept edge.  Returns the chosen edge indices and the union-find
     of their components.  It is the first seed tier: cheap, and the answer
     where it spans.
     """
-    edges = graph.edges
+    edges, classes = graph.edges, graph._classes
     uf = UnionFind(graph.n)
     parent, size = uf.parent, uf.size
     chosen = []
@@ -192,7 +184,7 @@ def _greedy_rainbow_forest(graph: ColouredGraph, classes: list) -> tuple:
     return chosen, uf
 
 
-def _forced_rainbow_forest(graph: ColouredGraph, classes: list) -> tuple:
+def _forced_rainbow_forest(graph: ColouredGraph) -> tuple:
     """Second seed, built when the scan leaves components: forced
     attachments first, then the scarcest undecided colour.
 
@@ -220,7 +212,7 @@ def _forced_rainbow_forest(graph: ColouredGraph, classes: list) -> tuple:
     On ``random_hypertree(500, k, seed, p)`` expansions it leaves 4-14
     components where the scan leaves 28-61, each one a search saved.
     """
-    edges, n = graph.edges, graph.n
+    edges, classes, n = graph.edges, graph._classes, graph.n
     # mark[x] is c while colour c is counted at x, ~c once c is decided
     count, total, mark = [0] * n, [0] * n, [-1] * n
     for c, members in enumerate(classes):
@@ -302,12 +294,12 @@ class _RainbowEngine:
     augmentations.
     """
 
-    def __init__(self, graph: ColouredGraph, classes: list, seed, uf: UnionFind):
+    def __init__(self, graph: ColouredGraph, seed, uf: UnionFind):
         n = graph.n
         self.edges = graph.edges
-        self.classes = classes
+        self.classes = graph._classes
         self.uf = uf
-        self.owner = [-1] * len(classes)
+        self.owner = [-1] * len(self.classes)
         neighbours = [[] for _ in range(n)]
         for i in seed:
             u, v, c = self.edges[i]
@@ -529,13 +521,12 @@ def maximum_rainbow_forest(graph: ColouredGraph) -> tuple:
     unless the seed already spans, exchange-graph augmentation until the
     forest spans or no augmenting path remains.
     """
-    classes = _colour_classes(graph)
-    seed, uf = _greedy_rainbow_forest(graph, classes)
+    seed, uf = _greedy_rainbow_forest(graph)
     if uf.components > 1:
-        seed, uf = _forced_rainbow_forest(graph, classes)
+        seed, uf = _forced_rainbow_forest(graph)
     if uf.components == 1:
         return tuple(sorted(seed))
-    engine = _RainbowEngine(graph, classes, seed, uf)
+    engine = _RainbowEngine(graph, seed, uf)
     while uf.components > 1 and engine.augment():
         pass
     return engine.forest()

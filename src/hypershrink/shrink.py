@@ -15,7 +15,7 @@ from operator import contains, itemgetter, lt, mul
 
 from .core import Hypergraph, LimitExceededError, _degree_guarantee, _exact_int_tuples, _exact_ints, _require_valid
 from .orientation import orient_floor
-from .rainbow import UnionFind, _dot_document, _dot_edge, _star_expansion, maximum_rainbow_forest
+from .rainbow import UnionFind, _dot_document, _dot_edge, maximum_rainbow_forest, star_graph
 
 
 class NotAHypertreeError(Exception):
@@ -61,8 +61,12 @@ class Shrinking:
         return cls(tree, tuple(index[p] for p in normalised))
 
     def pair_for(self, i: int) -> tuple:
-        """The tree edge assigned to hyperedge i."""
-        return self.tree[self.assignment[i]]
+        """The tree edge assigned to hyperedge i; an entry outside the
+        tree's index range raises IndexError rather than index from the end."""
+        j = self.assignment[i]
+        if not 0 <= j < len(self.tree):
+            raise IndexError(f"hyperedge {i} has assignment entry {j}, outside [0, {len(self.tree)})")
+        return self.tree[j]
 
     def tree_degrees(self, n: int) -> list:
         """Degree in the tree of every vertex 0..n-1 (a fresh list);
@@ -97,7 +101,7 @@ def shrink_hypertree(hypergraph: Hypergraph, k: int = None) -> Shrinking:
         raise NotAHypertreeError(
             "edge-count", f"a hypertree on {n} vertices has {n - 1} hyperedges, got {m}"
         )
-    graph = _star_expansion(orient_floor(hypergraph, k))
+    graph = star_graph(orient_floor(hypergraph, k))
     forest = maximum_rainbow_forest(graph)
     if len(forest) < n - 1:
         raise NotAHypertreeError(

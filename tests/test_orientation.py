@@ -82,6 +82,12 @@ def test_floor_demand_rejects_small_k():
         floor_demand(H1, 0)
 
 
+def test_floor_demand_reads_none_as_the_rank():
+    # None once reached the rank comparison and raised TypeError
+    for hg in (H1, adversarial_star(40, 3), Hypergraph(1, ())):
+        assert floor_demand(hg, None) == floor_demand(hg, max(hg.rank(), 1))
+
+
 def test_orient_floor_h1():
     directed = orient_floor(H1)
     assert directed.indegree(2) >= 1

@@ -122,7 +122,7 @@ def test_greedy_seed_matches_the_sort_key_scan():
         graphs.append(star_graph(DirectedHypergraph(hg, heads)))
     unsorted = 0
     for g in graphs:
-        classes = rainbow._colour_classes(g)
+        classes = g._classes
         # the classes come in endpoint order; the graph's own edge order
         # is what the shuffle above breaks
         assert all(
@@ -132,7 +132,7 @@ def test_greedy_seed_matches_the_sort_key_scan():
             [g.edges[i] for i in sorted(cl)] != sorted(g.edges[i] for i in cl)
             for cl in classes
         )
-        chosen, uf = rainbow._greedy_rainbow_forest(g, classes)
+        chosen, uf = rainbow._greedy_rainbow_forest(g)
         assert (chosen, uf.components) == sort_key_greedy(g)
     assert unsorted >= 100
 
@@ -194,10 +194,9 @@ def test_rainbow_needs_exchange_not_just_greed():
     assert is_spanning_tree(g.n, [(u, v) for u, v, _ in tree.edges])
     # the forced seed spans here on its own (vertex 3 has colour 0 only),
     # so the exchange step is driven on the engine from the scan's seed
-    classes = rainbow._colour_classes(g)
-    seed, uf = rainbow._greedy_rainbow_forest(g, classes)
+    seed, uf = rainbow._greedy_rainbow_forest(g)
     assert [g.edges[i] for i in seed] == [(0, 2, 2), (0, 1, 0)]
-    engine = rainbow._RainbowEngine(g, classes, seed, uf)
+    engine = rainbow._RainbowEngine(g, seed, uf)
     assert engine.augment()
     assert uf.components == 1
     assert [g.edges[i] for i in engine.forest()] == [(2, 3, 0), (0, 1, 1), (0, 2, 2)]
@@ -459,7 +458,7 @@ def run_engine(graph: ColouredGraph, seed) -> tuple:
     uf = rainbow.UnionFind(graph.n)
     for i in seed:
         assert uf.union(*graph.edges[i][:2])
-    engine = rainbow._RainbowEngine(graph, rainbow._colour_classes(graph), seed, uf)
+    engine = rainbow._RainbowEngine(graph, seed, uf)
     assert_engine_invariants(engine, graph)
     while uf.components > 1:
         before = engine.forest()
@@ -491,10 +490,9 @@ def rainbow_forests(graph: ColouredGraph) -> list:
 def seeds(graph: ColouredGraph) -> tuple:
     """The scan's seed and the forced seed of ``graph``, each checked to
     be a rainbow forest whose union-find holds its components."""
-    classes = rainbow._colour_classes(graph)
     found = []
     for build in (rainbow._greedy_rainbow_forest, rainbow._forced_rainbow_forest):
-        chosen, uf = build(graph, classes)
+        chosen, uf = build(graph)
         pairs = [graph.edges[i][:2] for i in chosen]
         assert len({graph.edges[i][2] for i in chosen}) == len(chosen)
         assert component_count(graph.n, pairs) == graph.n - len(chosen) == uf.components
@@ -548,9 +546,8 @@ def test_forced_seed_halves_the_augmentations(k, p, monkeypatch):
     # as many, and shrinking augments from it, not from the scan's seed
     hg, _ = random_hypertree(2000, k, 1, p)
     star = star_graph(orient_floor(hg))
-    classes = rainbow._colour_classes(star)
-    _, scanned = rainbow._greedy_rainbow_forest(star, classes)
-    _, forced = rainbow._forced_rainbow_forest(star, classes)
+    _, scanned = rainbow._greedy_rainbow_forest(star)
+    _, forced = rainbow._forced_rainbow_forest(star)
     assert 2 * forced.components <= scanned.components
     calls = []
     augment = rainbow._RainbowEngine.augment

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from hypershrink import (
+    DirectedHypergraph,
     Hypergraph,
     LimitExceededError,
     Shrinking,
@@ -18,6 +19,7 @@ from hypershrink import (
     shrink_hypertree,
     shrinking_to_dot,
     shrinking_to_json,
+    star_graph,
     verify_shrinking,
 )
 from hypershrink import orientation
@@ -182,6 +184,7 @@ INDEXING_ENTRY_POINTS = {
     "shrinking_to_dot": lambda h: shrinking_to_dot(h, PATH_SHRINKING),
     "brute_force_shrink": brute_force_shrink,
     "is_hypertree_bruteforce": is_hypertree_bruteforce,
+    "star_graph": lambda h: star_graph(DirectedHypergraph(h, tuple(e[-1] for e in h.edges))),
 }
 
 
@@ -194,8 +197,10 @@ INDEXING_ENTRY_POINTS = {
         (((-1, 0), (0, 1)), "vertex-range at edge 0: edge [-1, 0] leaves [0, 3)"),
         # past the end: IndexError, or a hypertree by the subset count
         (((0, 5), (1, 2)), "vertex-range at edge 0: edge [0, 5] leaves [0, 3)"),
+        # unchecked, star_graph expands it to ((0, 1, 0), (0, 1, 1))
+        (((0, 1), (0, 1)), "duplicate at edge 1: edge [0, 1] repeats edge 0"),
     ],
-    ids=["below-range", "above-range"],
+    ids=["below-range", "above-range", "duplicate"],
 )
 def test_every_indexing_entry_point_refuses_an_invalid_hypergraph(
     entry_point, edges, message

@@ -26,7 +26,7 @@ from hypershrink import (
     star_graph,
     verify_shrinking,
 )
-from hypershrink import cli, rainbow
+from hypershrink import cli
 import json
 
 from helpers import (
@@ -199,6 +199,24 @@ def test_reports_and_json_match_the_per_vertex_reference():
             )
 
 
+def test_pair_for_refuses_out_of_range_assignment_entries():
+    # an entry of -1 once returned the last tree edge
+    refused = set()
+    for _, s in _shrinkings_to_report():
+        tree = s.tree
+        for i, j in enumerate(s.assignment):
+            if 0 <= j < len(tree):
+                assert s.pair_for(i) == tree[j]
+                continue
+            with pytest.raises(IndexError) as info:
+                s.pair_for(i)
+            assert str(info.value) == (
+                f"hyperedge {i} has assignment entry {j}, outside [0, {len(tree)})"
+            )
+            refused.add(j < 0)
+    assert refused == {True, False}  # both -1 and len(tree) were met
+
+
 def test_dot_bolds_only_in_range_assignment_entries():
     # an entry of -1 once bolded the last tree edge, and one of len(tree)
     # raised IndexError
@@ -305,10 +323,11 @@ def test_shrink_agrees_with_brute_force():
 
 
 def test_lean_shrink_matches_the_checked_path():
-    # shrink_hypertree trusts that each star is a contiguous run of edges in
-    # endpoint order and reads the Shrinking off the forest; the checked
-    # path builds star_graph, sorts the classes and goes through
-    # RainbowTree, so equal answers pin what the lean path trusts
+    # star_graph trusts that each star is a contiguous run of edges in
+    # endpoint order and shrink_hypertree reads the Shrinking off the
+    # forest; the checked path re-checks the edges as a ColouredGraph, sorts
+    # the classes and goes through RainbowTree, so equal answers pin what
+    # the lean path trusts
     hypergraphs = [
         random_hypertree(n, k, seed, p)[0]
         for n in (9, 40, 500)
@@ -318,14 +337,11 @@ def test_lean_shrink_matches_the_checked_path():
     ]
     hypergraphs += [adversarial_star(m, k) for m, k in ((40, 3), (300, 4), (1000, 3))]
     for hg in hypergraphs:
-        directed = orient_floor(hg)
-        star = star_graph(directed)
-        trusted = rainbow._star_expansion(directed)
-        assert trusted.edges == star.edges
-        assert [list(cl) for cl in rainbow._colour_classes(trusted)] == (
-            rainbow._colour_classes(star)
-        )
-        pairs = {c: (u, v) for u, v, c in rainbow_spanning_tree(star).edges}
+        star = star_graph(orient_floor(hg))
+        checked = ColouredGraph(star.n, star.edges)
+        assert checked.edges == star.edges
+        assert checked._classes == [list(cl) for cl in star._classes]
+        pairs = {c: (u, v) for u, v, c in rainbow_spanning_tree(checked).edges}
         assert shrink_hypertree(hg) == Shrinking.from_pairs([pairs[i] for i in range(hg.num_edges)])
     for hg in hypergraphs[24:36]:  # n = 500, each with pairs to break
         broken = break_hypertree(hg)

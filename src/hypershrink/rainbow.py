@@ -9,9 +9,10 @@ graph until the forest spans or no path remains (after Gabow-Stallmann
 the fewer the seed leaves, the fewer exchange-graph searches are run.
 
 The seed has two tiers: a scarcest-colour-first scan, which is the answer
-where it spans (on ``adversarial_star`` hubs, say), else a forced-choice
-seed that leaves far fewer components.  Only when the seed does not span
-is the augmentation engine built, once; it flips each shortest path in
+where it spans (on ``adversarial_star`` hubs, say), else a search along a
+0/1 orientation of the colour classes, which on hypertree expansions
+leaves one to a few components.  Only when the seed does not span is the
+augmentation engine built, once; it flips each shortest path in
 place and labels only the part of the exchange graph it searches.
 
 Every :class:`ColouredGraph` carries its colour classes, sorted once when
@@ -23,10 +24,11 @@ component-count characterisation doubles as the test oracle.
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress, count
 from operator import itemgetter
 
 from .core import DirectedHypergraph, LimitExceededError, _exact_int_tuples, _require_valid
+from .orientation import _repair
 
 
 class UnionFind:
@@ -143,11 +145,6 @@ def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
     return graph
 
 
-def _scarcest_first(classes: list) -> list:
-    """The colours stable-sorted by class size."""
-    return sorted(range(len(classes)), key=list(map(len, classes)).__getitem__)
-
-
 def _greedy_rainbow_forest(graph: ColouredGraph) -> tuple:
     """Seed forest: scan edges in (class size, colour, endpoint) order,
     keeping an edge iff it joins two components and its colour is unused.
@@ -166,7 +163,7 @@ def _greedy_rainbow_forest(graph: ColouredGraph) -> tuple:
     uf = UnionFind(graph.n)
     parent, size = uf.parent, uf.size
     chosen = []
-    for c in _scarcest_first(classes):
+    for c in sorted(range(len(classes)), key=list(map(len, classes)).__getitem__):
         for i in classes[c]:
             u, v, _ = edges[i]
             while parent[u] != u:
@@ -184,97 +181,91 @@ def _greedy_rainbow_forest(graph: ColouredGraph) -> tuple:
     return chosen, uf
 
 
-def _forced_rainbow_forest(graph: ColouredGraph) -> tuple:
-    """Second seed, built when the scan leaves components: forced
-    attachments first, then the scarcest undecided colour.
+def _orientation_seed(graph: ColouredGraph) -> tuple:
+    """Second seed, built when the scan leaves components: a search along
+    a 0/1 orientation of the colour classes.
 
-    A colour is *undecided* until it is kept or found unable to join two
-    components; ``count[v]`` and ``total[v]`` are the number and the sum
-    of the undecided colours meeting v, so a vertex with count 1 names its
-    last colour.  Such a vertex is attached through an edge of that
-    colour, and the colour is decided.  That choice is forced: a rainbow
-    spanning tree of the undecided colours must reach the vertex through
-    its only colour, and removing the vertex and the colour leaves a
-    rainbow spanning tree of the rest, which any edge of that colour at
-    the vertex extends again.  So while every step is forced the seed
-    stays inside some rainbow spanning tree when there is one.  When no
-    vertex has count 1 the seed guesses with the next undecided colour in
-    scarcest-first order, and a colour with no component-joining edge is
-    dropped.  Either way the edge kept is the component-joining one whose
-    endpoints together meet the fewest undecided colours (on a star they
-    share the centre, so this attaches the leaf that meets the fewest),
-    first in endpoint order on a tie.  Every kept edge passes the
-    union-find test, so the seed is a rainbow forest.  Returns the chosen
-    edge indices and the union-find of their components.
+    Each class, read as a hyperedge over its endpoints, gets a head, with
+    demand 0 at vertex 0 and 1 elsewhere as in
+    :func:`~hypershrink.orientation.is_hypertree`.  A vertex other than 0
+    that meets one edge only takes that edge's class.  Any other class
+    goes to its centre (the endpoint its first two edges share, else the
+    first edge's second endpoint; of a one-edge class, the endpoint with
+    more unmet demand) while the centre needs a head, else to its first
+    endpoint that does, else to the centre.
+    :func:`~hypershrink.orientation._repair` then serves each vertex still
+    short.  A breadth-first search from vertex 0, then from each vertex
+    still unreached in order, moves from x to g = ``heads[c]`` for each
+    colour c at x when g is unreached and ``(min(x, g), max(x, g), c)``
+    is an edge, and keeps that edge.
 
-    It costs about three times the scan per colour (20 against 6 ms on the
-    expansion of ``adversarial_star(1800, 4)``), so it is a second tier.
-    On ``random_hypertree(500, k, seed, p)`` expansions it leaves 4-14
-    components where the scan leaves 28-61, each one a search saved.
+    - Colours stay distinct: each vertex is reached once, through a
+      colour headed at it, and each colour has one head.
+    - There is no cycle: each kept edge brings in an unreached vertex.
+    - Any heads give such a seed, so a failed repair only stops the
+      repairs.  It also proves that no rainbow spanning tree exists (root
+      one at vertex 0 and head each colour at the child its tree edge
+      enters: every demand is met), but the engine's final all-sinks
+      search still decides, so the negative answer needs no shortcut.
+
+    Returns the chosen edge indices and the union-find of their
+    components, each search tree a set under the vertex it started from.
+    On the expansions of ``random_hypertree(2000, k, 1, p)`` it leaves
+    1-2 components where the scan leaves 131-230.
     """
     edges, classes, n = graph.edges, graph._classes, graph.n
-    # mark[x] is c while colour c is counted at x, ~c once c is decided
-    count, total, mark = [0] * n, [0] * n, [-1] * n
+    incident = [[] for _ in range(n)]  # colours at each vertex, repeats harmless
+    for u, v, c in edges:
+        incident[u].append(c)
+        incident[v].append(c)
+    index = dict(zip(edges, count()))
+    need = [0] + [1] * (n - 1)
+    heads = [-1] * len(classes)
+    for x in compress(count(), map((1).__eq__, map(len, incident))):
+        c = incident[x][0]
+        if x and heads[c] == -1:
+            heads[c] = x
+            need[x] = 0
     for c, members in enumerate(classes):
-        for i in members:
-            u, v, _ = edges[i]
-            if mark[u] != c:
-                mark[u] = c
-                count[u] += 1
-                total[u] += c
-            if mark[v] != c:
-                mark[v] = c
-                count[v] += 1
-                total[v] += c
-    decided = [False] * len(classes)
-    order = iter(_scarcest_first(classes))
+        if heads[c] != -1:
+            continue
+        u, v, _ = edges[members[0]]
+        if len(members) == 1:
+            centre = u if need[u] >= need[v] else v
+        else:
+            p, q, _ = edges[members[1]]
+            centre = u if u == p or u == q else v
+        if need[centre] <= 0:
+            for i in members:
+                a, b, _ = edges[i]
+                if need[a] > 0 or need[b] > 0:
+                    centre = a if need[a] > 0 else b
+                    break
+        need[centre] -= 1
+        heads[c] = centre
+    for v in range(1, n):
+        if need[v] > 0 and _repair(v, heads, need, incident) is not None:
+            break
     uf = UnionFind(n)
     parent, size = uf.parent, uf.size
+    reached = [False] * n
     chosen = []
-    forced = [v for v in range(n - 1, -1, -1) if count[v] == 1]
-    while len(chosen) < n - 1:
-        if forced:
-            at = forced.pop()
-            if count[at] != 1:
-                continue
-            c = total[at]
-        else:
-            c = next((c for c in order if not decided[c]), -1)
-            if c == -1:
-                break
-            at = -1
-        best = -1
-        for i in classes[c]:
-            u, v, _ = edges[i]
-            if at != -1 and at != u and at != v:
-                continue
-            a, b = u, v
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                score = count[u] + count[v]
-                if best == -1 or score < best_score:
-                    best, best_score, best_roots = i, score, (a, b)
-        if best != -1:
-            a, b = best_roots
-            if size[a] < size[b]:
-                a, b = b, a
-            parent[b] = a
-            size[a] += size[b]
-            chosen.append(best)
-        elif at != -1:
+    for root in range(n):
+        if reached[root]:
             continue
-        decided[c] = True
-        for i in classes[c]:
-            for x in edges[i][:2]:
-                if mark[x] != ~c:
-                    mark[x] = ~c
-                    count[x] -= 1
-                    total[x] -= c
-                    if count[x] == 1:
-                        forced.append(x)
+        reached[root] = True
+        tree = [root]
+        for x in tree:  # grows while it is read: breadth first
+            for c in incident[x]:
+                g = heads[c]
+                if not reached[g]:
+                    i = index.get((x, g, c) if x < g else (g, x, c))
+                    if i is not None:
+                        reached[g] = True
+                        parent[g] = root
+                        chosen.append(i)
+                        tree.append(g)
+        size[root] = len(tree)
     uf.components = n - len(chosen)
     return chosen, uf
 
@@ -517,13 +508,13 @@ def maximum_rainbow_forest(graph: ColouredGraph) -> tuple:
 
     A maximum common independent set of the graphic matroid and the
     colour partition matroid: the scarcest-first scan as the seed, the
-    forced-choice seed in its place when the scan leaves components, then,
+    orientation seed in its place when the scan leaves components, then,
     unless the seed already spans, exchange-graph augmentation until the
     forest spans or no augmenting path remains.
     """
     seed, uf = _greedy_rainbow_forest(graph)
     if uf.components > 1:
-        seed, uf = _forced_rainbow_forest(graph)
+        seed, uf = _orientation_seed(graph)
     if uf.components == 1:
         return tuple(sorted(seed))
     engine = _RainbowEngine(graph, seed, uf)

@@ -61,8 +61,11 @@ class Shrinking:
         return cls(tree, tuple(index[p] for p in normalised))
 
     def pair_for(self, i: int) -> tuple:
-        """The tree edge assigned to hyperedge i; an entry outside the
-        tree's index range raises IndexError rather than index from the end."""
+        """The tree edge assigned to hyperedge i; a hyperedge outside the
+        assignment's index range, or an entry outside the tree's, raises
+        IndexError rather than index from the end."""
+        if not 0 <= i < len(self.assignment):
+            raise IndexError(f"hyperedge {i} is outside [0, {len(self.assignment)})")
         j = self.assignment[i]
         if not 0 <= j < len(self.tree):
             raise IndexError(f"hyperedge {i} has assignment entry {j}, outside [0, {len(self.tree)})")

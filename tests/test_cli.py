@@ -562,23 +562,23 @@ def test_fuzzed_files_never_leak_an_internal_error(fuzz_path, files):
 # SHA-256 of the stdout and of the stderr of `hypershrink shrink FILE
 # [flags]`; they pin the JSON, the DOT overlay and the verification
 # report byte for byte.  Random instances are random_hypertree(n, k, seed,
-# p), hubs adversarial_star(m, k).  The four n = 500 random stdout digests
-# were recorded after the forced rainbow seed was added, which changes
-# the tree chosen where the scarcest-first scan does not span; the others
-# predate it and stay, since there the scan spans and the forced seed
-# never runs.
+# p), hubs adversarial_star(m, k).  The random stdout digests were
+# recorded after the orientation seed became the rainbow stage's second
+# tier, which picks the tree wherever the scarcest-first scan does not
+# span; the hub digests predate it and stay, since there the scan spans
+# and the orientation seed never runs.
 SHRINK_DIGESTS = {
     ("random", (500, 3, 1, 0.5), ()): (
-        "eb0637531f79837d7eb07fa461becc9f723622eec9c19f2563face30cc4fb6cf",
+        "c8df3183b3440bdad99213d4367e608f39d1bed9e83bb2b050c92e8dd90670c0",
         "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
     ("random", (500, 3, 2, 0.8), ()): (
-        "e0eec0ea64fbdf91db5bb5eb71925a08df0779ea084cfcc6e452eb9cb9188b93",
+        "a89fd9bd510e02b96711d6965adb64f8be6a34305631b5f21bab3ed3d78fe79a",
         "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
     ("random", (500, 5, 3, 0.5), ()): (
-        "b8fd09cb26f5840df7f66a34723fe80dd8d4279b4cc4d8db2597391b9dc83b9e",
+        "bfc0c97d051991c4fde6cb853a4d9843fc15b44031b2403ac2e8595091894014",
         "473157a4e93d03e3051303f4b5a0ee5b33084eaaabf500cd6a71d8124e7580df"),
     ("random", (500, 5, 4, 0.8), ()): (
-        "5667b6c2ce7cefab90d5e85a18e458cfab7fa2307660d07355942514f6088b03",
+        "677f8a633bd076414f2c1e8ac29b5a657a58d8cb17d5c0d8e64645b044302460",
         "473157a4e93d03e3051303f4b5a0ee5b33084eaaabf500cd6a71d8124e7580df"),
     ("hub", (1500, 3), ()): (
         "adb9e5cb3d02d00684186a87807e5dd5f1f46ca17d2d2b28274489eb08cbc1bf",
@@ -587,13 +587,13 @@ SHRINK_DIGESTS = {
         "65d4b8bfe9afb2171a5d74bf9aff165d052f5a0d9c43a632c25800e0122993c1",
         "473157a4e93d03e3051303f4b5a0ee5b33084eaaabf500cd6a71d8124e7580df"),
     ("random", (9, 3, 5, 0.8), ()): (
-        "254579ed38e0a88a555e024e86116ac20f6751c8a48fc264c31422e9f7968419",
+        "597279711c24ae45574e4f620296e688357b36c65f3124ebfbc66fd3e7b7fdca",
         "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
     ("random", (9, 3, 5, 0.8), ("--out", "dot")): (
-        "186009240d3f3218ace54b1428635f3c106ebddfef2ed94e67142613b4a8fc24",
+        "0b192632fda40a94965b72d6c12685f99ed6ad3252b62f297452663b9436222b",
         "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
     ("random", (9, 3, 5, 0.8), ("--k", "4")): (
-        "631e3630cb727bd0576b66b4f11d2029ff0d9b6cda82b0bd736be5ba9c7aa8ee",
+        "cbe53a28b58f9f6ec353be67cadde8689a7bc845974d130cc40dba7101dbb6a8",
         "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
 }
 

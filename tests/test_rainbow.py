@@ -192,8 +192,12 @@ def test_rainbow_needs_exchange_not_just_greed():
     tree = rainbow_spanning_tree(g)
     assert tree is not None
     assert is_spanning_tree(g.n, [(u, v) for u, v, _ in tree.edges])
-    # the forced seed spans here on its own (vertex 3 has colour 0 only),
-    # so the exchange step is driven on the engine from the scan's seed
+    # the orientation seed spans here on its own (vertex 3 meets colour 0
+    # only, so it heads that class), so the exchange step is driven on the
+    # engine from the scan's seed
+    chosen, spanned = rainbow._orientation_seed(g)
+    assert spanned.components == 1
+    assert sorted(g.edges[i] for i in chosen) == [(0, 1, 1), (0, 2, 2), (2, 3, 0)]
     seed, uf = rainbow._greedy_rainbow_forest(g)
     assert [g.edges[i] for i in seed] == [(0, 2, 2), (0, 1, 0)]
     engine = rainbow._RainbowEngine(g, seed, uf)
@@ -488,10 +492,10 @@ def rainbow_forests(graph: ColouredGraph) -> list:
 
 
 def seeds(graph: ColouredGraph) -> tuple:
-    """The scan's seed and the forced seed of ``graph``, each checked to
-    be a rainbow forest whose union-find holds its components."""
+    """The scan's seed and the orientation seed of ``graph``, each checked
+    to be a rainbow forest whose union-find holds its components."""
     found = []
-    for build in (rainbow._greedy_rainbow_forest, rainbow._forced_rainbow_forest):
+    for build in (rainbow._greedy_rainbow_forest, rainbow._orientation_seed):
         chosen, uf = build(graph)
         pairs = [graph.edges[i][:2] for i in chosen]
         assert len({graph.edges[i][2] for i in chosen}) == len(chosen)
@@ -540,15 +544,8 @@ def test_engine_invariants_on_star_expansions():
                 assert len(run_engine(star, start)) == hg.n - 1
 
 
-@pytest.mark.parametrize("k, p", ((3, 0.5), (3, 0.8), (5, 0.5), (5, 0.8)))
-def test_forced_seed_halves_the_augmentations(k, p, monkeypatch):
-    # where the scan leaves components the forced seed leaves at most half
-    # as many, and shrinking augments from it, not from the scan's seed
-    hg, _ = random_hypertree(2000, k, 1, p)
-    star = star_graph(orient_floor(hg))
-    _, scanned = rainbow._greedy_rainbow_forest(star)
-    _, forced = rainbow._forced_rainbow_forest(star)
-    assert 2 * forced.components <= scanned.components
+def count_augmentations(monkeypatch) -> list:
+    """A list that gains one entry per ``_RainbowEngine.augment`` call."""
     calls = []
     augment = rainbow._RainbowEngine.augment
 
@@ -557,5 +554,28 @@ def test_forced_seed_halves_the_augmentations(k, p, monkeypatch):
         return augment(engine)
 
     monkeypatch.setattr(rainbow._RainbowEngine, "augment", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k, p", ((3, 0.5), (3, 0.8), (5, 0.5), (5, 0.8)))
+def test_orientation_seed_leaves_a_tenth_of_the_scans_components(k, p, monkeypatch):
+    # where the scan leaves components the orientation seed leaves at most
+    # a tenth as many, and shrinking augments from it, not from the scan's
+    # seed
+    hg, _ = random_hypertree(2000, k, 1, p)
+    star = star_graph(orient_floor(hg))
+    _, scanned = rainbow._greedy_rainbow_forest(star)
+    _, oriented = rainbow._orientation_seed(star)
+    assert 10 * oriented.components <= scanned.components
+    calls = count_augmentations(monkeypatch)
     assert verify_shrinking(hg, shrink_hypertree(hg))
-    assert 2 * len(calls) <= scanned.components
+    assert 10 * len(calls) <= scanned.components
+
+
+def test_shrink_at_16000_augments_at_most_three_times(monkeypatch):
+    # the scan leaves 1352 components here, so the seed, not the engine,
+    # must join them: each augmentation searches about 0.2 n nodes
+    hg, _ = random_hypertree(16000, 5, 1, 0.8)
+    calls = count_augmentations(monkeypatch)
+    assert verify_shrinking(hg, shrink_hypertree(hg))
+    assert len(calls) <= 3

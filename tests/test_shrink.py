@@ -217,6 +217,16 @@ def test_pair_for_refuses_out_of_range_assignment_entries():
     assert refused == {True, False}  # both -1 and len(tree) were met
 
 
+def test_pair_for_refuses_out_of_range_hyperedges():
+    # a hyperedge index of -1 once returned the last hyperedge's pair
+    for _, s in _shrinkings_to_report():
+        m = len(s.assignment)
+        for i in (-1, m):
+            with pytest.raises(IndexError) as info:
+                s.pair_for(i)
+            assert str(info.value) == f"hyperedge {i} is outside [0, {m})"
+
+
 def test_dot_bolds_only_in_range_assignment_entries():
     # an entry of -1 once bolded the last tree edge, and one of len(tree)
     # raised IndexError

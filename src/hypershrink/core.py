@@ -7,6 +7,8 @@ immutable after construction and safe to share between threads.
 """
 
 import json
+import re
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 from operator import contains, itemgetter, lt
@@ -277,8 +279,9 @@ def _degree_guarantee(hypergraph: Hypergraph, k=None) -> tuple:
 
 # ---------------------------------------------------------------------------
 # File formats.  JSON: {"n": <int>, "edges": [[v, ...], ...]}.
-# Text: first line "n m", then m lines of space-separated vertex ids.
-# Parsers sort each edge; semantic checks are left to validate().
+# Text: first line "n m", then m lines of space-separated ASCII decimal ids.
+# Parsers sort the edges only if validate() finds one not strictly sorted;
+# other semantic checks are left to validate(), whose report is remembered.
 # ---------------------------------------------------------------------------
 
 # Largest vertex count the parsers accept.  The pipeline allocates
@@ -295,9 +298,7 @@ def _check_vertex_count(n: int) -> None:
 
 
 def hypergraph_to_json(hypergraph: Hypergraph) -> str:
-    return json.dumps(
-        {"n": hypergraph.n, "edges": hypergraph.edges}
-    )
+    return json.dumps({"n": hypergraph.n, "edges": hypergraph.edges})
 
 
 def _parse_json(text: str):
@@ -322,19 +323,26 @@ def hypergraph_from_json(text: str) -> Hypergraph:
     if not isinstance(edges, list):
         raise FormatError('"edges" must be a list')
     _check_vertex_count(n)
-    # json.loads makes exactly int for integers (bool for true/false), so
-    # one pass over the types decides; the per-edge scan only names the
-    # first bad edge
-    if not (
-        set(map(type, edges)) <= {list}
-        and set(map(type, chain.from_iterable(edges))) <= {int}
-    ):
+    # json.loads makes exactly int for integers (bool for true/false) and
+    # the constructor keeps rows of exact ints as they are, so only a row it
+    # converted, or could not, holds a bad member; the scan names its edge
+    hypergraph = None
+    if set(map(type, edges)) <= {list}:
+        rows = tuple(map(tuple, edges))
+        with suppress(TypeError, ValueError, OverflowError):
+            hypergraph = Hypergraph(n, rows)
+    if hypergraph is None or hypergraph.edges is not rows:
         for i, e in enumerate(edges):
-            if not isinstance(e, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in e
-            ):
+            if type(e) is not list or not all(type(v) is int for v in e):
                 raise FormatError(f"edge {i} must be a list of integers")
-    return Hypergraph(n, tuple([tuple(sorted(e)) for e in edges]))
+    return _sorted_if_refused(hypergraph)
+
+
+def _sorted_if_refused(hypergraph: Hypergraph) -> Hypergraph:
+    """``hypergraph``, or its edges each sorted if validate finds one unsorted."""
+    if all(v.kind != "unsorted" for v in validate(hypergraph)):
+        return hypergraph  # every edge is strictly sorted already
+    return Hypergraph(hypergraph.n, tuple([tuple(sorted(e)) for e in hypergraph.edges]))
 
 
 def hypergraph_to_text(hypergraph: Hypergraph) -> str:
@@ -351,7 +359,7 @@ def hypergraph_from_text(text: str) -> Hypergraph:
     if len(head) != 2:
         raise FormatError('first line must be "n m"')
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = map(_decimal, head)
     except ValueError as exc:
         raise FormatError(f"bad header: {exc}") from exc
     _check_vertex_count(n)
@@ -360,10 +368,17 @@ def hypergraph_from_text(text: str) -> Hypergraph:
     edges = []
     for i, ln in enumerate(lines[1:]):
         try:
-            edges.append(tuple(sorted(int(tok) for tok in ln.split())))
+            edges.append(tuple(map(_decimal, ln.split())))
         except ValueError as exc:
             raise FormatError(f"edge line {i}: {exc}") from exc
-    return Hypergraph(n, tuple(edges))
+    return _sorted_if_refused(Hypergraph(n, tuple(edges)))
+
+
+def _decimal(token: str) -> int:
+    """``int(token)`` for ASCII ``-?[0-9]+``; refuses ``+1``, ``1_0``, non-ASCII digits."""
+    if re.fullmatch("-?[0-9]+", token) is None:
+        raise ValueError(f"{token!r} is not a decimal integer")
+    return int(token)
 
 
 def demands_from_json(text: str, n: int) -> DemandFunction:

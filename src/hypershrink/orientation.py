@@ -106,7 +106,16 @@ def _orient(hypergraph: Hypergraph, need: list) -> tuple:
     """
     heads = []
     for e in hypergraph.edges:
-        head = max(e, key=need.__getitem__)
+        # pairs and triples inline the first member max(e, key=...) returns
+        if len(e) == 2:
+            a, b = e
+            head = a if need[a] >= need[b] else b
+        elif len(e) == 3:
+            a, b, c = e
+            head = a if need[a] >= need[b] else b
+            head = head if need[head] >= need[c] else c
+        else:
+            head = max(e, key=need.__getitem__)
         need[head] -= 1
         heads.append(head)
     if max(need, default=0) <= 0:

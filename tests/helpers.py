@@ -13,7 +13,7 @@ from pathlib import Path
 
 import hypershrink
 from hypershrink import ColouredGraph, Hypergraph
-from hypershrink.core import ValidationReport, Violation, _require_valid
+from hypershrink.core import FormatError, ValidationReport, Violation, _require_valid
 from hypershrink.shrink import VerificationCheck, VerificationReport
 
 H1 = Hypergraph(4, ((0, 1, 2), (1, 2, 3), (2, 3)))
@@ -182,6 +182,18 @@ def random_edge_family(rng: random.Random, n: int) -> Hypergraph:
     return Hypergraph(n, tuple(sorted(seen)))
 
 
+def reference_greedy_heads(hypergraph: Hypergraph, need: list) -> list:
+    """The greedy head pass of the orientation stage, one ``max`` per
+    hyperedge: each hyperedge is headed at its first member with the most
+    unmet need, which is then lowered by one in place."""
+    heads = []
+    for e in hypergraph.edges:
+        head = max(e, key=need.__getitem__)
+        need[head] -= 1
+        heads.append(head)
+    return heads
+
+
 def random_coloured_graph(rng: random.Random, n_max: int = 8, c_max: int = 12) -> ColouredGraph:
     """Random edge-coloured simple graph with dense colour ids."""
     n = rng.randint(1, n_max)
@@ -231,11 +243,23 @@ def sort_key_greedy(graph: ColouredGraph) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Per-edge reference copies of validate, verify_shrinking and
-# shrinking_to_json, one Python step per hyperedge or vertex.  The package
-# decides with whole-column passes; its reports and JSON must match these
-# byte for byte.
+# Per-edge reference copies of the JSON parse, validate, verify_shrinking
+# and shrinking_to_json, one Python step per hyperedge or vertex.  The
+# package decides with whole-column passes; its hypergraphs, reports and
+# JSON must match these byte for byte.
 # ---------------------------------------------------------------------------
+
+
+def reference_hypergraph_from_json(text: str) -> Hypergraph:
+    """The JSON parse as one plain type check per edge, then every edge
+    sorted.  Expects an object whose "n" is a vertex count in range."""
+    data = json.loads(text)
+    for i, e in enumerate(data["edges"]):
+        if not isinstance(e, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in e
+        ):
+            raise FormatError(f"edge {i} must be a list of integers")
+    return Hypergraph(data["n"], tuple(tuple(sorted(e)) for e in data["edges"]))
 
 
 def reference_validate(hypergraph: Hypergraph) -> ValidationReport:

@@ -236,6 +236,10 @@ def test_gen_rejects_bad_k(capsys):
          "rank bound k must be at least 2"),
         (["bench", "--trials", "1", "--n", "5", "--k", "3", "--seed", "0",
           "--p", "2"], "expansion probability must lie in [0, 1]"),
+        # int() would read 1_0 as vertex 10 and the Arabic-Indic digit as 1
+        (["validate", "{grouped_text}"], "edge line 0: '1_0' is not a decimal integer"),
+        (["check", "{arabic_text}"], "edge line 0: '\u0661' is not a decimal integer"),
+        (["shrink", "{grouped_header}"], "bad header: '1_2' is not a decimal integer"),
     ],
 )
 def test_bad_input_exits_2(argv, message, h1_file, tmp_path, capsys):
@@ -245,6 +249,10 @@ def test_bad_input_exits_2(argv, message, h1_file, tmp_path, capsys):
     negative_text.write_text("-3 0\n")
     files = {"h1": h1_file, "negative_json": negative_json,
              "negative_text": negative_text}
+    for name, text in (("grouped_text", "12 1\n0 1_0\n"), ("arabic_text", "3 1\n0 \u0661\n"),
+                       ("grouped_header", "1_2 1\n0 1\n")):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text, encoding="utf-8")
     assert main([arg.format(**files) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -383,7 +391,7 @@ def test_internal_error_exits_3(h1_file, monkeypatch, capsys):
         assert captured.err.startswith("internal error:")
 
 
-def test_one_validation_report_per_operation(h1_file, monkeypatch, capsys):
+def test_one_validation_report_per_operation(h1_file, tmp_path, monkeypatch, capsys):
     # the report built while loading is remembered on the hypergraph, so
     # the checks inside shrink_hypertree, is_hypertree, verify_shrinking
     # and the serialiser only look it up
@@ -395,11 +403,22 @@ def test_one_validation_report_per_operation(h1_file, monkeypatch, capsys):
         return real(*args)
 
     monkeypatch.setattr(core, "ValidationReport", counted)
+    outputs = {}
     for command in ("shrink", "check"):
         built.clear()
         assert main([command, h1_file]) == 0
-        capsys.readouterr()
+        outputs[command] = capsys.readouterr().out
         assert len(built) == 1, command
+    # the parser validates the edges as given and sorts them only when an
+    # edge is not strictly sorted; the sorted hypergraph is a new value
+    # with a report of its own, so such a file costs two reports
+    unsorted = tmp_path / "unsorted.json"
+    unsorted.write_text('{"n": 4, "edges": [[2, 1, 0], [1, 2, 3], [3, 2]]}')
+    for command in ("shrink", "check"):
+        built.clear()
+        assert main([command, str(unsorted)]) == 0
+        assert capsys.readouterr().out == outputs[command]
+        assert len(built) == 2, command
 
 
 def test_unexpected_exception_exits_3(h1_file, monkeypatch, capsys):
@@ -598,21 +617,44 @@ SHRINK_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case", list(SHRINK_DIGESTS), ids=str)
-def test_shrink_output_is_pinned(case, tmp_path, capsys):
-    family, params, flags = case
+def write_pinned_instance(tmp_path, family, params) -> str:
+    """Write random_hypertree(*params) or adversarial_star(*params) as JSON."""
     if family == "random":
         hypergraph = random_hypertree(*params)[0]
     else:
         hypergraph = adversarial_star(*params)
     path = tmp_path / "h.json"
     path.write_text(hypergraph_to_json(hypergraph))
-    assert main(["shrink", str(path), *flags]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("case", list(SHRINK_DIGESTS), ids=str)
+def test_shrink_output_is_pinned(case, tmp_path, capsys):
+    family, params, flags = case
+    path = write_pinned_instance(tmp_path, family, params)
+    assert main(["shrink", path, *flags]) == 0
     captured = capsys.readouterr()
     digests = tuple(
         hashlib.sha256(text.encode()).hexdigest() for text in (captured.out, captured.err)
     )
     assert digests == SHRINK_DIGESTS[case]
+
+
+# SHA-256 of the stdout of `hypershrink orient FILE`, which prints every
+# head the greedy pass and the repairs chose; recorded before the greedy
+# pass headed pairs and triples inline.
+ORIENT_DIGESTS = {
+    ("hub", (1500, 4)): "7147b2e21d895261b241ccdc5af461fc47c298934fe4264970a26fa130ec5f52",
+    ("random", (500, 3, 1, 0.5)): "ae4db70100658868459ce4e4f4d5344ed5f1a58928af76e0ecc80e0966b7200b",
+}
+
+
+@pytest.mark.parametrize("case", list(ORIENT_DIGESTS), ids=str)
+def test_orient_output_is_pinned(case, tmp_path, capsys):
+    assert main(["orient", write_pinned_instance(tmp_path, *case)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == ORIENT_DIGESTS[case]
 
 
 def test_cli_start_loads_no_oracle_only_module():

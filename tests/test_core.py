@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +13,7 @@ from hypershrink import (
     Hypergraph,
     RainbowTree,
     Shrinking,
+    core,
     demands_from_json,
     hypergraph_from_json,
     hypergraph_from_text,
@@ -18,7 +21,7 @@ from hypershrink import (
     hypergraph_to_text,
     validate,
 )
-from helpers import H1, reference_validate
+from helpers import H1, reference_hypergraph_from_json, reference_validate
 
 
 def test_degrees_and_rank():
@@ -264,6 +267,13 @@ def test_json_parse_errors():
         ("[[0, 1], 7]", 1),  # an edge that is not a list
         ('[[0, 1], "01"]', 1),
         ("[[0, 1], [1, 2], [false, 2], [[0], 1], 3]", 2),  # first of several
+        # int() turns "1" into 1 and refuses the rest with TypeError (null),
+        # ValueError (NaN) and OverflowError (1e400 and Infinity, both inf)
+        ("[[0, 1], [0, null]]", 1),
+        ('[[0, 1], [1, "1"]]', 1),
+        ("[[0, 1], [0, 1e400]]", 1),
+        ("[[0, NaN], [0, 1]]", 0),
+        ("[[0, 1], [1, 2], [Infinity, 2]]", 2),
     ],
 )
 def test_json_parser_names_the_first_bad_edge(edges, index):
@@ -281,6 +291,84 @@ def test_text_parse_errors():
         hypergraph_from_text("3 2\n0 1\n")
     with pytest.raises(FormatError):
         hypergraph_from_text("3 1\n0 x\n")
+    # int() alone would read digit grouping, a sign and non-ASCII digits
+    # (Arabic-Indic, fullwidth) as vertex ids; only ASCII -?[0-9]+ is an id
+    for token in ("1_0", "+1", "\u0661", "\uff11", "1.0", "0x1", "--1"):
+        refusal = re.escape(f"{token!r} is not a decimal integer")
+        with pytest.raises(FormatError, match=f"^edge line 0: {refusal}$"):
+            hypergraph_from_text(f"12 1\n0 {token}\n")
+        for header in (f"{token} 1", f"12 {token}"):
+            with pytest.raises(FormatError, match=f"^bad header: {refusal}$"):
+                hypergraph_from_text(f"{header}\n0 1\n")
+    # a minus stays readable, so that validate names a negative id
+    negative = hypergraph_from_text("3 1\n-1 2\n")
+    assert negative.edges == ((-1, 2),)
+    assert [v.kind for v in validate(negative)] == ["vertex-range"]
+
+
+def test_text_parser_sorts_only_refused_edges():
+    assert hypergraph_from_text("4 2\n2 0 1\n3 2\n").edges == ((0, 1, 2), (2, 3))
+    parsed = hypergraph_from_text("4 2\n0 1 2\n2 3\n")
+    assert parsed.edges == ((0, 1, 2), (2, 3))
+    assert "_report" in parsed.__dict__  # remembered, so validate only looks it up
+
+
+# the integers are listed three times so that most draws are integers
+json_member = st.one_of(
+    st.integers(-2, 7),
+    st.integers(-2, 7),
+    st.integers(-2, 7),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.text(alphabet="0123x", max_size=2),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+@given(
+    n=st.integers(0, 6),
+    edges=st.lists(
+        st.one_of(
+            st.lists(st.integers(-1, 6), max_size=5),
+            st.lists(st.integers(-1, 6), max_size=5),
+            st.lists(json_member, max_size=4),
+            json_member,
+        ),
+        max_size=6,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+@example(n=4, edges=[[0, 1, 2], [1, 2, 3]])  # valid, kept as given
+@example(n=4, edges=[[2, 1, 0], [3, 2, 1], [0, 1, 2]])  # unsorted, then a duplicate
+@example(n=3, edges=[[1, 1], [0, 5], [], [2, 0]])  # loop, range, empty, unsorted
+def test_json_parse_matches_the_reference(n, edges):
+    text = json.dumps({"n": n, "edges": edges})
+
+    def outcome(parse):
+        try:
+            return parse(text)
+        except FormatError as exc:
+            return str(exc)
+
+    got, want = outcome(hypergraph_from_json), outcome(reference_hypergraph_from_json)
+    assert got == want
+    if isinstance(want, Hypergraph):
+        assert validate(got) == reference_validate(want)
+
+
+def test_json_parse_checks_the_member_types_once(monkeypatch):
+    calls = []
+    real = core._exact_int_tuples
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "_exact_int_tuples", counted)
+    parsed = hypergraph_from_json('{"n": 4, "edges": [[0, 1, 2], [1, 2, 3], [2, 3]]}')
+    assert parsed == H1 and validate(parsed).ok
+    assert len(calls) == 1
 
 
 def test_demands_from_json():

@@ -25,6 +25,7 @@ from helpers import (
     TRIANGLE4,
     brute_orientation_exists,
     random_valid_hypergraph,
+    reference_greedy_heads,
 )
 
 
@@ -263,3 +264,30 @@ def test_incidence_built_once_where_it_is_read(monkeypatch):
         built.clear()
         assert is_hypertree(hg) == answer
         assert len(built) == 1
+
+
+def test_greedy_heads_match_the_max_reference(monkeypatch):
+    # a repair that gives up at once leaves _orient's heads and needs as
+    # the greedy pass set them; pairs and triples are headed inline, so
+    # they must pick the first maximal member, as max does, under ties
+    # and needs that start or go negative, in any member order
+    monkeypatch.setattr(orientation, "_repair", lambda v, heads, need, incident: {v: None})
+    rng = random.Random(5)
+    sizes = set()
+    for _ in range(400):
+        n = rng.randint(6, 12)
+        edges = []
+        for _ in range(rng.randint(1, 3 * n)):
+            edge = rng.sample(range(n), rng.randint(2, 6))
+            if rng.random() < 0.8:
+                edge.sort()
+            edges.append(tuple(edge))
+        hg = Hypergraph(n, tuple(edges))
+        sizes.update(map(len, edges))
+        need = [rng.randint(-2, 3) for _ in range(n)]
+        expected_need = need.copy()
+        expected = reference_greedy_heads(hg, expected_need)
+        heads, _, _ = orientation._orient(hg, need)
+        assert heads == expected
+        assert need == expected_need
+    assert sizes == {2, 3, 4, 5, 6}

@@ -179,8 +179,8 @@ def _cmd_shrink(args) -> int:
 
 def _cmd_orient(args) -> int:
     hypergraph = _load_valid_hypergraph(args.file)
+    _check_k(hypergraph, args.k)
     if args.demands is None:
-        _check_k(hypergraph, args.k)
         directed = orient_floor(hypergraph, args.k)
         print(_directed_to_json(directed))
         return EXIT_OK

@@ -11,9 +11,10 @@ the fewer the seed leaves, the fewer exchange-graph searches are run.
 The seed has two tiers: a scarcest-colour-first scan, which is the answer
 where it spans (on ``adversarial_star`` hubs, say), else a search along a
 0/1 orientation of the colour classes, which on hypertree expansions
-leaves one to a few components.  Only when the seed does not span is the
-augmentation engine built, once; it flips each shortest path in
-place and labels only the part of the exchange graph it searches.
+leaves one to a few components.  Only when that seed does not span is
+the augmentation engine built, once, on the seed's own search trees; it
+flips each shortest path in place and labels only the part of the
+exchange graph it searches.
 
 Every :class:`ColouredGraph` carries its colour classes, sorted once when
 it is built.  :func:`star_graph`, the one hypergraph expansion, refuses an
@@ -70,6 +71,8 @@ class ColouredGraph:
     edges: tuple = ()
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("vertex count must be non-negative")
         edges = tuple(self.edges)
         if not _exact_int_tuples(edges, 3):
             edges = tuple([(int(u), int(v), int(c)) for u, v, c in edges])
@@ -155,13 +158,11 @@ def _greedy_rainbow_forest(graph: ColouredGraph) -> tuple:
     go; placing them first leaves fewer augmentations to do.  The scan
     walks the colours stable-sorted by class size and each class in the
     endpoint order of ``graph._classes``, and leaves a class at its
-    first kept edge.  Returns the chosen edge indices and the union-find
-    of their components.  It is the first seed tier: cheap, and the answer
-    where it spans.
+    first kept edge.  Returns the chosen edge indices.  It is the first
+    seed tier: cheap, and the answer where it spans.
     """
     edges, classes = graph.edges, graph._classes
-    uf = UnionFind(graph.n)
-    parent, size = uf.parent, uf.size
+    parent, size = list(range(graph.n)), [1] * graph.n  # a local union-find
     chosen = []
     for c in sorted(range(len(classes)), key=list(map(len, classes)).__getitem__):
         for i in classes[c]:
@@ -177,8 +178,7 @@ def _greedy_rainbow_forest(graph: ColouredGraph) -> tuple:
                 size[u] += size[v]
                 chosen.append(i)
                 break
-    uf.components = graph.n - len(chosen)
-    return chosen, uf
+    return chosen
 
 
 def _orientation_seed(graph: ColouredGraph) -> tuple:
@@ -208,10 +208,12 @@ def _orientation_seed(graph: ColouredGraph) -> tuple:
       enters: every demand is met), but the engine's final all-sinks
       search still decides, so the negative answer needs no shortcut.
 
-    Returns the chosen edge indices and the union-find of their
-    components, each search tree a set under the vertex it started from.
-    On the expansions of ``random_hypertree(2000, k, 1, p)`` it leaves
-    1-2 components where the scan leaves 131-230.
+    Returns the chosen edge indices, the search trees as ``parent`` and
+    ``parent_edge`` arrays (-1 at each root: the vertex a search started
+    from, the least of its tree) and the union-find of the trees, each a
+    set under its root.  On the expansions of
+    ``random_hypertree(2000, k, 1, p)`` it leaves 1-2 components where the
+    scan leaves 131-230.
     """
     edges, classes, n = graph.edges, graph._classes, graph.n
     incident = [[] for _ in range(n)]  # colours at each vertex, repeats harmless
@@ -247,73 +249,55 @@ def _orientation_seed(graph: ColouredGraph) -> tuple:
         if need[v] > 0 and _repair(v, heads, need, incident) is not None:
             break
     uf = UnionFind(n)
-    parent, size = uf.parent, uf.size
-    reached = [False] * n
+    parent, parent_edge = [-1] * n, [-1] * n
     chosen = []
     for root in range(n):
-        if reached[root]:
+        if parent_edge[root] != -1:
             continue
-        reached[root] = True
         tree = [root]
         for x in tree:  # grows while it is read: breadth first
             for c in incident[x]:
                 g = heads[c]
-                if not reached[g]:
+                # every vertex up to the root is reached; above it, the hung ones
+                if g > root and parent_edge[g] == -1:
                     i = index.get((x, g, c) if x < g else (g, x, c))
                     if i is not None:
-                        reached[g] = True
-                        parent[g] = root
+                        parent[g], parent_edge[g] = x, i
+                        uf.parent[g] = root
                         chosen.append(i)
                         tree.append(g)
-        size[root] = len(tree)
+        uf.size[root] = len(tree)
     uf.components = n - len(chosen)
-    return chosen, uf
+    return chosen, parent, parent_edge, uf
 
 
 class _RainbowEngine:
     """A rainbow forest kept rooted across exchange-graph augmentations.
 
-    State, built once from a seed forest and updated in place:
-    ``owner[c]`` is the forest edge of colour c or -1, ``unused`` the
-    colours without one, ascending; ``parent``/``parent_edge`` root every
-    forest component (-1 at a root); ``uf`` is a merge-only union-find of
-    the components.  An augmentation along a shortest path keeps the span
-    of the old forest except that its source joins two components, so the
-    partition only coarsens and the source test ``uf.find(u) !=
-    uf.find(v)`` stays O(alpha(n)).  Per-search marks are stamps against
-    ``clock``, so nothing of size n or m is reset or reallocated between
-    augmentations.
+    State, taken over from a rooted seed forest and updated in place:
+    ``parent``/``parent_edge`` root every forest component (-1 at a
+    root), as the orientation seed's search left them; ``uf`` is a
+    merge-only union-find of the components; ``owner[c]`` is the forest
+    edge of colour c or -1, read off ``parent_edge``, and ``unused`` the
+    colours without one, ascending.  An augmentation along a shortest
+    path keeps the span of the old forest except that its source joins
+    two components, so the partition only coarsens and the source test
+    ``uf.find(u) != uf.find(v)`` stays O(alpha(n)).  Per-search marks are
+    stamps against ``clock``, so nothing of size n or m is reset or
+    reallocated between augmentations.
     """
 
-    def __init__(self, graph: ColouredGraph, seed, uf: UnionFind):
+    def __init__(self, graph: ColouredGraph, parent: list, parent_edge: list,
+                 uf: UnionFind):
         n = graph.n
         self.edges = graph.edges
         self.classes = graph._classes
-        self.uf = uf
+        self.parent, self.parent_edge, self.uf = parent, parent_edge, uf
         self.owner = [-1] * len(self.classes)
-        neighbours = [[] for _ in range(n)]
-        for i in seed:
-            u, v, c = self.edges[i]
-            self.owner[c] = i
-            neighbours[u].append((v, i))
-            neighbours[v].append((u, i))
+        for i in parent_edge:
+            if i != -1:
+                self.owner[self.edges[i][2]] = i
         self.unused = [c for c, i in enumerate(self.owner) if i == -1]
-        self.parent = [-1] * n
-        self.parent_edge = [-1] * n
-        rooted = [False] * n
-        for r in range(n):
-            if rooted[r]:
-                continue
-            rooted[r] = True
-            stack = [r]
-            while stack:
-                x = stack.pop()
-                for y, i in neighbours[x]:
-                    if not rooted[y]:
-                        rooted[y] = True
-                        self.parent[y] = x
-                        self.parent_edge[y] = i
-                        stack.append(y)
         self.clock = 0
         self.reached = [0] * len(self.edges)  # == clock: labelled this search
         self.label = [-1] * len(self.edges)
@@ -508,16 +492,17 @@ def maximum_rainbow_forest(graph: ColouredGraph) -> tuple:
 
     A maximum common independent set of the graphic matroid and the
     colour partition matroid: the scarcest-first scan as the seed, the
-    orientation seed in its place when the scan leaves components, then,
-    unless the seed already spans, exchange-graph augmentation until the
-    forest spans or no augmenting path remains.
+    orientation seed in its place when the scan does not span, then,
+    unless that seed spans, exchange-graph augmentation from its search
+    trees until the forest spans or no augmenting path remains.
     """
-    seed, uf = _greedy_rainbow_forest(graph)
-    if uf.components > 1:
-        seed, uf = _orientation_seed(graph)
+    seed = _greedy_rainbow_forest(graph)
+    if len(seed) == graph.n - 1:
+        return tuple(sorted(seed))
+    seed, parent, parent_edge, uf = _orientation_seed(graph)
     if uf.components == 1:
         return tuple(sorted(seed))
-    engine = _RainbowEngine(graph, seed, uf)
+    engine = _RainbowEngine(graph, parent, parent_edge, uf)
     while uf.components > 1 and engine.augment():
         pass
     return engine.forest()

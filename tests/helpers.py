@@ -14,6 +14,7 @@ from pathlib import Path
 import hypershrink
 from hypershrink import ColouredGraph, Hypergraph
 from hypershrink.core import FormatError, ValidationReport, Violation, _require_valid
+from hypershrink.rainbow import UnionFind
 from hypershrink.shrink import VerificationCheck, VerificationReport
 
 H1 = Hypergraph(4, ((0, 1, 2), (1, 2, 3), (2, 3)))
@@ -240,6 +241,37 @@ def sort_key_greedy(graph: ColouredGraph) -> tuple:
             used.add(c)
             chosen.append(i)
     return chosen, graph.n - len(chosen)
+
+
+def rooted_forest(graph: ColouredGraph, seed) -> tuple:
+    """The forest of edge indices ``seed`` rooted by a depth-first search
+    from each vertex not yet reached, in ascending order, so that every
+    component is rooted at its least vertex.  Returns ``parent`` and
+    ``parent_edge`` (-1 at each root) and a union-find of the components:
+    the starting state of the rainbow engine, built for any seed."""
+    n = graph.n
+    uf = UnionFind(n)
+    neighbours = [[] for _ in range(n)]
+    for i in seed:
+        u, v, _ = graph.edges[i]
+        uf.union(u, v)
+        neighbours[u].append((v, i))
+        neighbours[v].append((u, i))
+    parent, parent_edge = [-1] * n, [-1] * n
+    rooted = [False] * n
+    for r in range(n):
+        if rooted[r]:
+            continue
+        rooted[r] = True
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            for y, i in neighbours[x]:
+                if not rooted[y]:
+                    rooted[y] = True
+                    parent[y], parent_edge[y] = x, i
+                    stack.append(y)
+    return parent, parent_edge, uf
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,11 @@ def test_gen_rejects_bad_k(capsys):
         (["validate", "{grouped_text}"], "edge line 0: '1_0' is not a decimal integer"),
         (["check", "{arabic_text}"], "edge line 0: '\u0661' is not a decimal integer"),
         (["shrink", "{grouped_header}"], "bad header: '1_2' is not a decimal integer"),
+        # explicit demands do not exempt --k from its check
+        (["orient", "--demands", "{demands}", "--k", "0", "{h1}"], "k must be positive"),
+        (["orient", "--demands", "{demands}", "--k", "-3", "{h1}"], "k must be positive"),
+        (["orient", "--demands", "{demands}", "--k", "2", "{h1}"],
+         "k=2 is below the rank 3"),
     ],
 )
 def test_bad_input_exits_2(argv, message, h1_file, tmp_path, capsys):
@@ -247,8 +252,10 @@ def test_bad_input_exits_2(argv, message, h1_file, tmp_path, capsys):
     negative_json.write_text('{"n": -3, "edges": []}')
     negative_text = tmp_path / "negative.txt"
     negative_text.write_text("-3 0\n")
+    demands = tmp_path / "demands.json"
+    demands.write_text("[0, 0, 0, 0]")
     files = {"h1": h1_file, "negative_json": negative_json,
-             "negative_text": negative_text}
+             "negative_text": negative_text, "demands": demands}
     for name, text in (("grouped_text", "12 1\n0 1_0\n"), ("arabic_text", "3 1\n0 \u0661\n"),
                        ("grouped_header", "1_2 1\n0 1\n")):
         files[name] = tmp_path / f"{name}.txt"

@@ -32,6 +32,7 @@ from helpers import (
     component_count,
     is_spanning_tree,
     random_coloured_graph,
+    rooted_forest,
     sort_key_greedy,
 )
 
@@ -68,6 +69,14 @@ def test_coloured_graph_validation():
         ColouredGraph(3, ((0, 1, 1),))  # colour 0 unused
     with pytest.raises(ValueError, match=r"^repeated edge \(0, 1\) with colour 0$"):
         ColouredGraph(3, ((0, 1, 0), (0, 1, 0)))  # duplicate triple
+
+
+@pytest.mark.parametrize("edges", [(), ((0, 1, 0),)])
+def test_coloured_graph_refuses_a_negative_vertex_count(edges):
+    # in the words Hypergraph uses; the empty graph stays valid
+    with pytest.raises(ValueError, match=r"^vertex count must be non-negative$"):
+        ColouredGraph(-1, edges)
+    assert maximum_rainbow_forest(ColouredGraph(0, ())) == ()
 
 
 @pytest.mark.parametrize(
@@ -132,8 +141,8 @@ def test_greedy_seed_matches_the_sort_key_scan():
             [g.edges[i] for i in sorted(cl)] != sorted(g.edges[i] for i in cl)
             for cl in classes
         )
-        chosen, uf = rainbow._greedy_rainbow_forest(g)
-        assert (chosen, uf.components) == sort_key_greedy(g)
+        chosen = rainbow._greedy_rainbow_forest(g)
+        assert (chosen, g.n - len(chosen)) == sort_key_greedy(g)
     assert unsorted >= 100
 
 
@@ -195,14 +204,14 @@ def test_rainbow_needs_exchange_not_just_greed():
     # the orientation seed spans here on its own (vertex 3 meets colour 0
     # only, so it heads that class), so the exchange step is driven on the
     # engine from the scan's seed
-    chosen, spanned = rainbow._orientation_seed(g)
+    chosen, _, _, spanned = rainbow._orientation_seed(g)
     assert spanned.components == 1
     assert sorted(g.edges[i] for i in chosen) == [(0, 1, 1), (0, 2, 2), (2, 3, 0)]
-    seed, uf = rainbow._greedy_rainbow_forest(g)
+    seed = rainbow._greedy_rainbow_forest(g)
     assert [g.edges[i] for i in seed] == [(0, 2, 2), (0, 1, 0)]
-    engine = rainbow._RainbowEngine(g, seed, uf)
+    engine = rainbow._RainbowEngine(g, *rooted_forest(g, seed))
     assert engine.augment()
-    assert uf.components == 1
+    assert engine.uf.components == 1
     assert [g.edges[i] for i in engine.forest()] == [(2, 3, 0), (0, 1, 1), (0, 2, 2)]
 
 
@@ -459,10 +468,9 @@ def run_engine(graph: ColouredGraph, seed) -> tuple:
     invariants before the first and after every augmentation, and that
     each augmentation flips a shortest path: to the sinks of the lowest
     unused colour if there is one, else to any sink."""
-    uf = rainbow.UnionFind(graph.n)
-    for i in seed:
-        assert uf.union(*graph.edges[i][:2])
-    engine = rainbow._RainbowEngine(graph, seed, uf)
+    parent, parent_edge, uf = rooted_forest(graph, seed)
+    assert uf.components == graph.n - len(seed)  # the seed is a forest
+    engine = rainbow._RainbowEngine(graph, parent, parent_edge, uf)
     assert_engine_invariants(engine, graph)
     while uf.components > 1:
         before = engine.forest()
@@ -493,15 +501,16 @@ def rainbow_forests(graph: ColouredGraph) -> list:
 
 def seeds(graph: ColouredGraph) -> tuple:
     """The scan's seed and the orientation seed of ``graph``, each checked
-    to be a rainbow forest whose union-find holds its components."""
-    found = []
-    for build in (rainbow._greedy_rainbow_forest, rainbow._orientation_seed):
-        chosen, uf = build(graph)
+    to be a rainbow forest, the orientation seed's union-find holding its
+    components."""
+    scanned = rainbow._greedy_rainbow_forest(graph)
+    oriented, _, _, uf = rainbow._orientation_seed(graph)
+    for chosen in (scanned, oriented):
         pairs = [graph.edges[i][:2] for i in chosen]
         assert len({graph.edges[i][2] for i in chosen}) == len(chosen)
-        assert component_count(graph.n, pairs) == graph.n - len(chosen) == uf.components
-        found.append(chosen)
-    return tuple(found)
+        assert component_count(graph.n, pairs) == graph.n - len(chosen)
+    assert uf.components == graph.n - len(oriented)
+    return scanned, oriented
 
 
 def test_engine_invariants_on_every_small_coloured_graph():
@@ -544,6 +553,40 @@ def test_engine_invariants_on_star_expansions():
                 assert len(run_engine(star, start)) == hg.n - 1
 
 
+def partition(uf, n: int) -> list:
+    """The sets of ``uf`` over 0..n-1, each sorted, in order."""
+    blocks = {}
+    for v in range(n):
+        blocks.setdefault(uf.find(v), []).append(v)
+    return sorted(blocks.values())
+
+
+def test_orientation_seed_hands_over_the_rooting_of_its_own_forest():
+    # the seed's breadth-first search and the reference depth-first
+    # rooting both start their searches in ascending vertex order, so both
+    # root each tree at its least vertex, and a forest with fixed roots
+    # has one parent array: the engine may start from the seed's arrays
+    rng = random.Random(20240607)
+    graphs = [random_coloured_graph(rng, n_max=6, c_max=6) for _ in range(60)]
+    graphs += [random_coloured_graph(rng, n_max=9, c_max=10) for _ in range(300)]
+    for seed in range(12):
+        for k, p in ((3, 0.5), (5, 0.8)):
+            hg, _ = random_hypertree(40, k, seed, p)
+            graphs.append(star_graph(orient_floor(hg)))
+            heads = tuple(rng.choice(e) for e in hg.edges)
+            graphs.append(star_graph(DirectedHypergraph(hg, heads)))
+    forests = 0
+    for graph in graphs:
+        chosen, parent, parent_edge, uf = rainbow._orientation_seed(graph)
+        reference_parent, reference_edge, reference_uf = rooted_forest(graph, chosen)
+        assert parent == reference_parent
+        assert parent_edge == reference_edge
+        assert uf.components == reference_uf.components == graph.n - len(chosen)
+        assert partition(uf, graph.n) == partition(reference_uf, graph.n)
+        forests += uf.components > 1
+    assert forests >= 50  # many seeds leave several trees to root
+
+
 def count_augmentations(monkeypatch) -> list:
     """A list that gains one entry per ``_RainbowEngine.augment`` call."""
     calls = []
@@ -564,12 +607,12 @@ def test_orientation_seed_leaves_a_tenth_of_the_scans_components(k, p, monkeypat
     # seed
     hg, _ = random_hypertree(2000, k, 1, p)
     star = star_graph(orient_floor(hg))
-    _, scanned = rainbow._greedy_rainbow_forest(star)
-    _, oriented = rainbow._orientation_seed(star)
-    assert 10 * oriented.components <= scanned.components
+    scanned = star.n - len(rainbow._greedy_rainbow_forest(star))
+    _, _, _, oriented = rainbow._orientation_seed(star)
+    assert 10 * oriented.components <= scanned
     calls = count_augmentations(monkeypatch)
     assert verify_shrinking(hg, shrink_hypertree(hg))
-    assert 10 * len(calls) <= scanned.components
+    assert 10 * len(calls) <= scanned
 
 
 def test_shrink_at_16000_augments_at_most_three_times(monkeypatch):

@@ -363,6 +363,8 @@ def hypergraph_from_text(text: str) -> Hypergraph:
     except ValueError as exc:
         raise FormatError(f"bad header: {exc}") from exc
     _check_vertex_count(n)
+    if m < 0:
+        raise FormatError("bad header: edge count must be non-negative")
     if len(lines) - 1 != m:
         raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

@@ -148,7 +148,7 @@ def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
     return graph
 
 
-def _greedy_rainbow_forest(graph: ColouredGraph) -> tuple:
+def _greedy_rainbow_forest(graph: ColouredGraph):
     """Seed forest: scan edges in (class size, colour, endpoint) order,
     keeping an edge iff it joins two components and its colour is unused.
 
@@ -158,10 +158,15 @@ def _greedy_rainbow_forest(graph: ColouredGraph) -> tuple:
     go; placing them first leaves fewer augmentations to do.  The scan
     walks the colours stable-sorted by class size and each class in the
     endpoint order of ``graph._classes``, and leaves a class at its
-    first kept edge.  Returns the chosen edge indices.  It is the first
-    seed tier: cheap, and the answer where it spans.
+    first kept edge.  It is the first seed tier: cheap, and the answer
+    where it spans.  Returns the chosen edge indices if they span, else
+    None, as soon as more classes have been left without an edge than
+    the num_colours - (n - 1) a spanning tree can spare.
     """
     edges, classes = graph.edges, graph._classes
+    spare = len(classes) - (graph.n - 1)  # classes the scan may still skip
+    if spare < 0:
+        return None
     parent, size = list(range(graph.n)), [1] * graph.n  # a local union-find
     chosen = []
     for c in sorted(range(len(classes)), key=list(map(len, classes)).__getitem__):
@@ -178,6 +183,10 @@ def _greedy_rainbow_forest(graph: ColouredGraph) -> tuple:
                 size[u] += size[v]
                 chosen.append(i)
                 break
+        else:
+            spare -= 1
+            if spare < 0:
+                return None
     return chosen
 
 
@@ -497,7 +506,7 @@ def maximum_rainbow_forest(graph: ColouredGraph) -> tuple:
     trees until the forest spans or no augmenting path remains.
     """
     seed = _greedy_rainbow_forest(graph)
-    if len(seed) == graph.n - 1:
+    if seed is not None:
         return tuple(sorted(seed))
     seed, parent, parent_edge, uf = _orientation_seed(graph)
     if uf.components == 1:

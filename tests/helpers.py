@@ -186,13 +186,72 @@ def random_edge_family(rng: random.Random, n: int) -> Hypergraph:
 def reference_greedy_heads(hypergraph: Hypergraph, need: list) -> list:
     """The greedy head pass of the orientation stage, one ``max`` per
     hyperedge: each hyperedge is headed at its first member with the most
-    unmet need, which is then lowered by one in place."""
-    heads = []
-    for e in hypergraph.edges:
-        head = max(e, key=need.__getitem__)
-        need[head] -= 1
-        heads.append(head)
+    unmet need, which is then lowered by one in place.
+
+    Under tight demands (``sum(need)`` is the hyperedge count) forced
+    heads come first: a vertex v with 0 < need[v] = free(v), the number
+    of unheaded hyperedges containing v, heads all of them.  A queue,
+    served first in, first out, starts with the forced vertices in
+    order, and after each greedy head with the members that head forced;
+    each hyperedge a forced vertex takes queues its members forced then.
+    Free counts are recounted from the heads every time."""
+    edges = hypergraph.edges
+    heads = [None] * len(edges)
+
+    def free(v):
+        return sum(1 for i, e in enumerate(edges) if heads[i] is None and v in e)
+
+    def forced(vertices):
+        return [v for v in vertices if 0 < need[v] == free(v)]
+
+    def cascade(queue):
+        for v in queue:
+            for i, e in enumerate(edges):
+                if heads[i] is None and v in e and 0 < need[v] == free(v):
+                    heads[i] = v
+                    need[v] -= 1
+                    # v itself may be queued again; it is served already then
+                    queue.extend(forced(e))
+
+    tight = sum(need) == len(edges)
+    if tight:
+        cascade(forced(range(hypergraph.n)))
+    for i, e in enumerate(edges):
+        if heads[i] is None:
+            head = max(e, key=need.__getitem__)
+            need[head] -= 1
+            heads[i] = head
+            if tight:
+                cascade(forced(e))
     return heads
+
+
+def reference_repair(v: int, heads: list, need: list, incident: list):
+    """The orientation stage's repair search with a ``deque`` for its
+    queue: breadth first from the short vertex v over x -> heads[i], i a
+    hyperedge at x, to the first vertex with need < 0, whose path hands
+    each head one step back (in place).  Returns None on success, else
+    the dict of the vertices reached, each mapped to the (vertex,
+    hyperedge) it was reached through (None for v)."""
+    came_from = {v: None}
+    queue = collections.deque([v])
+    while queue:
+        x = queue.popleft()
+        for i in incident[x]:
+            y = heads[i]
+            if y in came_from:
+                continue
+            came_from[y] = (x, i)
+            if need[y] < 0:
+                need[y] += 1
+                need[v] -= 1
+                while y != v:
+                    x, i = came_from[y]
+                    heads[i] = x
+                    y = x
+                return None
+            queue.append(y)
+    return came_from
 
 
 def random_coloured_graph(rng: random.Random, n_max: int = 8, c_max: int = 12) -> ColouredGraph:

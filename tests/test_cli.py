@@ -245,6 +245,8 @@ def test_gen_rejects_bad_k(capsys):
         (["orient", "--demands", "{demands}", "--k", "-3", "{h1}"], "k must be positive"),
         (["orient", "--demands", "{demands}", "--k", "2", "{h1}"],
          "k=2 is below the rank 3"),
+        # read as an edge count, -1 would be reported as a count of edge lines
+        (["check", "{negative_edges}"], "bad header: edge count must be non-negative"),
     ],
 )
 def test_bad_input_exits_2(argv, message, h1_file, tmp_path, capsys):
@@ -257,7 +259,7 @@ def test_bad_input_exits_2(argv, message, h1_file, tmp_path, capsys):
     files = {"h1": h1_file, "negative_json": negative_json,
              "negative_text": negative_text, "demands": demands}
     for name, text in (("grouped_text", "12 1\n0 1_0\n"), ("arabic_text", "3 1\n0 \u0661\n"),
-                       ("grouped_header", "1_2 1\n0 1\n")):
+                       ("grouped_header", "1_2 1\n0 1\n"), ("negative_edges", "3 -1\n")):
         files[name] = tmp_path / f"{name}.txt"
         files[name].write_text(text, encoding="utf-8")
     assert main([arg.format(**files) for arg in argv]) == 2

@@ -26,6 +26,7 @@ from helpers import (
     brute_orientation_exists,
     random_valid_hypergraph,
     reference_greedy_heads,
+    reference_repair,
 )
 
 
@@ -134,13 +135,25 @@ def test_orient_floor_bound_on_random_hypergraphs():
 
 
 def test_orientation_matches_exhaustive_oracle():
+    # after 300 random draws, 300 tight ones: each hyperedge adds one to
+    # the demand of a random vertex, so the total is the hyperedge count
+    # and forced heads come before the greedy ones
     rng = random.Random(99)
     oriented_seen = violator_seen = 0
-    for _ in range(300):
+    tight_seen = {True: 0, False: 0}
+    for draw in range(600):
         hg = random_valid_hypergraph(rng, n_max=6, m_max=7)
-        demands = DemandFunction(tuple(rng.randint(0, 2) for _ in range(hg.n)))
+        if draw < 300:
+            values = [rng.randint(0, 2) for _ in range(hg.n)]
+        else:
+            values = [0] * hg.n
+            for _ in hg.edges:
+                values[rng.randrange(hg.n)] += 1
+        demands = DemandFunction(tuple(values))
         result = orient_with_demands(hg, demands)
         assert result.is_oriented == brute_orientation_exists(hg, demands)
+        if demands.total() == hg.num_edges:
+            tight_seen[result.is_oriented] += 1
         if result.is_oriented:
             oriented_seen += 1
             indegrees = result.oriented.indegrees()
@@ -150,6 +163,7 @@ def test_orientation_matches_exhaustive_oracle():
             F = result.violator
             assert demands.sum_over(F) > hg.incident_edge_count(F)
     assert oriented_seen and violator_seen
+    assert min(tight_seen.values()) >= 50
 
 
 def test_dichotomy_on_random_pairs():
@@ -182,16 +196,27 @@ def test_determinism():
         assert first == second
 
 
+def descending_paths(n: int) -> tuple:
+    """The path P_n with its edges listed in descending order, for demand
+    0 at vertex 0 and 1 elsewhere, and the same path followed by the
+    hyperedge (0, 2).  The first has tight demands, so forced heads run
+    down it from the far end.  The second has slack ones: the greedy pass
+    heads each path edge at its lower end and (0, 2) at 2, so the far end
+    is short, vertex 2 heads a spare hyperedge and one repair search
+    walks an alternating path through all but two edges."""
+    path = tuple((i, i + 1) for i in reversed(range(n - 1)))
+    return Hypergraph(n, path), Hypergraph(n, path + ((0, 2),))
+
+
 def test_long_augmenting_paths_do_not_recurse():
-    # the path P_3000 with its edges listed in descending order: the last
-    # augmentation walks an alternating path through every edge, which a
-    # recursive search could not follow within the interpreter's stack
+    # neither the forced cascade nor the repair search recurses, so both
+    # follow P_3000 within the interpreter's stack
     n = 3000
-    path = Hypergraph(n, tuple((i, i + 1) for i in reversed(range(n - 1))))
     demands = [0] + [1] * (n - 1)
-    result = orient_with_demands(path, demands)
-    assert result.is_oriented
-    assert all(ind >= f for ind, f in zip(result.oriented.indegrees(), demands))
+    for hg in descending_paths(n):
+        result = orient_with_demands(hg, demands)
+        assert result.is_oriented
+        assert all(ind >= f for ind, f in zip(result.oriented.indegrees(), demands))
 
 
 def test_infeasible_floor_demands_raise_internal_error(monkeypatch):
@@ -226,15 +251,20 @@ def test_orient_floor_on_hub_in_both_labellings():
         assert_floor_met(hg, 3)
 
 
-def test_long_path_with_descending_edges():
-    # the greedy pass leaves the far end short and vertex 0 with a spare
-    # head, so one repair search walks the whole path
+def test_long_path_with_descending_edges(monkeypatch):
+    searches = []
+    repair = orientation._repair
+    monkeypatch.setattr(
+        orientation, "_repair", lambda *args: searches.append(args[0]) or repair(*args)
+    )
     n = 20000
-    path = Hypergraph(n, tuple((i, i + 1) for i in reversed(range(n - 1))))
     demands = [0] + [1] * (n - 1)
-    result = orient_with_demands(path, demands)
-    assert result.is_oriented
-    assert all(ind >= f for ind, f in zip(result.oriented.indegrees(), demands))
+    for hg, expected in zip(descending_paths(n), ([], [n - 1])):
+        searches.clear()
+        result = orient_with_demands(hg, demands)
+        assert result.is_oriented
+        assert all(ind >= f for ind, f in zip(result.oriented.indegrees(), demands))
+        assert searches == expected
 
 
 def test_shrink_builds_no_incidence_when_no_vertex_is_short(monkeypatch):
@@ -252,13 +282,15 @@ def test_incidence_built_once_where_it_is_read(monkeypatch):
     built = []
     incidence = orientation._incidence
     monkeypatch.setattr(orientation, "_incidence", lambda hg: built.append(hg) or incidence(hg))
-    # greedy heads edge 0 at 2, so vertex 0 is short and one repair runs
+    # the demands total the hyperedge count, so the forced heads read the
+    # lists: vertex 0 meets one hyperedge and needs one, so it heads edge
+    # 0, which leaves vertex 2 two hyperedges for its two
     result = orient_with_demands(H1, (1, 0, 2, 0))
     assert result.oriented.heads == (0, 2, 2)
     assert len(built) == 1
-    # is_hypertree reads the lists after the orientation, repair or not:
-    # no vertex of H1 is short, the descending path repairs its far end
-    # and TRIANGLE4's isolated vertex 3 ends in a violator
+    # is_hypertree reads the lists after the orientation too: forced heads
+    # orient H1 and the descending path, and TRIANGLE4's isolated vertex 3
+    # ends in a violator
     descending = Hypergraph(6, tuple((i, i + 1) for i in reversed(range(5))))
     for hg, answer in ((H1, True), (descending, True), (TRIANGLE4, False)):
         built.clear()
@@ -270,11 +302,15 @@ def test_greedy_heads_match_the_max_reference(monkeypatch):
     # a repair that gives up at once leaves _orient's heads and needs as
     # the greedy pass set them; pairs and triples are headed inline, so
     # they must pick the first maximal member, as max does, under ties
-    # and needs that start or go negative, in any member order
+    # and needs that start or go negative, in any member order.  Tight
+    # needs (their total is the hyperedge count) take forced heads first;
+    # some of the random needs are tight, and then 200 draws spread the
+    # hyperedge count over the vertices so that every one is
     monkeypatch.setattr(orientation, "_repair", lambda v, heads, need, incident: {v: None})
     rng = random.Random(5)
     sizes = set()
-    for _ in range(400):
+    tight = 0
+    for draw in range(600):
         n = rng.randint(6, 12)
         edges = []
         for _ in range(rng.randint(1, 3 * n)):
@@ -284,10 +320,43 @@ def test_greedy_heads_match_the_max_reference(monkeypatch):
             edges.append(tuple(edge))
         hg = Hypergraph(n, tuple(edges))
         sizes.update(map(len, edges))
-        need = [rng.randint(-2, 3) for _ in range(n)]
+        if draw < 400:
+            need = [rng.randint(-2, 3) for _ in range(n)]
+        else:
+            need = [0] * n
+            for _ in edges:
+                need[rng.randrange(n)] += 1
+        tight += sum(need) == len(edges)
         expected_need = need.copy()
         expected = reference_greedy_heads(hg, expected_need)
         heads, _, _ = orientation._orient(hg, need)
         assert heads == expected
         assert need == expected_need
     assert sizes == {2, 3, 4, 5, 6}
+    assert tight >= 200
+
+
+def test_repair_matches_the_deque_reference():
+    # random heads leave vertices short and others with spare heads; each
+    # short vertex is repaired in turn, from the state the last repair left
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(300):
+        hg = random_valid_hypergraph(rng, n_max=10, m_max=16)
+        need = [rng.randint(0, 2) for _ in range(hg.n)]
+        heads = [rng.choice(e) for e in hg.edges]
+        for head in heads:
+            need[head] -= 1
+        incident = orientation._incidence(hg)
+        for v in range(hg.n):
+            if need[v] <= 0:
+                continue
+            expected_heads, expected_need = heads.copy(), need.copy()
+            expected = reference_repair(v, expected_heads, expected_need, incident)
+            reached = orientation._repair(v, heads, need, incident)
+            assert reached == expected
+            assert list(reached or ()) == list(expected or ())  # same search order
+            assert heads == expected_heads
+            assert need == expected_need
+            outcomes.add(reached is None)
+    assert outcomes == {True, False}

@@ -130,6 +130,7 @@ def test_greedy_seed_matches_the_sort_key_scan():
         heads = tuple(rng.choice(e) for e in hg.edges)
         graphs.append(star_graph(DirectedHypergraph(hg, heads)))
     unsorted = 0
+    spanned = {True: 0, False: 0}
     for g in graphs:
         classes = g._classes
         # the classes come in endpoint order; the graph's own edge order
@@ -141,9 +142,13 @@ def test_greedy_seed_matches_the_sort_key_scan():
             [g.edges[i] for i in sorted(cl)] != sorted(g.edges[i] for i in cl)
             for cl in classes
         )
-        chosen = rainbow._greedy_rainbow_forest(g)
-        assert (chosen, g.n - len(chosen)) == sort_key_greedy(g)
+        # the scan gives up once it cannot span, so only a spanning scan
+        # returns its edges
+        chosen, components = sort_key_greedy(g)
+        spanned[components == 1] += 1
+        assert rainbow._greedy_rainbow_forest(g) == (chosen if components == 1 else None)
     assert unsorted >= 100
+    assert min(spanned.values()) >= 50
 
 
 def test_star_graph_of_directed_h1():
@@ -207,7 +212,8 @@ def test_rainbow_needs_exchange_not_just_greed():
     chosen, _, _, spanned = rainbow._orientation_seed(g)
     assert spanned.components == 1
     assert sorted(g.edges[i] for i in chosen) == [(0, 1, 1), (0, 2, 2), (2, 3, 0)]
-    seed = rainbow._greedy_rainbow_forest(g)
+    assert rainbow._greedy_rainbow_forest(g) is None
+    seed, _ = sort_key_greedy(g)
     assert [g.edges[i] for i in seed] == [(0, 2, 2), (0, 1, 0)]
     engine = rainbow._RainbowEngine(g, *rooted_forest(g, seed))
     assert engine.augment()
@@ -500,10 +506,10 @@ def rainbow_forests(graph: ColouredGraph) -> list:
 
 
 def seeds(graph: ColouredGraph) -> tuple:
-    """The scan's seed and the orientation seed of ``graph``, each checked
-    to be a rainbow forest, the orientation seed's union-find holding its
-    components."""
-    scanned = rainbow._greedy_rainbow_forest(graph)
+    """The scan's seed, as the sort-key reference keeps it to the end,
+    and the orientation seed of ``graph``, each checked to be a rainbow
+    forest, the orientation seed's union-find holding its components."""
+    scanned, _ = sort_key_greedy(graph)
     oriented, _, _, uf = rainbow._orientation_seed(graph)
     for chosen in (scanned, oriented):
         pairs = [graph.edges[i][:2] for i in chosen]
@@ -607,7 +613,7 @@ def test_orientation_seed_leaves_a_tenth_of_the_scans_components(k, p, monkeypat
     # seed
     hg, _ = random_hypertree(2000, k, 1, p)
     star = star_graph(orient_floor(hg))
-    scanned = star.n - len(rainbow._greedy_rainbow_forest(star))
+    _, scanned = sort_key_greedy(star)
     _, _, _, oriented = rainbow._orientation_seed(star)
     assert 10 * oriented.components <= scanned
     calls = count_augmentations(monkeypatch)

@@ -15,7 +15,6 @@ stderr.
 """
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -205,14 +204,14 @@ def _cmd_orient(args) -> int:
 def _cmd_gen(args) -> int:
     _check_generator_args(args)
     hypergraph, witness = random_hypertree(args.n, args.k, args.seed, args.p)
-    print(hypergraph_to_json(hypergraph))
-    if args.witness is not None:
+    if args.witness is not None:  # before stdout, so a failed write prints nothing
         try:
             with open(args.witness, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps({"pairs": [list(p) for p in witness]}))
                 handle.write("\n")
         except OSError as exc:
             raise FormatError(f"cannot write {args.witness}: {exc}") from exc
+    print(hypergraph_to_json(hypergraph))
     return EXIT_OK
 
 
@@ -227,18 +226,7 @@ def _cmd_bench(args) -> int:
     if args.trials < 1:
         raise FormatError("need at least one trial")
     _check_generator_args(args)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(
-        [
-            "trial",
-            "seed",
-            "n",
-            "rank",
-            "min_scaled_ratio",
-            "min_slack",
-            "min_degree_ratio",
-        ]
-    )
+    print("trial,seed,n,rank,min_scaled_ratio,min_slack,min_degree_ratio")
     for trial in range(args.trials):
         seed = args.seed + trial
         hypergraph, _ = random_hypertree(args.n, args.k, seed, args.p)
@@ -249,17 +237,8 @@ def _cmd_bench(args) -> int:
         scaled = min(t * k / d for t, d in zip(tree, hyper))
         slack = min(map(sub, tree, bound))
         ratio = min(t / d for t, d in zip(tree, hyper))
-        writer.writerow(
-            [
-                trial,
-                seed,
-                args.n,
-                k,
-                "%.6f" % scaled,
-                slack,
-                "%.6f" % ratio,
-            ]
-        )
+        row = (trial, seed, args.n, k, "%.6f" % scaled, slack, "%.6f" % ratio)
+        print(",".join(map(str, row)))
     return EXIT_OK
 
 

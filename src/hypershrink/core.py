@@ -12,7 +12,6 @@ from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 from operator import contains, itemgetter, lt
-from typing import Iterable
 
 
 class FormatError(ValueError):
@@ -98,7 +97,7 @@ class Hypergraph:
             object.__setattr__(self, "_rank", r)
         return r
 
-    def incident_edge_count(self, vertices: Iterable[int]) -> int:
+    def incident_edge_count(self, vertices) -> int:
         """Number of hyperedges meeting the given vertex set (e*(F))."""
         fset = set(vertices)
         return sum(1 for e in self.edges if not fset.isdisjoint(e))
@@ -166,7 +165,7 @@ class DemandFunction:
     def total(self) -> int:
         return sum(self.values)
 
-    def sum_over(self, vertices: Iterable[int]) -> int:
+    def sum_over(self, vertices) -> int:
         """f(F): the sum of demands over a vertex set."""
         return sum(self.values[v] for v in vertices)
 

@@ -9,27 +9,29 @@ graph until the forest spans or no path remains (after Gabow-Stallmann
 the fewer the seed leaves, the fewer exchange-graph searches are run.
 
 The seed has two tiers: a scarcest-colour-first scan, which is the answer
-where it spans (on ``adversarial_star`` hubs, say), else a search along a
-0/1 orientation of the colour classes, which on hypertree expansions
+where it spans (on ``adversarial_star`` hubs, say), else a search along
+the 0/1 orientation that :func:`~hypershrink.orientation.is_hypertree`
+computes, run on the colour classes, which on hypertree expansions
 leaves one to a few components.  Only when that seed does not span is
 the augmentation engine built, once, on the seed's own search trees; it
 flips each shortest path in place and labels only the part of the
 exchange graph it searches.
 
 Every :class:`ColouredGraph` carries its colour classes, sorted once when
-it is built.  :func:`star_graph`, the one hypergraph expansion, refuses an
-invalid base and then trusts it: it runs no per-edge check and keeps each
-colour class as an index range.  An exhaustive checker for the
+it is built, and the hypergraph they form.  :func:`star_graph`, the one
+hypergraph expansion, refuses an invalid base and then trusts it: it runs
+no per-edge check, keeps each colour class as an index range and the base
+as the class hypergraph.  An exhaustive checker for the
 component-count characterisation doubles as the test oracle.
 """
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, combinations, compress, count
+from itertools import accumulate, combinations, count
 from operator import itemgetter
 
-from .core import DirectedHypergraph, LimitExceededError, _exact_int_tuples, _require_valid
-from .orientation import _repair
+from .core import DirectedHypergraph, Hypergraph, LimitExceededError, _exact_int_tuples, _require_valid
+from .orientation import _incidence, _orient
 
 
 class UnionFind:
@@ -64,7 +66,9 @@ class ColouredGraph:
 
     Edges are ``(u, v, colour)`` triples with ``u < v``; parallel edges
     must differ in colour and colour ids are dense ``0..c-1``.
-    ``_classes[c]``: the indices of the colour-c edges in endpoint order.
+    ``_classes[c]``: the indices of the colour-c edges in endpoint order;
+    ``_class_hypergraph``: a :class:`~hypershrink.core.Hypergraph` whose
+    hyperedge c is the sorted set of the colour-c edges' endpoints.
     """
 
     n: int
@@ -93,6 +97,8 @@ class ColouredGraph:
         for i in sorted(range(len(edges)), key=edges.__getitem__):
             classes[edges[i][2]].append(i)
         object.__setattr__(self, "_classes", classes)
+        ends = tuple(tuple(sorted({x for i in cl for x in edges[i][:2]})) for cl in classes)
+        object.__setattr__(self, "_class_hypergraph", Hypergraph(self.n, ends))
 
     @property
     def num_colours(self) -> int:
@@ -129,7 +135,8 @@ def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
     colours are exactly 0..m-1 and no triple repeats.  So no
     :class:`ColouredGraph` check is run, and each colour class is the
     index range of its star: ``(t, h)`` for the tails below the head, then
-    ``(h, t)`` for those above, already in endpoint order.
+    ``(h, t)`` for those above, already in endpoint order.  The endpoints
+    of class i are hyperedge i, so the base is the class hypergraph.
     """
     _require_valid(directed.base)
     edges = []
@@ -145,6 +152,7 @@ def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
     object.__setattr__(graph, "n", directed.base.n)
     object.__setattr__(graph, "edges", tuple(edges))
     object.__setattr__(graph, "_classes", list(map(range, bounds, bounds[1:])))
+    object.__setattr__(graph, "_class_hypergraph", directed.base)
     return graph
 
 
@@ -194,19 +202,14 @@ def _orientation_seed(graph: ColouredGraph) -> tuple:
     """Second seed, built when the scan leaves components: a search along
     a 0/1 orientation of the colour classes.
 
-    Each class, read as a hyperedge over its endpoints, gets a head, with
-    demand 0 at vertex 0 and 1 elsewhere as in
-    :func:`~hypershrink.orientation.is_hypertree`.  A vertex other than 0
-    that meets one edge only takes that edge's class.  Any other class
-    goes to its centre (the endpoint its first two edges share, else the
-    first edge's second endpoint; of a one-edge class, the endpoint with
-    more unmet demand) while the centre needs a head, else to its first
-    endpoint that does, else to the centre.
-    :func:`~hypershrink.orientation._repair` then serves each vertex still
-    short.  A breadth-first search from vertex 0, then from each vertex
-    still unreached in order, moves from x to g = ``heads[c]`` for each
-    colour c at x when g is unreached and ``(min(x, g), max(x, g), c)``
-    is an edge, and keeps that edge.
+    :func:`~hypershrink.orientation._orient` heads each hyperedge of
+    ``graph._class_hypergraph``, the colour classes read as hyperedges of
+    their endpoints, with demand 0 at vertex 0 and 1 elsewhere, as
+    :func:`~hypershrink.orientation.is_hypertree` does.  A breadth-first
+    search from vertex 0, then from each vertex still unreached in order,
+    moves from x to g = ``heads[c]`` for each colour c at x when g is
+    unreached and ``(min(x, g), max(x, g), c)`` is an edge, and keeps
+    that edge.
 
     - Colours stay distinct: each vertex is reached once, through a
       colour headed at it, and each colour has one head.
@@ -221,42 +224,15 @@ def _orientation_seed(graph: ColouredGraph) -> tuple:
     ``parent_edge`` arrays (-1 at each root: the vertex a search started
     from, the least of its tree) and the union-find of the trees, each a
     set under its root.  On the expansions of
-    ``random_hypertree(2000, k, 1, p)`` it leaves 1-2 components where the
-    scan leaves 131-230.
+    ``random_hypertree(2000, k, 1, p)`` it leaves 1-3 components
+    where the scan leaves 131-230.
     """
-    edges, classes, n = graph.edges, graph._classes, graph.n
-    incident = [[] for _ in range(n)]  # colours at each vertex, repeats harmless
-    for u, v, c in edges:
-        incident[u].append(c)
-        incident[v].append(c)
+    edges, n = graph.edges, graph.n
+    hypergraph = graph._class_hypergraph
+    heads, incident, _ = _orient(hypergraph, [0] + [1] * (n - 1))
+    if incident is None:  # slack demands, none short: no repair read them
+        incident = _incidence(hypergraph)
     index = dict(zip(edges, count()))
-    need = [0] + [1] * (n - 1)
-    heads = [-1] * len(classes)
-    for x in compress(count(), map((1).__eq__, map(len, incident))):
-        c = incident[x][0]
-        if x and heads[c] == -1:
-            heads[c] = x
-            need[x] = 0
-    for c, members in enumerate(classes):
-        if heads[c] != -1:
-            continue
-        u, v, _ = edges[members[0]]
-        if len(members) == 1:
-            centre = u if need[u] >= need[v] else v
-        else:
-            p, q, _ = edges[members[1]]
-            centre = u if u == p or u == q else v
-        if need[centre] <= 0:
-            for i in members:
-                a, b, _ = edges[i]
-                if need[a] > 0 or need[b] > 0:
-                    centre = a if need[a] > 0 else b
-                    break
-        need[centre] -= 1
-        heads[c] = centre
-    for v in range(1, n):
-        if need[v] > 0 and _repair(v, heads, need, incident) is not None:
-            break
     uf = UnionFind(n)
     parent, parent_edge = [-1] * n, [-1] * n
     chosen = []

@@ -209,6 +209,16 @@ def test_gen_writes_hypergraph_and_witness(tmp_path, capsys):
         assert set(pair) <= set(edge)
 
 
+def test_gen_unwritable_witness_prints_nothing(tmp_path, capsys):
+    # the witness is written first, so a directory as its path fails the
+    # command before the hypergraph reaches stdout
+    code = main(["gen", "--n", "8", "--k", "3", "--seed", "5", "--witness", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: cannot write" in captured.err
+
+
 def test_gen_rejects_bad_k(capsys):
     assert main(["gen", "--n", "5", "--k", "1", "--seed", "0"]) == 2
 
@@ -590,23 +600,24 @@ def test_fuzzed_files_never_leak_an_internal_error(fuzz_path, files):
 # SHA-256 of the stdout and of the stderr of `hypershrink shrink FILE
 # [flags]`; they pin the JSON, the DOT overlay and the verification
 # report byte for byte.  Random instances are random_hypertree(n, k, seed,
-# p), hubs adversarial_star(m, k).  The random stdout digests were
-# recorded after the orientation seed became the rainbow stage's second
-# tier, which picks the tree wherever the scarcest-first scan does not
-# span; the hub digests predate it and stay, since there the scan spans
-# and the orientation seed never runs.
+# p), hubs adversarial_star(m, k).  The n = 500 random stdout digests were
+# recorded after the orientation seed, the rainbow stage's second tier,
+# took its heads from orientation._orient; the seed picks the tree
+# wherever the scarcest-first scan does not span.  The hub digests
+# predate the seed and stay, since there the scan spans and the seed
+# never runs; the n = 9 ones did not move either.
 SHRINK_DIGESTS = {
     ("random", (500, 3, 1, 0.5), ()): (
-        "c8df3183b3440bdad99213d4367e608f39d1bed9e83bb2b050c92e8dd90670c0",
+        "041aa4bc64cc62cd55c4e62b493e137a60047076ba0fffafaf276e9cbb1b984f",
         "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
     ("random", (500, 3, 2, 0.8), ()): (
-        "a89fd9bd510e02b96711d6965adb64f8be6a34305631b5f21bab3ed3d78fe79a",
+        "3f81fc980d0f8a767e31caab04019482ea254957b6fbcf675013cd6f48a76a17",
         "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
     ("random", (500, 5, 3, 0.5), ()): (
-        "bfc0c97d051991c4fde6cb853a4d9843fc15b44031b2403ac2e8595091894014",
+        "d241b0e3555c6952351df0d84eb3a5437f9e96a404773071b55ead7cc762791a",
         "473157a4e93d03e3051303f4b5a0ee5b33084eaaabf500cd6a71d8124e7580df"),
     ("random", (500, 5, 4, 0.8), ()): (
-        "677f8a633bd076414f2c1e8ac29b5a657a58d8cb17d5c0d8e64645b044302460",
+        "1d6a60d37871eec23ad57d7dacd39a14ba7bd3f30e43da788f078608978f1829",
         "473157a4e93d03e3051303f4b5a0ee5b33084eaaabf500cd6a71d8124e7580df"),
     ("hub", (1500, 3), ()): (
         "adb9e5cb3d02d00684186a87807e5dd5f1f46ca17d2d2b28274489eb08cbc1bf",
@@ -667,10 +678,14 @@ def test_orient_output_is_pinned(case, tmp_path, capsys):
 
 
 def test_cli_start_loads_no_oracle_only_module():
-    # fractions (with decimal and numbers) serves brute_force_shrink alone
-    code = "import sys, hypershrink.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    # fractions (with decimal and numbers) serves brute_force_shrink alone,
+    # and the package needs neither typing nor csv; -S keeps site, which
+    # may import typing itself, out of the child
+    modules = "{'fractions', 'decimal', 'typing', 'csv'}"
+    code = f"import sys, hypershrink.cli; print(sorted({modules} & set(sys.modules)))"
     result = subprocess.run(
-        [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", code], env=cli_env(), capture_output=True, text=True,
+        timeout=60,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"

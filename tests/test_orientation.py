@@ -267,14 +267,20 @@ def test_long_path_with_descending_edges(monkeypatch):
         assert searches == expected
 
 
-def test_shrink_builds_no_incidence_when_no_vertex_is_short(monkeypatch):
+def test_floor_orientation_builds_no_incidence_when_no_vertex_is_short(monkeypatch):
     # no vertex of these is short after the greedy heads, so the incidence
-    # lists, which only the repair searches read, are never built
+    # lists, which only the repair searches read, are never built for the
+    # floor demands; the rainbow seed orients the colour classes with
+    # tight demands afterwards and builds them there, outside the patch
     def refuse(hypergraph):
         raise AssertionError("incidence lists built without a repair search")
 
-    monkeypatch.setattr(orientation, "_incidence", refuse)
-    for hg in (adversarial_star(1000, 4), random_hypertree(500, 5, 1, 0.8)[0]):
+    hypergraphs = (adversarial_star(1000, 4), random_hypertree(500, 5, 1, 0.8)[0])
+    with monkeypatch.context() as patch:
+        patch.setattr(orientation, "_incidence", refuse)
+        for hg in hypergraphs:
+            orient_floor(hg)
+    for hg in hypergraphs:
         assert verify_shrinking(hg, shrink_hypertree(hg)).all_passed
 
 

@@ -351,6 +351,9 @@ def test_lean_shrink_matches_the_checked_path():
         checked = ColouredGraph(star.n, star.edges)
         assert checked.edges == star.edges
         assert checked._classes == [list(cl) for cl in star._classes]
+        # the orientation seed heads the class hypergraph, so equal ones
+        # keep both paths picking the same tree
+        assert checked._class_hypergraph.edges == star._class_hypergraph.edges
         pairs = {c: (u, v) for u, v, c in rainbow_spanning_tree(checked).edges}
         assert shrink_hypertree(hg) == Shrinking.from_pairs([pairs[i] for i in range(hg.num_edges)])
     for hg in hypergraphs[24:36]:  # n = 500, each with pairs to break

@@ -143,10 +143,9 @@ def _cmd_check(args) -> int:
         print("hypertree")
         return EXIT_OK
     if result.bad_edge_count:
-        print(
-            "not a hypertree: "
-            f"{hypergraph.num_edges} hyperedges, expected {hypergraph.n - 1}"
-        )
+        n, m = hypergraph.n, hypergraph.num_edges
+        count = f"{m} hyperedges, expected {n - 1}" if n else "a hypertree has at least one vertex"
+        print(f"not a hypertree: {count}")
     else:
         witness = result.violating_subset
         inside = sum(

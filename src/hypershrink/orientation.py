@@ -28,7 +28,7 @@ The same stage recognises hypertrees (:func:`is_hypertree`), and the
 exhaustive subset-count check is kept at the end as a test oracle.
 :func:`_orient` is the one owner of these heads: it serves
 :func:`orient_with_demands`, :func:`is_hypertree` and the rainbow
-stage's orientation seed, which runs it on the colour classes with the
+stage's orientation seed, which runs it on the hyperedges with the
 demands of :func:`is_hypertree`.
 """
 

@@ -8,29 +8,28 @@ graph until the forest spans or no path remains (after Gabow-Stallmann
 1985 and Cunningham 1986).  Each augmentation joins two components, so
 the fewer the seed leaves, the fewer exchange-graph searches are run.
 
-The seed has two tiers: a scarcest-colour-first scan, which is the answer
+On a directed hypergraph, read as its star expansion (colour c is
+hyperedge c, each edge of it meeting the head), two seed tiers read the
+hyperedges and heads directly: a scarcest-colour-first scan, the answer
 where it spans (on ``adversarial_star`` hubs, say), else a search along
 the 0/1 orientation that :func:`~hypershrink.orientation.is_hypertree`
-computes, run on the colour classes, which on hypertree expansions
-leaves one to a few components.  Only when that seed does not span is
-the augmentation engine built, once, on the seed's own search trees; it
-flips each shortest path in place and labels only the part of the
-exchange graph it searches.
-
-Every :class:`ColouredGraph` carries its colour classes, sorted once when
-it is built, and the hypergraph they form.  :func:`star_graph`, the one
-hypergraph expansion, refuses an invalid base and then trusts it: it runs
-no per-edge check, keeps each colour class as an index range and the base
-as the class hypergraph.  An exhaustive checker for the
-component-count characterisation doubles as the test oracle.
+computes, which on hypertrees leaves one to a few components.  Only then
+are :func:`star_graph` and the augmentation engine built, once, from the
+seed's own search trees; the engine flips each shortest path in place
+and labels only the part of the exchange graph it searches.  A general
+:class:`ColouredGraph`, whose colour classes are sorted once when it is
+built, goes to the engine from the empty forest.  :func:`star_graph`
+refuses an invalid base and then trusts it: it runs no per-edge check
+and keeps each colour class as an index range.  An exhaustive checker
+for the component-count characterisation doubles as the test oracle.
 """
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, combinations, count
+from itertools import accumulate, combinations
 from operator import itemgetter
 
-from .core import DirectedHypergraph, Hypergraph, LimitExceededError, _exact_int_tuples, _require_valid
+from .core import DirectedHypergraph, LimitExceededError, _exact_int_tuples, _require_valid
 from .orientation import _incidence, _orient
 
 
@@ -66,9 +65,7 @@ class ColouredGraph:
 
     Edges are ``(u, v, colour)`` triples with ``u < v``; parallel edges
     must differ in colour and colour ids are dense ``0..c-1``.
-    ``_classes[c]``: the indices of the colour-c edges in endpoint order;
-    ``_class_hypergraph``: a :class:`~hypershrink.core.Hypergraph` whose
-    hyperedge c is the sorted set of the colour-c edges' endpoints.
+    ``_classes[c]``: the indices of the colour-c edges in endpoint order.
     """
 
     n: int
@@ -97,8 +94,6 @@ class ColouredGraph:
         for i in sorted(range(len(edges)), key=edges.__getitem__):
             classes[edges[i][2]].append(i)
         object.__setattr__(self, "_classes", classes)
-        ends = tuple(tuple(sorted({x for i in cl for x in edges[i][:2]})) for cl in classes)
-        object.__setattr__(self, "_class_hypergraph", Hypergraph(self.n, ends))
 
     @property
     def num_colours(self) -> int:
@@ -135,8 +130,7 @@ def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
     colours are exactly 0..m-1 and no triple repeats.  So no
     :class:`ColouredGraph` check is run, and each colour class is the
     index range of its star: ``(t, h)`` for the tails below the head, then
-    ``(h, t)`` for those above, already in endpoint order.  The endpoints
-    of class i are hyperedge i, so the base is the class hypergraph.
+    ``(h, t)`` for those above, already in endpoint order.
     """
     _require_valid(directed.base)
     edges = []
@@ -152,34 +146,31 @@ def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
     object.__setattr__(graph, "n", directed.base.n)
     object.__setattr__(graph, "edges", tuple(edges))
     object.__setattr__(graph, "_classes", list(map(range, bounds, bounds[1:])))
-    object.__setattr__(graph, "_class_hypergraph", directed.base)
     return graph
 
 
-def _greedy_rainbow_forest(graph: ColouredGraph):
-    """Seed forest: scan edges in (class size, colour, endpoint) order,
-    keeping an edge iff it joins two components and its colour is unused.
+def _scan(directed: DirectedHypergraph):
+    """First seed tier: the kept ``(u, v, colour)`` triples of a
+    scarcest-colour-first scan if they span, else None.
 
-    Scarcest colours go first.  Where the tree needs every colour, as on
-    the expansions of a hypertree (n - 1 colours), a colour with a single
-    edge forces that edge and a colour with few edges has few places to
-    go; placing them first leaves fewer augmentations to do.  The scan
-    walks the colours stable-sorted by class size and each class in the
-    endpoint order of ``graph._classes``, and leaves a class at its
-    first kept edge.  It is the first seed tier: cheap, and the answer
-    where it spans.  Returns the chosen edge indices if they span, else
-    None, as soon as more classes have been left without an edge than
-    the num_colours - (n - 1) a spanning tree can spare.
+    A colour with few edges has few places to go, so placing the scarcest
+    first leaves fewer augmentations to do.  Star c's edges in endpoint
+    order join the head to the other members of hyperedge c, ascending,
+    so the scan walks the hyperedges stable-sorted by size and each one's
+    members ascending (the head joins nothing), keeps the first edge that
+    joins two components, and gives up once more hyperedges are left
+    without one than the m - (n - 1) a spanning tree can spare.
     """
-    edges, classes = graph.edges, graph._classes
-    spare = len(classes) - (graph.n - 1)  # classes the scan may still skip
+    members, heads, n = directed.base.edges, directed.heads, directed.base.n
+    spare = len(members) - (n - 1)  # hyperedges the scan may still skip
     if spare < 0:
         return None
-    parent, size = list(range(graph.n)), [1] * graph.n  # a local union-find
+    parent, size = list(range(n)), [1] * n  # a local union-find
     chosen = []
-    for c in sorted(range(len(classes)), key=list(map(len, classes)).__getitem__):
-        for i in classes[c]:
-            u, v, _ = edges[i]
+    for c in sorted(range(len(members)), key=list(map(len, members)).__getitem__):
+        h = heads[c]
+        for t in members[c]:
+            u, v = t, h
             while parent[u] != u:
                 parent[u] = u = parent[parent[u]]
             while parent[v] != v:
@@ -189,7 +180,7 @@ def _greedy_rainbow_forest(graph: ColouredGraph):
                     u, v = v, u
                 parent[v] = u
                 size[u] += size[v]
-                chosen.append(i)
+                chosen.append((t, h, c) if t < h else (h, t, c))
                 break
         else:
             spare -= 1
@@ -198,62 +189,63 @@ def _greedy_rainbow_forest(graph: ColouredGraph):
     return chosen
 
 
-def _orientation_seed(graph: ColouredGraph) -> tuple:
-    """Second seed, built when the scan leaves components: a search along
-    a 0/1 orientation of the colour classes.
+def _orientation_seed(directed: DirectedHypergraph) -> tuple:
+    """Second seed tier, built when the scan leaves components: a search
+    along a 0/1 orientation of the hyperedges.
 
-    :func:`~hypershrink.orientation._orient` heads each hyperedge of
-    ``graph._class_hypergraph``, the colour classes read as hyperedges of
-    their endpoints, with demand 0 at vertex 0 and 1 elsewhere, as
+    :func:`~hypershrink.orientation._orient` heads each hyperedge with
+    demand 0 at vertex 0 and 1 elsewhere, as
     :func:`~hypershrink.orientation.is_hypertree` does.  A breadth-first
     search from vertex 0, then from each vertex still unreached in order,
-    moves from x to g = ``heads[c]`` for each colour c at x when g is
-    unreached and ``(min(x, g), max(x, g), c)`` is an edge, and keeps
-    that edge.
+    moves from x to g = ``heads[c]`` for each hyperedge c at x when g is
+    unreached and the star centre ``directed.heads[c]`` is x or g (so x g
+    is a star edge of colour c), and keeps that edge.  Each vertex is
+    reached once, through a hyperedge headed at it, so the colours stay
+    distinct and no cycle closes.  Any heads give such a seed, so a failed
+    repair only stops the repairs; the engine's final all-sinks search
+    still decides the negative answer.
 
-    - Colours stay distinct: each vertex is reached once, through a
-      colour headed at it, and each colour has one head.
-    - There is no cycle: each kept edge brings in an unreached vertex.
-    - Any heads give such a seed, so a failed repair only stops the
-      repairs.  It also proves that no rainbow spanning tree exists (root
-      one at vertex 0 and head each colour at the child its tree edge
-      enters: every demand is met), but the engine's final all-sinks
-      search still decides, so the negative answer needs no shortcut.
-
-    Returns the chosen edge indices, the search trees as ``parent`` and
-    ``parent_edge`` arrays (-1 at each root: the vertex a search started
-    from, the least of its tree) and the union-find of the trees, each a
-    set under its root.  On the expansions of
-    ``random_hypertree(2000, k, 1, p)`` it leaves 1-3 components
-    where the scan leaves 131-230.
+    Returns the kept triples, the search trees as ``parent`` and
+    ``parent_colour`` arrays (-1 at each root, its tree's least vertex)
+    and their union-find.  On ``random_hypertree(2000, k, 1, p)`` it
+    leaves 1-3 components, the scan 131-230.
     """
-    edges, n = graph.edges, graph.n
-    hypergraph = graph._class_hypergraph
+    hypergraph, centre, n = directed.base, directed.heads, directed.base.n
     heads, incident, _ = _orient(hypergraph, [0] + [1] * (n - 1))
     if incident is None:  # slack demands, none short: no repair read them
         incident = _incidence(hypergraph)
-    index = dict(zip(edges, count()))
     uf = UnionFind(n)
-    parent, parent_edge = [-1] * n, [-1] * n
+    parent, parent_colour = [-1] * n, [-1] * n
     chosen = []
     for root in range(n):
-        if parent_edge[root] != -1:
+        if parent_colour[root] != -1:
             continue
         tree = [root]
         for x in tree:  # grows while it is read: breadth first
             for c in incident[x]:
                 g = heads[c]
                 # every vertex up to the root is reached; above it, the hung ones
-                if g > root and parent_edge[g] == -1:
-                    i = index.get((x, g, c) if x < g else (g, x, c))
-                    if i is not None:
-                        parent[g], parent_edge[g] = x, i
-                        uf.parent[g] = root
-                        chosen.append(i)
-                        tree.append(g)
+                if g > root and parent_colour[g] == -1 and centre[c] in (x, g):
+                    parent[g], parent_colour[g] = x, c
+                    uf.parent[g] = root
+                    chosen.append((x, g, c) if x < g else (g, x, c))
+                    tree.append(g)
         uf.size[root] = len(tree)
     uf.components = n - len(chosen)
-    return chosen, parent, parent_edge, uf
+    return chosen, parent, parent_colour, uf
+
+
+def _parent_edges(directed: DirectedHypergraph, graph: ColouredGraph, parent, parent_colour) -> list:
+    """``parent_colour`` as edge indices of ``graph = star_graph(directed)``,
+    whose class c is an index range with one edge per member t of
+    hyperedge e but its head h, ascending: t's is ``start + e.index(t) - (t > h)``."""
+    members, centre = directed.base.edges, directed.heads
+    parent_edge = [-1] * len(parent)
+    for v, c in enumerate(parent_colour):
+        if c != -1:
+            t = parent[v] if v == centre[c] else v
+            parent_edge[v] = graph._classes[c].start + members[c].index(t) - (t > centre[c])
+    return parent_edge
 
 
 class _RainbowEngine:
@@ -472,40 +464,52 @@ class _RainbowEngine:
         self.unused.remove(c)
 
 
-def maximum_rainbow_forest(graph: ColouredGraph) -> tuple:
-    """Indices of a maximum forest with pairwise distinct edge colours.
-
-    A maximum common independent set of the graphic matroid and the
-    colour partition matroid: the scarcest-first scan as the seed, the
-    orientation seed in its place when the scan does not span, then,
-    unless that seed spans, exchange-graph augmentation from its search
-    trees until the forest spans or no augmenting path remains.
-    """
-    seed = _greedy_rainbow_forest(graph)
-    if seed is not None:
-        return tuple(sorted(seed))
-    seed, parent, parent_edge, uf = _orientation_seed(graph)
-    if uf.components == 1:
-        return tuple(sorted(seed))
+def _augmented(graph: ColouredGraph, parent: list, parent_edge: list, uf: UnionFind) -> tuple:
+    """The sorted triples of a maximum rainbow forest grown from a rooted one."""
     engine = _RainbowEngine(graph, parent, parent_edge, uf)
     while uf.components > 1 and engine.augment():
         pass
-    return engine.forest()
+    return tuple(sorted(map(graph.edges.__getitem__, engine.forest())))
+
+
+def maximum_rainbow_forest(graph) -> tuple:
+    """The sorted ``(u, v, colour)`` triples of a maximum forest with
+    pairwise distinct colours: a maximum common independent set of the
+    graphic matroid and the colour partition matroid.
+
+    ``graph`` is a :class:`ColouredGraph`, augmented from the empty forest
+    (exact without a seed), or a
+    :class:`~hypershrink.core.DirectedHypergraph` read as its star
+    expansion (an invalid base is refused with ``ValueError("invalid
+    hypergraph: <report>")``): the scan where it spans, else the
+    orientation seed where it spans, else :func:`star_graph` augmented
+    from the seed's search trees.
+    """
+    if not isinstance(graph, DirectedHypergraph):
+        return _augmented(graph, [-1] * graph.n, [-1] * graph.n, UnionFind(graph.n))
+    _require_valid(graph.base)
+    forest = _scan(graph)
+    if forest is None:
+        forest, parent, parent_colour, uf = _orientation_seed(graph)
+        if uf.components > 1:
+            star = star_graph(graph)
+            return _augmented(star, parent, _parent_edges(graph, star, parent, parent_colour), uf)
+    return tuple(sorted(forest))
 
 
 def rainbow_spanning_tree(graph: ColouredGraph):
     """A rainbow spanning tree of ``graph``, or None if there is none.
 
-    Returns a :class:`RainbowTree` whose edge list is sorted by endpoints.
-    Absence is a legitimate outcome (the star expansion of a
-    non-hypertree has none), hence a value rather than an exception.
+    Returns a :class:`RainbowTree` of :func:`maximum_rainbow_forest`'s
+    sorted triples.  Absence is a legitimate outcome (the star expansion
+    of a non-hypertree has none), hence a value rather than an exception.
     """
     if graph.n < 1:
         raise ValueError("graph must have at least one vertex")
     forest = maximum_rainbow_forest(graph)
     if len(forest) < graph.n - 1:
         return None
-    return RainbowTree(graph.n, tuple(sorted(graph.edges[i] for i in forest)))
+    return RainbowTree(graph.n, forest)
 
 
 def check_rainbow_condition(graph: ColouredGraph, limit: int = 20):

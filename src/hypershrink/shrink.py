@@ -3,9 +3,10 @@
 Replacing each hyperedge by one pair of its vertices is a *shrinking*;
 for a hypertree of rank k the pipeline here produces a spanning tree T
 with d_T(v) >= max(1, floor(d_H(v)/k)) at every vertex: orient the
-hypergraph so indegrees dominate floor(d_H/k), expand every hyperarc to a
-star centred at its head, extract a rainbow spanning tree, and read the
-hyperedge-to-tree-edge bijection off the colours.
+hypergraph so indegrees dominate floor(d_H/k), take a rainbow spanning
+tree of the star expansion (every hyperarc a star centred at its head,
+read off the hyperarcs and built only if exchange-graph augmentation
+runs), and read the hyperedge-to-tree-edge bijection off the colours.
 """
 
 import json
@@ -15,7 +16,7 @@ from operator import contains, itemgetter, lt, mul
 
 from .core import Hypergraph, LimitExceededError, _degree_guarantee, _exact_int_tuples, _exact_ints, _require_valid
 from .orientation import orient_floor
-from .rainbow import UnionFind, _dot_document, _dot_edge, maximum_rainbow_forest, star_graph
+from .rainbow import UnionFind, _dot_document, _dot_edge, maximum_rainbow_forest
 
 
 class NotAHypertreeError(Exception):
@@ -101,17 +102,14 @@ def shrink_hypertree(hypergraph: Hypergraph, k: int = None) -> Shrinking:
     _require_valid(hypergraph)
     n, m = hypergraph.n, hypergraph.num_edges
     if m != n - 1:
-        raise NotAHypertreeError(
-            "edge-count", f"a hypertree on {n} vertices has {n - 1} hyperedges, got {m}"
-        )
-    graph = star_graph(orient_floor(hypergraph, k))
-    forest = maximum_rainbow_forest(graph)
-    if len(forest) < n - 1:
+        count = f"on {n} vertices has {n - 1} hyperedges, got {m}" if n else "has at least one vertex"
+        raise NotAHypertreeError("edge-count", f"a hypertree {count}")
+    tree = maximum_rainbow_forest(orient_floor(hypergraph, k))
+    if len(tree) < n - 1:
         raise NotAHypertreeError(
             "no-rainbow-tree", "the star expansion has no rainbow spanning tree"
         )
-    # each colour is held once, so hyperedge c gets colour c's position
-    tree = sorted(map(graph.edges.__getitem__, forest))
+    # sorted triples, each colour once: hyperedge c gets colour c's position
     assignment = [0] * m
     for j, (_, _, c) in enumerate(tree):
         assignment[c] = j

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import hypershrink
 from hypershrink import ColouredGraph, Hypergraph
+from hypershrink import rainbow
 from hypershrink.core import FormatError, ValidationReport, Violation, _require_valid
+from hypershrink.orientation import _incidence, _orient
 from hypershrink.rainbow import UnionFind
 from hypershrink.shrink import VerificationCheck, VerificationReport
 
@@ -331,6 +333,60 @@ def rooted_forest(graph: ColouredGraph, seed) -> tuple:
                     parent[y], parent_edge[y] = x, i
                     stack.append(y)
     return parent, parent_edge, uf
+
+
+def reference_orientation_seed(graph: ColouredGraph) -> tuple:
+    """The rainbow orientation seed on any coloured graph, each colour
+    class read as the hyperedge of its endpoints: the package's 0/1
+    orientation heads the classes (demand 0 at vertex 0, 1 elsewhere), and
+    a breadth-first search from vertex 0, then from each vertex still
+    unreached in order, moves from x to g = ``heads[c]`` for each colour c
+    at x when g is unreached and ``(min(x, g), max(x, g), c)`` is an edge,
+    looked up in a dict of every edge, and keeps that edge.  Returns the
+    kept edge indices, the search trees as ``parent`` and ``parent_edge``
+    arrays (-1 at each root) and the union-find of the trees."""
+    edges, n = graph.edges, graph.n
+    ends = tuple(tuple(sorted({x for i in cl for x in edges[i][:2]})) for cl in graph._classes)
+    hypergraph = Hypergraph(n, ends)
+    heads, incident, _ = _orient(hypergraph, [0] + [1] * (n - 1))
+    if incident is None:
+        incident = _incidence(hypergraph)
+    index = {edge: i for i, edge in enumerate(edges)}
+    uf = UnionFind(n)
+    parent, parent_edge = [-1] * n, [-1] * n
+    chosen = []
+    for root in range(n):
+        if parent_edge[root] != -1:
+            continue
+        tree = [root]
+        for x in tree:
+            for c in incident[x]:
+                g = heads[c]
+                if g > root and parent_edge[g] == -1:
+                    i = index.get((x, g, c) if x < g else (g, x, c))
+                    if i is not None:
+                        parent[g], parent_edge[g] = x, i
+                        uf.union(root, g)
+                        chosen.append(i)
+                        tree.append(g)
+    return chosen, parent, parent_edge, uf
+
+
+def reference_rainbow_forest(graph: ColouredGraph) -> tuple:
+    """The three rainbow tiers on a coloured graph, each from its
+    reference where it has one: the sort-key scan where it spans, else
+    the reference orientation seed where it spans, else the package's
+    engine augmenting from that seed's search trees.  Returns the
+    forest's triples, sorted."""
+    chosen, components = sort_key_greedy(graph)
+    if components > 1:
+        chosen, parent, parent_edge, uf = reference_orientation_seed(graph)
+        if uf.components > 1:
+            engine = rainbow._RainbowEngine(graph, parent, parent_edge, uf)
+            while uf.components > 1 and engine.augment():
+                pass
+            chosen = engine.forest()
+    return tuple(sorted(graph.edges[i] for i in chosen))
 
 
 # ---------------------------------------------------------------------------

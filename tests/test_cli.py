@@ -157,6 +157,20 @@ def test_shrink_non_hypertree(triangle_file, capsys):
     assert "not a hypertree" in capsys.readouterr().err
 
 
+def test_empty_vertex_set_is_no_hypertree_in_plain_words(tmp_path, capsys):
+    # a hypertree has n - 1 hyperedges, which n = 0 must not print as -1
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 0, "edges": []}')
+    assert main(["shrink", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "not a hypertree (edge-count): a hypertree has at least one vertex\n"
+    )
+    assert main(["check", "--oracle", str(path)]) == 1
+    assert capsys.readouterr().out == "not a hypertree: a hypertree has at least one vertex\n"
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == "not a hypertree\n"
+
+
 def test_orient_floor_default(h1_file, capsys):
     assert main(["orient", h1_file]) == 0
     data = json.loads(capsys.readouterr().out)

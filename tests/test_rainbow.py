@@ -1,5 +1,6 @@
 import collections
 import random
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from hypershrink import (
     DirectedHypergraph,
     LimitExceededError,
     RainbowTree,
+    adversarial_star,
     check_rainbow_condition,
     coloured_graph_to_dot,
     is_hypertree,
@@ -32,6 +34,9 @@ from helpers import (
     component_count,
     is_spanning_tree,
     random_coloured_graph,
+    random_valid_hypergraph,
+    reference_orientation_seed,
+    reference_rainbow_forest,
     rooted_forest,
     sort_key_greedy,
 )
@@ -116,38 +121,44 @@ def test_rainbow_tree_invariants():
 
 
 def test_greedy_seed_matches_the_sort_key_scan():
-    # the seed walks colour classes by size and each class by endpoints;
-    # the oracle sorts every edge by (class size, colour, u, v) at once
+    # the scan walks hyperedges by size and each one's members ascending;
+    # the oracle sorts every edge of the star expansion by (class size,
+    # colour, u, v) at once.  The engine walks the colour classes of a
+    # checked graph, which its constructor sorts into endpoint order
     rng = random.Random(2718)
-    graphs = []
+    unsorted = 0
     for _ in range(300):
         g = random_coloured_graph(rng, n_max=9, c_max=10)
         edges = list(g.edges)
         rng.shuffle(edges)  # classes out of endpoint order
-        graphs += [g, ColouredGraph(g.n, tuple(edges))]
-    for seed in range(30):
+        for graph in (g, ColouredGraph(g.n, tuple(edges))):
+            # the classes come in endpoint order; the graph's own edge
+            # order is what the shuffle above breaks
+            assert all(
+                [graph.edges[i] for i in cl] == sorted(graph.edges[i] for i in cl)
+                for cl in graph._classes
+            )
+            unsorted += any(
+                [graph.edges[i] for i in sorted(cl)] != sorted(graph.edges[i] for i in cl)
+                for cl in graph._classes
+            )
+    assert unsorted >= 100
+    directed = []
+    for seed in range(40):
         hg, _ = random_hypertree(rng.randint(2, 40), rng.randint(2, 5), seed, 0.7)
-        heads = tuple(rng.choice(e) for e in hg.edges)
-        graphs.append(star_graph(DirectedHypergraph(hg, heads)))
-    unsorted = 0
+        directed += [orient_floor(hg), DirectedHypergraph(hg, tuple(rng.choice(e) for e in hg.edges))]
+    for _ in range(100):  # any edge count: the scan may skip m - (n - 1) hyperedges
+        hg = random_valid_hypergraph(rng)
+        directed.append(DirectedHypergraph(hg, tuple(rng.choice(e) for e in hg.edges)))
+    directed += [orient_floor(adversarial_star(m, k)) for m, k in ((5, 3), (40, 4), (300, 3))]
     spanned = {True: 0, False: 0}
-    for g in graphs:
-        classes = g._classes
-        # the classes come in endpoint order; the graph's own edge order
-        # is what the shuffle above breaks
-        assert all(
-            [g.edges[i] for i in cl] == sorted(g.edges[i] for i in cl) for cl in classes
-        )
-        unsorted += any(
-            [g.edges[i] for i in sorted(cl)] != sorted(g.edges[i] for i in cl)
-            for cl in classes
-        )
+    for d in directed:
+        star = star_graph(d)
         # the scan gives up once it cannot span, so only a spanning scan
         # returns its edges
-        chosen, components = sort_key_greedy(g)
+        chosen, components = sort_key_greedy(star)
         spanned[components == 1] += 1
-        assert rainbow._greedy_rainbow_forest(g) == (chosen if components == 1 else None)
-    assert unsorted >= 100
+        assert rainbow._scan(d) == ([star.edges[i] for i in chosen] if components == 1 else None)
     assert min(spanned.values()) >= 50
 
 
@@ -209,11 +220,11 @@ def test_rainbow_needs_exchange_not_just_greed():
     # the orientation seed spans here on its own (vertex 3 meets colour 0
     # only, so it heads that class), so the exchange step is driven on the
     # engine from the scan's seed
-    chosen, _, _, spanned = rainbow._orientation_seed(g)
+    chosen, _, _, spanned = reference_orientation_seed(g)
     assert spanned.components == 1
     assert sorted(g.edges[i] for i in chosen) == [(0, 1, 1), (0, 2, 2), (2, 3, 0)]
-    assert rainbow._greedy_rainbow_forest(g) is None
-    seed, _ = sort_key_greedy(g)
+    seed, components = sort_key_greedy(g)
+    assert components == 2
     assert [g.edges[i] for i in seed] == [(0, 2, 2), (0, 1, 0)]
     engine = rainbow._RainbowEngine(g, *rooted_forest(g, seed))
     assert engine.augment()
@@ -307,9 +318,10 @@ def test_intersection_is_maximum():
     for _ in range(60):
         g = random_coloured_graph(rng, n_max=5, c_max=6)
         forest = maximum_rainbow_forest(g)
-        colours = [g.edges[i][2] for i in forest]
+        assert list(forest) == sorted(set(forest)) and set(forest) <= set(g.edges)
+        colours = [c for _, _, c in forest]
         assert len(set(colours)) == len(forest)
-        pairs = [(g.edges[i][0], g.edges[i][1]) for i in forest]
+        pairs = [(u, v) for u, v, _ in forest]
         assert component_count(g.n, pairs) == g.n - len(forest)
         assert len(forest) == brute_max_rainbow_forest(g)
 
@@ -510,7 +522,7 @@ def seeds(graph: ColouredGraph) -> tuple:
     and the orientation seed of ``graph``, each checked to be a rainbow
     forest, the orientation seed's union-find holding its components."""
     scanned, _ = sort_key_greedy(graph)
-    oriented, _, _, uf = rainbow._orientation_seed(graph)
+    oriented, _, _, uf = reference_orientation_seed(graph)
     for chosen in (scanned, oriented):
         pairs = [graph.edges[i][:2] for i in chosen]
         assert len({graph.edges[i][2] for i in chosen}) == len(chosen)
@@ -568,6 +580,8 @@ def partition(uf, n: int) -> list:
 
 
 def test_orientation_seed_hands_over_the_rooting_of_its_own_forest():
+    # checked on the reference seed, which the hypergraph seed matches
+    # array for array (test_hypergraph_seed_matches_the_reference_seed):
     # the seed's breadth-first search and the reference depth-first
     # rooting both start their searches in ascending vertex order, so both
     # root each tree at its least vertex, and a forest with fixed roots
@@ -583,7 +597,7 @@ def test_orientation_seed_hands_over_the_rooting_of_its_own_forest():
             graphs.append(star_graph(DirectedHypergraph(hg, heads)))
     forests = 0
     for graph in graphs:
-        chosen, parent, parent_edge, uf = rainbow._orientation_seed(graph)
+        chosen, parent, parent_edge, uf = reference_orientation_seed(graph)
         reference_parent, reference_edge, reference_uf = rooted_forest(graph, chosen)
         assert parent == reference_parent
         assert parent_edge == reference_edge
@@ -614,7 +628,7 @@ def test_orientation_seed_leaves_a_tenth_of_the_scans_components(k, p, monkeypat
     hg, _ = random_hypertree(2000, k, 1, p)
     star = star_graph(orient_floor(hg))
     _, scanned = sort_key_greedy(star)
-    _, _, _, oriented = rainbow._orientation_seed(star)
+    _, _, _, oriented = rainbow._orientation_seed(orient_floor(hg))
     assert 10 * oriented.components <= scanned
     calls = count_augmentations(monkeypatch)
     assert verify_shrinking(hg, shrink_hypertree(hg))
@@ -628,3 +642,83 @@ def test_shrink_at_16000_augments_at_most_three_times(monkeypatch):
     calls = count_augmentations(monkeypatch)
     assert verify_shrinking(hg, shrink_hypertree(hg))
     assert len(calls) <= 3
+
+
+def test_hypergraph_seed_matches_the_reference_seed():
+    # the seed reads hyperedges and heads where the reference looks each
+    # star edge up in a dict over the expansion; both keep the same edges
+    # in the same order, root the same trees, and the seed's parent
+    # colours map to the reference's parent edges, so the engine starts
+    # from the same state and the stage returns the reference tiers' forest
+    rng = random.Random(1985)
+    directed = []
+    for seed in range(12):
+        for k, p in ((3, 0.5), (5, 0.8)):
+            hg, _ = random_hypertree(40, k, seed, p)
+            directed += [orient_floor(hg), DirectedHypergraph(hg, tuple(rng.choice(e) for e in hg.edges))]
+    for _ in range(100):
+        hg = random_valid_hypergraph(rng)
+        directed.append(DirectedHypergraph(hg, tuple(rng.choice(e) for e in hg.edges)))
+    forests = 0
+    for d in directed:
+        star = star_graph(d)
+        chosen, parent, parent_colour, uf = rainbow._orientation_seed(d)
+        reference, reference_parent, reference_edge, reference_uf = reference_orientation_seed(star)
+        assert chosen == [star.edges[i] for i in reference]
+        assert parent == reference_parent
+        assert rainbow._parent_edges(d, star, parent, parent_colour) == reference_edge
+        assert uf.components == reference_uf.components == d.base.n - len(chosen)
+        assert partition(uf, d.base.n) == partition(reference_uf, d.base.n)
+        assert maximum_rainbow_forest(d) == reference_rainbow_forest(star)
+        forests += uf.components > 1
+    assert forests >= 50
+
+
+def patch_star_graph(monkeypatch, replacement) -> None:
+    """Replace ``star_graph`` at every package module that binds it, the
+    name its callers look it up through."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hypershrink.") and getattr(module, "star_graph", None) is star_graph:
+            monkeypatch.setattr(module, "star_graph", replacement)
+
+
+def refuse_star_graph(monkeypatch) -> None:
+    def refuse(directed):
+        raise AssertionError("star expansion built")
+
+    patch_star_graph(monkeypatch, refuse)
+
+
+@pytest.mark.parametrize("m", (1000, 2000))
+@pytest.mark.parametrize("k", (3, 4))
+def test_shrink_on_a_hub_builds_no_star_expansion(m, k, monkeypatch):
+    refuse_star_graph(monkeypatch)
+    hg = adversarial_star(m, k)
+    assert verify_shrinking(hg, shrink_hypertree(hg))
+
+
+def test_shrink_builds_no_star_expansion_where_the_seed_spans(monkeypatch):
+    hg, _ = random_hypertree(500, 5, 2, 0.8)
+    directed = orient_floor(hg)
+    assert rainbow._scan(directed) is None
+    assert rainbow._orientation_seed(directed)[3].components == 1
+    refuse_star_graph(monkeypatch)
+    assert verify_shrinking(hg, shrink_hypertree(hg))
+
+
+def test_shrink_builds_one_star_expansion_per_engine(monkeypatch):
+    expansions, engines = [], []
+    start = rainbow._RainbowEngine.__init__
+    patch_star_graph(monkeypatch, lambda d: expansions.append(d) or star_graph(d))
+
+    def counted(engine, *args):
+        engines.append(engine)
+        start(engine, *args)
+
+    monkeypatch.setattr(rainbow._RainbowEngine, "__init__", counted)
+    for n in (250, 500, 1000, 2000):
+        for k, p in ((3, 0.5), (5, 0.8)):
+            hg, _ = random_hypertree(n, k, 1, p)
+            assert verify_shrinking(hg, shrink_hypertree(hg))
+            assert len(expansions) == len(engines)
+    assert len(engines) >= 3  # most of the ladder runs the engine

@@ -13,6 +13,7 @@ from hypershrink import (
     floor_demand,
     is_hypertree,
     is_hypertree_bruteforce,
+    maximum_rainbow_forest,
     orient_floor,
     orient_with_demands,
     random_hypertree,
@@ -206,6 +207,8 @@ INDEXING_ENTRY_POINTS = {
     "brute_force_shrink": brute_force_shrink,
     "is_hypertree_bruteforce": is_hypertree_bruteforce,
     "star_graph": lambda h: star_graph(DirectedHypergraph(h, tuple(e[-1] for e in h.edges))),
+    "maximum_rainbow_forest":
+        lambda h: maximum_rainbow_forest(DirectedHypergraph(h, tuple(e[-1] for e in h.edges))),
 }
 
 

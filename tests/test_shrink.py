@@ -17,8 +17,8 @@ from hypershrink import (
     adversarial_star,
     brute_force_shrink,
     floor_demand,
+    is_hypertree_bruteforce,
     orient_floor,
-    rainbow_spanning_tree,
     random_hypertree,
     shrink_hypertree,
     shrinking_to_dot,
@@ -35,6 +35,7 @@ from helpers import (
     break_hypertree,
     is_spanning_tree,
     random_tree_count_hypergraph,
+    reference_rainbow_forest,
     reference_shrinking_to_json,
     reference_tree_degrees,
     reference_verify_shrinking,
@@ -78,9 +79,16 @@ def test_shrink_triangle_raises():
 
 
 def test_shrink_wrong_edge_count_raises():
-    with pytest.raises(NotAHypertreeError) as info:
-        shrink_hypertree(Hypergraph(3, ((0, 1, 2),)))
-    assert info.value.reason == "edge-count"
+    for hg, message in (
+        (Hypergraph(3, ((0, 1, 2),)), "a hypertree on 3 vertices has 2 hyperedges, got 1"),
+        # n - 1 = -1 hyperedges is no count to print
+        (Hypergraph(0, ()), "a hypertree has at least one vertex"),
+    ):
+        with pytest.raises(NotAHypertreeError) as info:
+            shrink_hypertree(hg)
+        assert info.value.reason == "edge-count"
+        assert str(info.value) == message
+        assert is_hypertree_bruteforce(hg).bad_edge_count
 
 
 def test_shrink_single_vertex():
@@ -333,11 +341,13 @@ def test_shrink_agrees_with_brute_force():
 
 
 def test_lean_shrink_matches_the_checked_path():
-    # star_graph trusts that each star is a contiguous run of edges in
-    # endpoint order and shrink_hypertree reads the Shrinking off the
-    # forest; the checked path re-checks the edges as a ColouredGraph, sorts
-    # the classes and goes through RainbowTree, so equal answers pin what
-    # the lean path trusts
+    # shrink_hypertree reads hyperedges and heads, builds star_graph only
+    # for the engine, which trusts each star to be a contiguous run of
+    # edges in endpoint order, and reads the Shrinking off the forest; the
+    # checked path re-checks the expansion as a ColouredGraph, sorts its
+    # classes, runs the reference tiers (sort-key scan, dict-based seed,
+    # engine) and goes through RainbowTree, so equal answers pin what the
+    # lean path trusts
     hypergraphs = [
         random_hypertree(n, k, seed, p)[0]
         for n in (9, 40, 500)
@@ -351,14 +361,12 @@ def test_lean_shrink_matches_the_checked_path():
         checked = ColouredGraph(star.n, star.edges)
         assert checked.edges == star.edges
         assert checked._classes == [list(cl) for cl in star._classes]
-        # the orientation seed heads the class hypergraph, so equal ones
-        # keep both paths picking the same tree
-        assert checked._class_hypergraph.edges == star._class_hypergraph.edges
-        pairs = {c: (u, v) for u, v, c in rainbow_spanning_tree(checked).edges}
+        tree = RainbowTree(checked.n, reference_rainbow_forest(checked))
+        pairs = {c: (u, v) for u, v, c in tree.edges}
         assert shrink_hypertree(hg) == Shrinking.from_pairs([pairs[i] for i in range(hg.num_edges)])
     for hg in hypergraphs[24:36]:  # n = 500, each with pairs to break
         broken = break_hypertree(hg)
-        assert rainbow_spanning_tree(star_graph(orient_floor(broken))) is None
+        assert len(reference_rainbow_forest(star_graph(orient_floor(broken)))) < broken.n - 1
         with pytest.raises(NotAHypertreeError) as info:
             shrink_hypertree(broken)
         assert info.value.reason == "no-rainbow-tree"

@@ -9,7 +9,6 @@ immutable after construction and safe to share between threads.
 import json
 import re
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import chain
 from operator import contains, itemgetter, lt
 
@@ -32,7 +31,7 @@ def _exact_int_tuples(rows: tuple, width: int = None) -> bool:
     another int-like), each of length ``width`` if given.
 
     Whole-column C-level passes decide, so constructors can keep such
-    rows as they are and rebuild any other input with ``int()``.
+    rows as they are and rebuild any other input with :func:`_exact_int`.
     """
     return (
         set(map(type, rows)) <= {tuple}
@@ -41,14 +40,57 @@ def _exact_int_tuples(rows: tuple, width: int = None) -> bool:
     )
 
 
+def _exact_int(x) -> int:
+    """``int(x)``, refusing with ValueError a value it would change, such
+    as ``1.7`` or ``"2"``; bools and other int-likes normalise."""
+    i = int(x)
+    if i != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return i
+
+
 def _exact_ints(values) -> tuple:
-    """``values`` as a tuple of exact ``int``, kept as it is when it is one."""
+    """``values`` as a tuple of exact ``int``, kept as it is when it is one,
+    else rebuilt with :func:`_exact_int`."""
     values = tuple(values)
-    return values if set(map(type, values)) <= {int} else tuple(map(int, values))
+    return values if set(map(type, values)) <= {int} else tuple(map(_exact_int, values))
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class _Value:
+    """Base of the immutable value classes.
+
+    ``__match_args__`` names the fields, in constructor order; equality
+    (within one class), the hash and the repr read them, and positional
+    ``match`` patterns bind them.  Constructors store the fields through
+    ``__dict__``, where methods also keep their memos, which stay out of
+    equality, hash and repr; every other write raises AttributeError.
+    """
+
+    __match_args__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self.__match_args__, self._astuple()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Hypergraph(_Value):
     """A hypergraph on vertices ``0..n-1`` with an ordered list of hyperedges.
 
     The constructor normalises edges to tuples but does not enforce the
@@ -58,16 +100,16 @@ class Hypergraph:
     report are computed once and remembered.
     """
 
-    n: int
-    edges: tuple = ()
+    __match_args__ = ("n", "edges")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges: tuple = ()):
+        n = _exact_int(n)
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        edges = tuple(self.edges)
+        edges = tuple(edges)
         if not _exact_int_tuples(edges):
-            edges = tuple([tuple(map(int, e)) for e in edges])
-        object.__setattr__(self, "edges", edges)
+            edges = tuple(map(_exact_ints, edges))
+        self.__dict__.update(n=n, edges=edges)
 
     @property
     def num_edges(self) -> int:
@@ -103,25 +145,24 @@ class Hypergraph:
         return sum(1 for e in self.edges if not fset.isdisjoint(e))
 
 
-@dataclass(frozen=True)
-class DirectedHypergraph:
+class DirectedHypergraph(_Value):
     """A hypergraph whose every hyperedge carries a designated head vertex.
 
     ``heads[i]`` is the head of ``base.edges[i]``; the remaining vertices
     of the hyperedge are its tails.
     """
 
-    base: Hypergraph
-    heads: tuple = ()
+    __match_args__ = ("base", "heads")
 
-    def __post_init__(self):
-        object.__setattr__(self, "heads", _exact_ints(self.heads))
-        if len(self.heads) != len(self.base.edges):
+    def __init__(self, base: Hypergraph, heads: tuple = ()):
+        heads = _exact_ints(heads)
+        if len(heads) != len(base.edges):
             raise ValueError("one head per hyperedge required")
-        if not all(map(contains, self.base.edges, self.heads)):
-            for i, (e, h) in enumerate(zip(self.base.edges, self.heads)):
+        if not all(map(contains, base.edges, heads)):
+            for i, (e, h) in enumerate(zip(base.edges, heads)):
                 if h not in e:
                     raise ValueError(f"head {h} not a member of hyperedge {i}")
+        self.__dict__.update(base=base, heads=heads)
 
     def indegree(self, v: int) -> int:
         """Number of hyperarcs whose head is ``v``."""
@@ -145,16 +186,16 @@ class DirectedHypergraph:
         return tuple(v for v in self.base.edges[i] if v != h)
 
 
-@dataclass(frozen=True)
-class DemandFunction:
+class DemandFunction(_Value):
     """Per-vertex non-negative integer demands."""
 
-    values: tuple = ()
+    __match_args__ = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _exact_ints(self.values))
-        if min(self.values, default=0) < 0:
+    def __init__(self, values: tuple = ()):
+        values = _exact_ints(values)
+        if min(values, default=0) < 0:
             raise ValueError("demands must be non-negative")
+        self.__dict__.update(values=values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -170,21 +211,26 @@ class DemandFunction:
         return sum(self.values[v] for v in vertices)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One problem found by :func:`validate`."""
+class Violation(_Value):
+    """One problem found by :func:`validate`; ``kind`` is "loop",
+    "duplicate", "vertex-range" or "unsorted"."""
 
-    kind: str  # "loop" | "duplicate" | "vertex-range" | "unsorted"
-    edge_index: int
-    detail: str
+    __match_args__ = ("kind", "edge_index", "detail")
+
+    def __init__(self, kind: str, edge_index: int, detail: str):
+        self.__dict__.update(kind=kind, edge_index=edge_index, detail=detail)
 
     def __str__(self) -> str:
         return f"{self.kind} at edge {self.edge_index}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple = ()
+class ValidationReport(_Value):
+    """The violations :func:`validate` found, in edge order; true when none."""
+
+    __match_args__ = ("violations",)
+
+    def __init__(self, violations: tuple = ()):
+        self.__dict__.update(violations=violations)
 
     @property
     def ok(self) -> bool:

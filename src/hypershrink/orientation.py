@@ -32,7 +32,6 @@ stage's orientation seed, which runs it on the hyperedges with the
 demands of :func:`is_hypertree`.
 """
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import floordiv
 
@@ -44,23 +43,23 @@ from .core import (
     LimitExceededError,
     _degree_guarantee,
     _require_valid,
+    _Value,
 )
 
 
-@dataclass(frozen=True)
-class OrientationResult:
+class OrientationResult(_Value):
     """Either an orientation meeting the demands or a violating vertex set.
 
     Exactly one field is set.  When ``violator`` is returned, the set F
     satisfies f(F) > e*(F), certifying that no orientation was missed.
     """
 
-    oriented: DirectedHypergraph = None
-    violator: tuple = None
+    __match_args__ = ("oriented", "violator")
 
-    def __post_init__(self):
-        if (self.oriented is None) == (self.violator is None):
+    def __init__(self, oriented: DirectedHypergraph = None, violator: tuple = None):
+        if (oriented is None) == (violator is None):
             raise ValueError("exactly one of oriented/violator must be set")
+        self.__dict__.update(oriented=oriented, violator=violator)
 
     @property
     def is_oriented(self) -> bool:
@@ -311,8 +310,7 @@ def orient_floor(hypergraph: Hypergraph, k: int = None) -> DirectedHypergraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BruteforceResult:
+class BruteforceResult(_Value):
     """Outcome of the definitional check, with a witness on failure.
 
     ``violating_subset`` is a vertex set containing too many hyperedges;
@@ -320,9 +318,12 @@ class BruteforceResult:
     but misses the equality |E| = n - 1 at the full vertex set.
     """
 
-    is_hypertree: bool
-    violating_subset: tuple = None
-    bad_edge_count: bool = False
+    __match_args__ = ("is_hypertree", "violating_subset", "bad_edge_count")
+
+    def __init__(self, is_hypertree: bool, violating_subset: tuple = None, bad_edge_count: bool = False):
+        self.__dict__.update(
+            is_hypertree=is_hypertree, violating_subset=violating_subset, bad_edge_count=bad_edge_count
+        )
 
     def __bool__(self) -> bool:
         return self.is_hypertree

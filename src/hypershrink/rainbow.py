@@ -25,11 +25,10 @@ for the component-count characterisation doubles as the test oracle.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import accumulate, combinations
 from operator import itemgetter
 
-from .core import DirectedHypergraph, LimitExceededError, _exact_int_tuples, _require_valid
+from .core import DirectedHypergraph, LimitExceededError, _exact_int, _exact_int_tuples, _exact_ints, _require_valid, _Value
 from .orientation import _incidence, _orient
 
 
@@ -59,8 +58,7 @@ class UnionFind:
         return True
 
 
-@dataclass(frozen=True)
-class ColouredGraph:
+class ColouredGraph(_Value):
     """Simple graph with colour ids on its edges.
 
     Edges are ``(u, v, colour)`` triples with ``u < v``; parallel edges
@@ -68,20 +66,19 @@ class ColouredGraph:
     ``_classes[c]``: the indices of the colour-c edges in endpoint order.
     """
 
-    n: int
-    edges: tuple = ()
+    __match_args__ = ("n", "edges")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges: tuple = ()):
+        n = _exact_int(n)
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        edges = tuple(self.edges)
+        edges = tuple(edges)
         if not _exact_int_tuples(edges, 3):
-            edges = tuple([(int(u), int(v), int(c)) for u, v, c in edges])
-        object.__setattr__(self, "edges", edges)
+            edges = tuple([_exact_ints((u, v, c)) for u, v, c in edges])
         seen = set()
         for u, v, c in edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"bad endpoints ({u}, {v}) for n={self.n}")
+            if not (0 <= u < v < n):
+                raise ValueError(f"bad endpoints ({u}, {v}) for n={n}")
             if c < 0:
                 raise ValueError("colour ids must be non-negative")
             if (u, v, c) in seen:
@@ -93,32 +90,31 @@ class ColouredGraph:
         classes = [[] for _ in colours]
         for i in sorted(range(len(edges)), key=edges.__getitem__):
             classes[edges[i][2]].append(i)
-        object.__setattr__(self, "_classes", classes)
+        self.__dict__.update(n=n, edges=edges, _classes=classes)
 
     @property
     def num_colours(self) -> int:
         return len(self._classes)
 
 
-@dataclass(frozen=True)
-class RainbowTree:
+class RainbowTree(_Value):
     """A spanning tree whose edges carry pairwise-distinct colours."""
 
-    n: int
-    edges: tuple = ()
+    __match_args__ = ("n", "edges")
 
-    def __post_init__(self):
-        edges = tuple(self.edges)
+    def __init__(self, n: int, edges: tuple = ()):
+        n = _exact_int(n)
+        edges = tuple(edges)
         if not _exact_int_tuples(edges, 3):
-            edges = tuple([(int(u), int(v), int(c)) for u, v, c in edges])
-        object.__setattr__(self, "edges", edges)
-        if len(self.edges) != self.n - 1:
-            raise ValueError(f"{len(self.edges)} edges cannot span {self.n} vertices")
-        uf = UnionFind(self.n)
-        if not all(uf.union(u, v) for u, v, _ in self.edges):
+            edges = tuple([_exact_ints((u, v, c)) for u, v, c in edges])
+        if len(edges) != n - 1:
+            raise ValueError(f"{len(edges)} edges cannot span {n} vertices")
+        uf = UnionFind(n)
+        if not all(uf.union(u, v) for u, v, _ in edges):
             raise ValueError("edges contain a cycle")
-        if len({c for _, _, c in self.edges}) != len(self.edges):
+        if len({c for _, _, c in edges}) != len(edges):
             raise ValueError("colours are not pairwise distinct")
+        self.__dict__.update(n=n, edges=edges)
 
 
 def star_graph(directed: DirectedHypergraph) -> ColouredGraph:

@@ -10,11 +10,10 @@ runs), and read the hyperedge-to-tree-edge bijection off the colours.
 """
 
 import json
-from dataclasses import dataclass
 from itertools import chain, combinations, compress, count, product, repeat
 from operator import contains, itemgetter, lt, mul
 
-from .core import Hypergraph, LimitExceededError, _degree_guarantee, _exact_int_tuples, _exact_ints, _require_valid
+from .core import Hypergraph, LimitExceededError, _degree_guarantee, _exact_int_tuples, _exact_ints, _require_valid, _Value
 from .orientation import orient_floor
 from .rainbow import UnionFind, _dot_document, _dot_edge, maximum_rainbow_forest
 
@@ -31,8 +30,7 @@ class NotAHypertreeError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Shrinking:
+class Shrinking(_Value):
     """A spanning tree plus the bijection hyperedge -> tree edge.
 
     ``tree`` lists the n-1 edges in lexicographic order; ``assignment[i]``
@@ -41,15 +39,13 @@ class Shrinking:
     the invariants, so that defective candidates can be inspected.
     """
 
-    tree: tuple = ()
-    assignment: tuple = ()
+    __match_args__ = ("tree", "assignment")
 
-    def __post_init__(self):
-        tree = tuple(self.tree)
+    def __init__(self, tree: tuple = (), assignment: tuple = ()):
+        tree = tuple(tree)
         if not _exact_int_tuples(tree, 2):
-            tree = tuple([(int(u), int(v)) for u, v in tree])
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "assignment", _exact_ints(self.assignment))
+            tree = tuple([_exact_ints((u, v)) for u, v in tree])
+        self.__dict__.update(tree=tree, assignment=_exact_ints(assignment))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Shrinking":
@@ -116,20 +112,26 @@ def shrink_hypertree(hypergraph: Hypergraph, k: int = None) -> Shrinking:
     return Shrinking([(u, v) for u, v, _ in tree], assignment)
 
 
-@dataclass(frozen=True)
-class VerificationCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+class VerificationCheck(_Value):
+    """One named check of :func:`verify_shrinking` and whether it passed."""
+
+    __match_args__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.__dict__.update(name=name, passed=passed, detail=detail)
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"
         return f"{self.name}: {status}" + (f" ({self.detail})" if self.detail else "")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple = ()
+class VerificationReport(_Value):
+    """The checks of :func:`verify_shrinking` in order; true when all passed."""
+
+    __match_args__ = ("checks",)
+
+    def __init__(self, checks: tuple = ()):
+        self.__dict__.update(checks=checks)
 
     @property
     def all_passed(self) -> bool:

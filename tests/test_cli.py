@@ -693,9 +693,10 @@ def test_orient_output_is_pinned(case, tmp_path, capsys):
 
 def test_cli_start_loads_no_oracle_only_module():
     # fractions (with decimal and numbers) serves brute_force_shrink alone,
-    # and the package needs neither typing nor csv; -S keeps site, which
-    # may import typing itself, out of the child
-    modules = "{'fractions', 'decimal', 'typing', 'csv'}"
+    # and the package needs neither typing nor csv, nor dataclasses with
+    # the inspect, ast and dis it loads; -S keeps site, which may import
+    # typing itself, out of the child
+    modules = "{'fractions', 'decimal', 'typing', 'csv', 'dataclasses', 'inspect', 'ast', 'dis'}"
     code = f"import sys, hypershrink.cli; print(sorted({modules} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], env=cli_env(), capture_output=True, text=True,

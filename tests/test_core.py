@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 
@@ -19,6 +18,8 @@ from hypershrink import (
     hypergraph_from_text,
     hypergraph_to_json,
     hypergraph_to_text,
+    is_hypertree,
+    shrink_hypertree,
     validate,
 )
 from helpers import H1, reference_hypergraph_from_json, reference_validate
@@ -58,7 +59,7 @@ def test_exact_int_tuples_kept_and_other_input_normalised():
     )
     for cls, exact_args, loose_args in cases:
         exact, loose = cls(*exact_args), cls(*loose_args)
-        names = [f.name for f in dataclasses.fields(cls)]
+        names = cls.__match_args__
         assert all(getattr(exact, a) is b for a, b in zip(names, exact_args))
         assert loose == exact
         flat = []
@@ -66,6 +67,37 @@ def test_exact_int_tuples_kept_and_other_input_normalised():
             for item in value if isinstance(value, tuple) else (value,):
                 flat.extend(item if isinstance(item, tuple) else (item,))
         assert {type(x) for x in flat} == {int}
+
+
+def test_constructors_refuse_numbers_int_would_change():
+    # the int() rebuild refuses a value it would change rather than
+    # truncate it, and a vertex count n follows the same rule
+    directed_base = Hypergraph(2, ((0, 1),))
+    cases = (
+        (lambda: Hypergraph(3, ((0, 1.7), (1, 2))), "1.7 is not an integer"),
+        (lambda: Hypergraph(3, (("0", "1"),)), "'0' is not an integer"),
+        (lambda: Hypergraph(2.5, ((0, 1),)), "2.5 is not an integer"),
+        (lambda: DirectedHypergraph(directed_base, (0.5,)), "0.5 is not an integer"),
+        (lambda: DemandFunction((1.5, 2)), "1.5 is not an integer"),
+        (lambda: ColouredGraph(3, ((0, 1, 0.5),)), "0.5 is not an integer"),
+        (lambda: ColouredGraph(2.5, ()), "2.5 is not an integer"),
+        (lambda: RainbowTree(2, ((0, 1.5, 0),)), "1.5 is not an integer"),
+        (lambda: RainbowTree(1.5, ()), "1.5 is not an integer"),
+        (lambda: Shrinking([(0, 1.9)], [0.2]), "1.9 is not an integer"),
+        (lambda: Shrinking([(0, 1)], [0.2]), "0.2 is not an integer"),
+    )
+    for build, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+    # an integral float or a bool is a whole number: n becomes that int
+    for cls, n, edges in (
+        (Hypergraph, 2.0, ((0, 1),)), (ColouredGraph, 2.0, ((0, 1, 0),)), (RainbowTree, True, ()),
+    ):
+        value = cls(n, edges)
+        assert type(value.n) is int and value == cls(int(n), edges)
+    hypergraph = Hypergraph(2.0, ((0, 1),))
+    assert is_hypertree(hypergraph)
+    assert shrink_hypertree(hypergraph) == Shrinking(((0, 1),), (0,))
 
 
 def test_negative_vertex_count_rejected():

@@ -373,11 +373,11 @@ def test_lean_shrink_matches_the_checked_path():
 
 
 def test_shrink_builds_no_checked_graph_or_tree(monkeypatch):
-    def refuse(self):
+    def refuse(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} built on the shrink path")
 
-    monkeypatch.setattr(ColouredGraph, "__post_init__", refuse)
-    monkeypatch.setattr(RainbowTree, "__post_init__", refuse)
+    monkeypatch.setattr(ColouredGraph, "__init__", refuse)
+    monkeypatch.setattr(RainbowTree, "__init__", refuse)
     for hg in (random_hypertree(500, 5, 1, 0.8)[0], adversarial_star(1000, 4)):
         assert verify_shrinking(hg, shrink_hypertree(hg)).all_passed
 

@@ -304,20 +304,21 @@ def _require_valid(hypergraph: Hypergraph) -> None:
 
 def _degree_guarantee(hypergraph: Hypergraph, k=None) -> tuple:
     """``(k, bound)`` on a valid hypergraph: k defaults to the rank (1 if
-    edgeless) and must be positive; ``bound[v]`` = max(1, floor(d_H(v)/k)),
-    the tree degree promised to v, or 0 when n <= 1.  The list is kept for
-    the last k and its type (a float k gives floats) and is read only."""
+    edgeless), else must be an exact positive integer (``3.0`` reads as 3,
+    ``3.5`` and ``"3"`` are refused by :func:`_exact_int`); ``bound[v]`` =
+    max(1, floor(d_H(v)/k)), the tree degree promised to v, or 0 when
+    n <= 1.  The list is kept for the last k and is read only."""
     _require_valid(hypergraph)
     if k is None:
         k = max(hypergraph.rank(), 1)
-    elif k < 1:
+    elif (k := _exact_int(k)) < 1:
         raise ValueError("k must be positive")
     memo = hypergraph.__dict__.get("_bound")
-    if memo is None or memo[0] != (type(k), k):
+    if memo is None or memo[0] != k:
         degrees = hypergraph.degrees()
         least = 1 if hypergraph.n > 1 else 0  # a tree on one vertex has no edge
         per_degree = {d: max(least, d // k) for d in set(degrees)}
-        memo = ((type(k), k), list(map(per_degree.__getitem__, degrees)))
+        memo = (k, list(map(per_degree.__getitem__, degrees)))
         object.__setattr__(hypergraph, "_bound", memo)
     return k, memo[1]
 

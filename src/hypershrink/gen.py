@@ -33,9 +33,12 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randrange(self, bound: int) -> int:
-        """Uniform integer in [0, bound), unbiased via rejection."""
+        """Uniform integer in [0, bound), unbiased via rejection, for
+        0 < bound <= 2**64: a larger bound has no draw to accept."""
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if bound > 1 << 64:
+            raise ValueError("bound must be at most 2**64")
         threshold = (1 << 64) - ((1 << 64) % bound)
         while True:
             u = self.next_uint64()

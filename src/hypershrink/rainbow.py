@@ -33,11 +33,12 @@ from .orientation import _incidence, _orient
 
 
 class UnionFind:
-    """Disjoint sets over 0..n-1 with path halving and union by size."""
+    """Disjoint sets over 0..n-1 with path halving, which alone bounds
+    each operation at amortised O(log n) (Tarjan and van Leeuwen 1984);
+    ``union`` hangs b's root under a's."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
-        self.size = [1] * n
         self.components = n
 
     def find(self, x: int) -> int:
@@ -50,10 +51,7 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
         self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
         self.components -= 1
         return True
 
@@ -161,7 +159,7 @@ def _scan(directed: DirectedHypergraph):
     spare = len(members) - (n - 1)  # hyperedges the scan may still skip
     if spare < 0:
         return None
-    parent, size = list(range(n)), [1] * n  # a local union-find
+    parent = list(range(n))  # a local union-find
     chosen = []
     for c in sorted(range(len(members)), key=list(map(len, members)).__getitem__):
         h = heads[c]
@@ -172,10 +170,7 @@ def _scan(directed: DirectedHypergraph):
             while parent[v] != v:
                 parent[v] = v = parent[parent[v]]
             if u != v:
-                if size[u] < size[v]:
-                    u, v = v, u
                 parent[v] = u
-                size[u] += size[v]
                 chosen.append((t, h, c) if t < h else (h, t, c))
                 break
         else:
@@ -226,7 +221,6 @@ def _orientation_seed(directed: DirectedHypergraph) -> tuple:
                     uf.parent[g] = root
                     chosen.append((x, g, c) if x < g else (g, x, c))
                     tree.append(g)
-        uf.size[root] = len(tree)
     uf.components = n - len(chosen)
     return chosen, parent, parent_colour, uf
 
@@ -255,9 +249,9 @@ class _RainbowEngine:
     colours without one, ascending.  An augmentation along a shortest
     path keeps the span of the old forest except that its source joins
     two components, so the partition only coarsens and the source test
-    ``uf.find(u) != uf.find(v)`` stays O(alpha(n)).  Per-search marks are
-    stamps against ``clock``, so nothing of size n or m is reset or
-    reallocated between augmentations.
+    ``uf.find(u) != uf.find(v)`` stays amortised O(log n).  Per-search
+    marks are stamps against ``clock``, so nothing of size n or m is
+    reset or reallocated between augmentations.
     """
 
     def __init__(self, graph: ColouredGraph, parent: list, parent_edge: list,

@@ -49,6 +49,17 @@ def test_splitmix64_helpers():
     assert len(picked) == len(set(picked)) == 4
 
 
+def test_randrange_refuses_a_bound_above_2_to_the_64():
+    # above 2**64 the rejection threshold is 0, so the loop once rejected
+    # every draw and never returned
+    for bound in (2**64 + 1, 2**70):
+        with pytest.raises(ValueError) as info:
+            SplitMix64(1).randrange(bound)
+        assert str(info.value) == "bound must be at most 2**64"
+    # 2**64 itself accepts every draw as it is
+    assert SplitMix64(1).randrange(2**64) == SplitMix64(1).next_uint64()
+
+
 def test_random_tree_small_cases():
     with pytest.raises(ValueError):
         random_tree(0, 1)

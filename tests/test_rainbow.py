@@ -58,6 +58,26 @@ def brute_max_rainbow_forest(graph: ColouredGraph) -> int:
     return best
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_union_find_matches_a_naive_block_labelling(seed):
+    rng = random.Random(seed)
+    for n in (1, 2, 5, 40, 150):
+        uf = rainbow.UnionFind(n)
+        block = list(range(n))  # block[x]: the label of x's block, relabelled on a merge
+        for _ in range(2 * n):
+            a, b = rng.randrange(n), rng.randrange(n)
+            joined = block[a] != block[b]
+            assert uf.union(a, b) is joined
+            if joined:
+                gone, kept = block[b], block[a]
+                block = [kept if label == gone else label for label in block]
+            assert uf.components == len(set(block))
+            # find(x) == find(y) exactly when block[x] == block[y]: the
+            # (root, label) pairs pair off the roots and the labels one to one
+            pairs = {(uf.find(x), block[x]) for x in range(n)}
+            assert len(pairs) == len({r for r, _ in pairs}) == len(set(block))
+
+
 def test_coloured_graph_validation():
     ColouredGraph(3, ((0, 1, 0), (1, 2, 1)))
     with pytest.raises(ValueError, match=r"^bad endpoints \(1, 0\) for n=3$"):

@@ -142,6 +142,37 @@ def test_k_below_one_is_refused(k):
             assert str(info.value) == "k must be positive"
 
 
+@pytest.mark.parametrize("k, message", [(3.5, "3.5 is not an integer"), ("3", "'3' is not an integer")])
+def test_k_that_is_not_an_integer_is_refused(k, message):
+    # a float k once gave float bounds ("bound": [5.0, 1, ...]) and a
+    # string k leaked a TypeError from the comparison with 1
+    hg = adversarial_star(20, 3)
+    s = shrink_hypertree(hg)
+    calls = (
+        lambda: shrink_hypertree(hg, k),
+        lambda: floor_demand(hg, k),
+        lambda: orient_floor(hg, k),
+        lambda: verify_shrinking(hg, s, k),
+        lambda: shrinking_to_json(hg, s, k),
+    )
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_integral_float_k_acts_as_the_int():
+    # a fresh hypergraph per call, so the bound a call reads is the one its own k made
+    fresh = lambda: adversarial_star(20, 3)
+    s = shrink_hypertree(fresh())
+    assert '"bound": [6, 1,' in shrinking_to_json(fresh(), s, 3.0)
+    assert shrinking_to_json(fresh(), s, 3.0) == shrinking_to_json(fresh(), s, 3)
+    assert verify_shrinking(fresh(), s, 3.0) == verify_shrinking(fresh(), s, 3)
+    assert shrink_hypertree(fresh(), 3.0) == s
+    assert orient_floor(fresh(), 3.0) == orient_floor(fresh(), 3)
+    assert floor_demand(fresh(), 3.0) == floor_demand(fresh(), 3)
+
+
 def test_every_consumer_of_the_guarantee_agrees(monkeypatch, capsys):
     for hg in _guarantee_hypergraphs():
         s = shrink_hypertree(hg)

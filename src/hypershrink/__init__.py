@@ -49,6 +49,7 @@ from .rainbow import (
 from .shrink import (
     NotAHypertreeError,
     Shrinking,
+    VerificationCheck,
     VerificationReport,
     brute_force_shrink,
     shrink_hypertree,
@@ -74,6 +75,7 @@ __all__ = [
     "Shrinking",
     "SplitMix64",
     "ValidationReport",
+    "VerificationCheck",
     "VerificationReport",
     "Violation",
     "adversarial_star",

@@ -58,7 +58,7 @@ EXIT_INTERNAL = 3
 def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            return handle.read().removeprefix("\ufeff")  # a byte-order mark is not content
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -27,9 +27,9 @@ needs and v heads fewer, so e*(F) < f(F) and F is the violator.
 The same stage recognises hypertrees (:func:`is_hypertree`), and the
 exhaustive subset-count check is kept at the end as a test oracle.
 :func:`_orient` is the one owner of these heads: it serves
-:func:`orient_with_demands`, :func:`is_hypertree` and the rainbow
-stage's orientation seed, which runs it on the hyperedges with the
-demands of :func:`is_hypertree`.
+:func:`orient_floor`, :func:`orient_with_demands`, :func:`is_hypertree`
+and the rainbow stage's orientation seed, and :func:`_incidence` builds
+the incidence lists they read once per hypergraph.
 """
 
 from itertools import repeat
@@ -67,11 +67,14 @@ class OrientationResult(_Value):
 
 
 def _incidence(hypergraph: Hypergraph) -> list:
-    """incident[v]: the indices of the hyperedges containing v, ascending."""
-    incident = [[] for _ in range(hypergraph.n)]
-    for i, e in enumerate(hypergraph.edges):
-        for v in e:
-            incident[v].append(i)
+    """incident[v]: the indices of the hyperedges containing v, ascending,
+    built once per hypergraph and remembered on it, so read only."""
+    if (incident := hypergraph.__dict__.get("_incident")) is None:
+        incident = [[] for _ in range(hypergraph.n)]
+        for i, e in enumerate(hypergraph.edges):
+            for v in e:
+                incident[v].append(i)
+        object.__setattr__(hypergraph, "_incident", incident)
     return incident
 
 
@@ -164,16 +167,15 @@ def _orient(hypergraph: Hypergraph, need: list) -> tuple:
     f(v) - indegree(v): positive while v is short, negative while v heads
     a spare hyperedge.  Tight demands (their total is the hyperedge
     count) get forced heads (:func:`_forced_heads`); slack ones the plain
-    greedy pass.  Returns ``(heads, incident, violator)``, where
-    ``violator`` is None on success and otherwise the sorted closed set
-    reached by the first failed search.  Under slack demands
-    ``incident`` is None unless some vertex was short after the greedy
-    pass, as only repairs read it.
+    greedy pass.  Returns ``(heads, violator)``, where ``violator`` is
+    None on success and otherwise the sorted closed set reached by the
+    first failed search.  Only forced heads and repairs read the
+    incidence lists, so slack demands that leave no vertex short (a hub's
+    floor demands) never build them.
     """
     edges = hypergraph.edges
     if sum(need) == len(edges):
-        incident = _incidence(hypergraph)
-        heads = _forced_heads(edges, need, incident)
+        heads = _forced_heads(edges, need, _incidence(hypergraph))
     else:
         heads = []
         for e in edges:
@@ -190,14 +192,14 @@ def _orient(hypergraph: Hypergraph, need: list) -> tuple:
             need[head] -= 1
             heads.append(head)
         if max(need, default=0) <= 0:
-            return heads, None, None
-        incident = _incidence(hypergraph)
+            return heads, None
+    incident = _incidence(hypergraph)
     for v in range(hypergraph.n):
         while need[v] > 0:
             reached = _repair(v, heads, need, incident)
             if reached is not None:
-                return heads, incident, tuple(sorted(reached))
-    return heads, incident, None
+                return heads, tuple(sorted(reached))
+    return heads, None
 
 
 def orient_with_demands(hypergraph: Hypergraph, demands) -> OrientationResult:
@@ -218,7 +220,7 @@ def orient_with_demands(hypergraph: Hypergraph, demands) -> OrientationResult:
     # cheap necessary condition: total demand cannot exceed the edge count
     if demands.total() > hypergraph.num_edges:
         return OrientationResult(violator=tuple(range(hypergraph.n)))
-    heads, _, violator = _orient(hypergraph, list(demands.values))
+    heads, violator = _orient(hypergraph, list(demands.values))
     if violator is not None:
         return OrientationResult(violator=violator)
     return OrientationResult(oriented=DirectedHypergraph(hypergraph, heads))
@@ -257,9 +259,10 @@ def is_hypertree(hypergraph: Hypergraph) -> bool:
     n = hypergraph.n
     if hypergraph.num_edges != n - 1:
         return False
-    heads, incident, violator = _orient(hypergraph, [0] + [1] * (n - 1))
+    heads, violator = _orient(hypergraph, [0] + [1] * (n - 1))
     if violator is not None:
         return False
+    incident = _incidence(hypergraph)
     reached = bytearray(n)
     reached[0] = 1
     order = [0]
@@ -295,12 +298,10 @@ def orient_floor(hypergraph: Hypergraph, k: int = None) -> DirectedHypergraph:
     implementation is broken: it raises :class:`InternalError`.
     """
     k, _ = _degree_guarantee(hypergraph, k)
-    result = orient_with_demands(hypergraph, floor_demand(hypergraph, k))
-    if not result.is_oriented:
-        raise InternalError(
-            f"floor demands must be feasible for k={k}, got violator {result.violator}"
-        )
-    return result.oriented
+    heads, violator = _orient(hypergraph, list(floor_demand(hypergraph, k).values))
+    if violator is not None:
+        raise InternalError(f"floor demands must be feasible for k={k}, got violator {violator}")
+    return DirectedHypergraph(hypergraph, heads)
 
 
 # ---------------------------------------------------------------------------

@@ -202,9 +202,8 @@ def _orientation_seed(directed: DirectedHypergraph) -> tuple:
     leaves 1-3 components, the scan 131-230.
     """
     hypergraph, centre, n = directed.base, directed.heads, directed.base.n
-    heads, incident, _ = _orient(hypergraph, [0] + [1] * (n - 1))
-    if incident is None:  # slack demands, none short: no repair read them
-        incident = _incidence(hypergraph)
+    heads, _ = _orient(hypergraph, [0] + [1] * (n - 1))
+    incident = _incidence(hypergraph)
     uf = UnionFind(n)
     parent, parent_colour = [-1] * n, [-1] * n
     chosen = []
@@ -487,19 +486,21 @@ def maximum_rainbow_forest(graph) -> tuple:
     return tuple(sorted(forest))
 
 
-def rainbow_spanning_tree(graph: ColouredGraph):
+def rainbow_spanning_tree(graph):
     """A rainbow spanning tree of ``graph``, or None if there is none.
 
-    Returns a :class:`RainbowTree` of :func:`maximum_rainbow_forest`'s
-    sorted triples.  Absence is a legitimate outcome (the star expansion
-    of a non-hypertree has none), hence a value rather than an exception.
+    ``graph`` is any input :func:`maximum_rainbow_forest` takes; returns
+    a :class:`RainbowTree` of its sorted triples.  Absence is a legitimate
+    outcome (the star expansion of a non-hypertree has none), hence a
+    value rather than an exception.
     """
-    if graph.n < 1:
+    n = graph.base.n if isinstance(graph, DirectedHypergraph) else graph.n
+    if n < 1:
         raise ValueError("graph must have at least one vertex")
     forest = maximum_rainbow_forest(graph)
-    if len(forest) < graph.n - 1:
+    if len(forest) < n - 1:
         return None
-    return RainbowTree(graph.n, forest)
+    return RainbowTree(n, forest)
 
 
 def check_rainbow_condition(graph: ColouredGraph, limit: int = 20):

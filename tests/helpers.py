@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import random
+import sys
 from pathlib import Path
 
 import hypershrink
@@ -335,6 +336,24 @@ def rooted_forest(graph: ColouredGraph, seed) -> tuple:
     return parent, parent_edge, uf
 
 
+def count_incidence_builds(monkeypatch) -> list:
+    """Wrap ``orientation._incidence`` in every package module that holds
+    it so that each build of a hypergraph's incidence lists appends that
+    hypergraph to the returned list; a look-up of remembered lists
+    appends nothing."""
+    builds = []
+
+    def counted(hypergraph):
+        if "_incident" not in vars(hypergraph):
+            builds.append(hypergraph)
+        return _incidence(hypergraph)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hypershrink.") and getattr(module, "_incidence", None) is _incidence:
+            monkeypatch.setattr(module, "_incidence", counted)
+    return builds
+
+
 def reference_orientation_seed(graph: ColouredGraph) -> tuple:
     """The rainbow orientation seed on any coloured graph, each colour
     class read as the hyperedge of its endpoints: the package's 0/1
@@ -348,9 +367,8 @@ def reference_orientation_seed(graph: ColouredGraph) -> tuple:
     edges, n = graph.edges, graph.n
     ends = tuple(tuple(sorted({x for i in cl for x in edges[i][:2]})) for cl in graph._classes)
     hypergraph = Hypergraph(n, ends)
-    heads, incident, _ = _orient(hypergraph, [0] + [1] * (n - 1))
-    if incident is None:
-        incident = _incidence(hypergraph)
+    heads, _ = _orient(hypergraph, [0] + [1] * (n - 1))
+    incident = _incidence(hypergraph)
     index = {edge: i for i, edge in enumerate(edges)}
     uf = UnionFind(n)
     parent, parent_edge = [-1] * n, [-1] * n

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypershrink import (
-    OrientationResult,
     adversarial_star,
     core,
     hypergraph_to_json,
@@ -72,6 +71,40 @@ def test_non_utf8_file_is_a_usage_error(tmp_path, h1_file, capsys):
     assert main(["orient", h1_file, "--demands", str(path)]) == 2
     assert capsys.readouterr().err == (
         f"error: cannot read {path}: not UTF-8 text (invalid start byte at byte 28)\n"
+    )
+
+
+def test_byte_order_mark_is_not_content(tmp_path, capsys):
+    # some editors start UTF-8 files with U+FEFF; one is dropped after
+    # decoding, so either format reads as without it, and a bad byte's
+    # offset still counts the mark's three bytes
+    h1_text = "4 3\n0 1 2\n1 2 3\n2 3\n"
+    cases = (
+        ("h1.json", H1_JSON, (0, 0, 0, 0)),
+        ("h1.txt", h1_text, (0, 0, 0, 0)),
+        ("triangle.txt", TRIANGLE_TEXT, (0, 1, 1, 0)),
+    )
+    for name, text, codes in cases:
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        for command, code in zip(("validate", "check", "shrink", "orient"), codes):
+            assert main([command, str(plain)]) == code
+            expected = capsys.readouterr().out
+            assert main([command, str(marked)]) == code
+            assert capsys.readouterr().out == expected
+    h1 = str(tmp_path / "h1.json")
+    (tmp_path / "demands.json").write_text("[0, 1, 1, 0]", encoding="utf-8")
+    (tmp_path / "bom-demands.json").write_text("\ufeff[0, 1, 1, 0]", encoding="utf-8")
+    assert main(["orient", h1, "--demands", str(tmp_path / "demands.json")]) == 0
+    expected = capsys.readouterr().out
+    assert main(["orient", h1, "--demands", str(tmp_path / "bom-demands.json")]) == 0
+    assert capsys.readouterr().out == expected
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xef\xbb\xbf{"n": 2, "edges": [[0, 1]]} \xff')
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {bad}: not UTF-8 text (invalid start byte at byte 31)\n"
     )
 
 
@@ -407,16 +440,14 @@ def test_console_script_runs():
     assert json.loads(proc.stdout)["n"] == 5
 
 
-def infeasible_orientation(hypergraph, demands):
-    """Stand-in for ``orient_with_demands`` that reports the always
+def infeasible_orientation(hypergraph, need):
+    """Stand-in for ``orientation._orient`` that reports the always
     feasible floor demands infeasible, to break an invariant on purpose."""
-    return OrientationResult(violator=(2,))
+    return [2] * len(hypergraph.edges), (2,)
 
 
 def test_internal_error_exits_3(h1_file, monkeypatch, capsys):
-    monkeypatch.setattr(
-        "hypershrink.orientation.orient_with_demands", infeasible_orientation
-    )
+    monkeypatch.setattr("hypershrink.orientation._orient", infeasible_orientation)
     for command in ("orient", "shrink"):
         assert main([command, h1_file]) == 3
         captured = capsys.readouterr()
@@ -483,10 +514,9 @@ def test_internal_error_exits_3_under_optimisation(h1_file):
     # python -O strips asserts; the invariant checks must survive it
     script = (
         "import sys\n"
-        "from hypershrink import OrientationResult, orientation\n"
+        "from hypershrink import orientation\n"
         "from hypershrink.cli import main\n"
-        "orientation.orient_with_demands = lambda hypergraph, demands: "
-        "OrientationResult(violator=(2,))\n"
+        "orientation._orient = lambda hypergraph, need: ([2, 2, 2], (2,))\n"
         "sys.exit(main(['orient', sys.argv[1]]))\n"
     )
     proc = subprocess.run(

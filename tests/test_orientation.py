@@ -7,7 +7,6 @@ from hypershrink import (
     DemandFunction,
     Hypergraph,
     InternalError,
-    OrientationResult,
     adversarial_star,
     floor_demand,
     is_hypertree,
@@ -24,6 +23,7 @@ from helpers import (
     STAR7,
     TRIANGLE4,
     brute_orientation_exists,
+    count_incidence_builds,
     random_valid_hypergraph,
     reference_greedy_heads,
     reference_repair,
@@ -220,11 +220,7 @@ def test_long_augmenting_paths_do_not_recurse():
 
 
 def test_infeasible_floor_demands_raise_internal_error(monkeypatch):
-    monkeypatch.setattr(
-        orientation,
-        "orient_with_demands",
-        lambda hypergraph, demands: OrientationResult(violator=(2,)),
-    )
+    monkeypatch.setattr(orientation, "_orient", lambda hypergraph, need: ([2, 2, 2], (2,)))
     with pytest.raises(InternalError, match="must be feasible"):
         orient_floor(H1)
 
@@ -285,23 +281,36 @@ def test_floor_orientation_builds_no_incidence_when_no_vertex_is_short(monkeypat
 
 
 def test_incidence_built_once_where_it_is_read(monkeypatch):
-    built = []
-    incidence = orientation._incidence
-    monkeypatch.setattr(orientation, "_incidence", lambda hg: built.append(hg) or incidence(hg))
+    # fresh values throughout: a shared one may hold lists an earlier
+    # test built
+    built = count_incidence_builds(monkeypatch)
     # the demands total the hyperedge count, so the forced heads read the
     # lists: vertex 0 meets one hyperedge and needs one, so it heads edge
-    # 0, which leaves vertex 2 two hyperedges for its two
-    result = orient_with_demands(H1, (1, 0, 2, 0))
-    assert result.oriented.heads == (0, 2, 2)
-    assert len(built) == 1
+    # 0, which leaves vertex 2 two hyperedges for its two.  A second
+    # orientation of the same hypergraph reuses them
+    h1 = Hypergraph(H1.n, H1.edges)
+    for _ in range(2):
+        result = orient_with_demands(h1, (1, 0, 2, 0))
+        assert result.oriented.heads == (0, 2, 2)
+        assert built == [h1]
     # is_hypertree reads the lists after the orientation too: forced heads
     # orient H1 and the descending path, and TRIANGLE4's isolated vertex 3
     # ends in a violator
     descending = Hypergraph(6, tuple((i, i + 1) for i in reversed(range(5))))
     for hg, answer in ((H1, True), (descending, True), (TRIANGLE4, False)):
+        hg = Hypergraph(hg.n, hg.edges)
         built.clear()
         assert is_hypertree(hg) == answer
-        assert len(built) == 1
+        assert built == [hg]
+
+
+def test_shrink_builds_the_incidence_lists_once(monkeypatch):
+    # the floor orientation repairs a short vertex and the rainbow seed
+    # orients the same hypergraph again; both read one set of lists
+    built = count_incidence_builds(monkeypatch)
+    hg, _ = random_hypertree(500, 3, 1, 0.5)
+    assert verify_shrinking(hg, shrink_hypertree(hg)).all_passed
+    assert built == [hg]
 
 
 def test_greedy_heads_match_the_max_reference(monkeypatch):
@@ -335,7 +344,7 @@ def test_greedy_heads_match_the_max_reference(monkeypatch):
         tight += sum(need) == len(edges)
         expected_need = need.copy()
         expected = reference_greedy_heads(hg, expected_need)
-        heads, _, _ = orientation._orient(hg, need)
+        heads, _ = orientation._orient(hg, need)
         assert heads == expected
         assert need == expected_need
     assert sizes == {2, 3, 4, 5, 6}

@@ -1,6 +1,8 @@
 import collections
 import random
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,7 @@ from hypershrink import (
     verify_shrinking,
 )
 from hypershrink import rainbow
+from hypershrink.core import _Value
 from helpers import (
     H1,
     break_hypertree,
@@ -195,6 +198,28 @@ def test_clique_graph_of_h1():
     assert clique.num_colours == 3
     assert (0, 1, 0) in clique.edges
     assert (2, 3, 2) in clique.edges
+
+
+def test_rainbow_spanning_tree_of_a_directed_hypergraph():
+    # read as its star expansion, as maximum_rainbow_forest reads it: a
+    # tree of star edges on hypertrees (RainbowTree checks that it spans
+    # with distinct colours), None exactly where the expansion itself has
+    # none.  The seeded search may pick another tree than the plain one
+    rng = random.Random(8)
+    outcomes = collections.Counter()
+    for seed in range(30):
+        hg, _ = random_hypertree(rng.randint(2, 40), rng.randint(2, 5), seed, 0.7)
+        for candidate in (hg, random_valid_hypergraph(rng)):
+            directed = orient_floor(candidate)
+            tree = rainbow_spanning_tree(directed)
+            assert (tree is None) == (rainbow_spanning_tree(star_graph(directed)) is None)
+            if candidate is hg:
+                assert tree is not None
+            if tree is not None:
+                assert tree.n == candidate.n and set(tree.edges) <= set(star_graph(directed).edges)
+            outcomes[tree is None] += 1
+    assert min(outcomes.values()) >= 5
+    assert rainbow_spanning_tree(orient_floor(adversarial_star(40, 4))).n == 121
 
 
 def test_rainbow_tree_found_on_path():
@@ -406,6 +431,14 @@ def test_public_names_resolve():
         assert hasattr(hypershrink, name), name
     assert "clique_graph" not in hypershrink.__all__
     assert not hasattr(hypershrink, "clique_graph")
+    # every value class the README's Library section names is exported
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("**Value classes.**", 1)[1].split("are plain immutable", 1)[0]
+    named = re.findall(r"`(\w+)`", paragraph)
+    assert len(named) == 12 and "VerificationCheck" in named
+    for name in named:
+        assert name in hypershrink.__all__, name
+        assert issubclass(getattr(hypershrink, name), _Value), name
 
 
 # ---------------------------------------------------------------------------

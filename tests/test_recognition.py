@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 
@@ -34,6 +33,7 @@ from helpers import (
     TRIANGLE4,
     break_hypertree,
     brute_is_hypertree,
+    count_incidence_builds,
     random_edge_family,
     random_tree_count_hypergraph,
 )
@@ -130,20 +130,15 @@ def test_violating_subset_rechecks():
 
 
 def test_incidence_is_built_once(monkeypatch):
-    # count every build, whichever package module calls it
-    builds = []
-    real = orientation._incidence
-
-    def counted(hypergraph):
-        builds.append(hypergraph)
-        return real(hypergraph)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("hypershrink.") and getattr(module, "_incidence", None) is real:
-            monkeypatch.setattr(module, "_incidence", counted)
+    # count every build, whichever package module calls it; fresh values,
+    # as a shared one may hold lists an earlier test built.  The forced
+    # heads and the search after them read the same lists, and a second
+    # recognition only looks them up
+    builds = count_incidence_builds(monkeypatch)
     hg, _ = random_hypertree(60, 4, 9, 0.8)
-    for hypertree in (H1, hg):
+    for hypertree in (Hypergraph(H1.n, H1.edges), hg):
         builds.clear()
+        assert is_hypertree(hypertree)
         assert is_hypertree(hypertree)
         assert builds == [hypertree]
 

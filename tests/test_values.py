@@ -25,6 +25,7 @@ from hypershrink import (
     validate,
 )
 from hypershrink.core import _degree_guarantee
+from hypershrink.orientation import _incidence
 from hypershrink.shrink import VerificationCheck
 
 PATH = Hypergraph(3, ((0, 1), (1, 2)))
@@ -148,8 +149,9 @@ def test_memos_stay_out_of_equality_hash_and_repr():
     assert hypergraph.degrees() == [1, 2, 2, 1] and hypergraph.rank() == 3
     assert validate(hypergraph).ok
     assert _degree_guarantee(hypergraph) == (3, [1, 1, 1, 1])
+    assert _incidence(hypergraph) == [[0], [0, 1], [0, 1], [1]]
     assert shrinking.tree_degrees(3) == [1, 2, 1]
-    assert {"_degrees", "_rank", "_report", "_bound"} <= set(vars(hypergraph))
+    assert {"_degrees", "_rank", "_report", "_bound", "_incident"} <= set(vars(hypergraph))
     assert "_tree_degrees" in vars(shrinking)
     assert [(hash(value), repr(value)) for value in values] == before
     assert values == (Hypergraph(4, ((0, 1, 2), (1, 2, 3))), Shrinking(((0, 1), (1, 2)), (1, 0)))

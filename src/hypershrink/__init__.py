@@ -26,24 +26,26 @@ from .core import (
     hypergraph_to_text,
     validate,
 )
+from .dot import coloured_graph_to_dot, rainbow_tree_to_dot, shrinking_to_dot
 from .gen import SplitMix64, adversarial_star, random_hypertree, random_tree
-from .orientation import (
+from .oracles import (
     BruteforceResult,
+    brute_force_shrink,
+    check_rainbow_condition,
+    is_hypertree_bruteforce,
+)
+from .orientation import (
     OrientationResult,
     floor_demand,
     is_hypertree,
-    is_hypertree_bruteforce,
     orient_floor,
     orient_with_demands,
 )
 from .rainbow import (
     ColouredGraph,
     RainbowTree,
-    check_rainbow_condition,
-    coloured_graph_to_dot,
     maximum_rainbow_forest,
     rainbow_spanning_tree,
-    rainbow_tree_to_dot,
     star_graph,
 )
 from .shrink import (
@@ -51,9 +53,7 @@ from .shrink import (
     Shrinking,
     VerificationCheck,
     VerificationReport,
-    brute_force_shrink,
     shrink_hypertree,
-    shrinking_to_dot,
     shrinking_to_json,
     verify_shrinking,
 )

@@ -33,18 +33,18 @@ from .core import (
     hypergraph_to_json,
     validate,
 )
+from .dot import shrinking_to_dot
 from .gen import _check_hypertree_args, random_hypertree
+from .oracles import is_hypertree_bruteforce
 from .orientation import (
     floor_demand,
     is_hypertree,
-    is_hypertree_bruteforce,
     orient_floor,
     orient_with_demands,
 )
 from .shrink import (
     NotAHypertreeError,
     shrink_hypertree,
-    shrinking_to_dot,
     shrinking_to_json,
     verify_shrinking,
 )

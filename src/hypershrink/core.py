@@ -115,12 +115,6 @@ class Hypergraph(_Value):
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        """Number of hyperedges containing vertex ``v``."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range [0, {self.n})")
-        return sum(1 for e in self.edges if v in e)
-
     def degrees(self) -> list:
         """Degree of every vertex, indexed by vertex id (a fresh list)."""
         d = self.__dict__.get("_degrees")
@@ -168,22 +162,11 @@ class DirectedHypergraph(_Value):
         """Number of hyperarcs whose head is ``v``."""
         return sum(1 for h in self.heads if h == v)
 
-    def outdegree(self, v: int) -> int:
-        """Number of hyperarcs in which ``v`` is a tail."""
-        return sum(
-            1 for e, h in zip(self.base.edges, self.heads) if v != h and v in e
-        )
-
     def indegrees(self) -> list:
         d = [0] * self.base.n
         for h in self.heads:
             d[h] += 1
         return d
-
-    def tails(self, i: int) -> tuple:
-        """Tail vertices of hyperarc ``i`` in ascending order."""
-        h = self.heads[i]
-        return tuple(v for v in self.base.edges[i] if v != h)
 
 
 class DemandFunction(_Value):

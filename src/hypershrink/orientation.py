@@ -24,8 +24,7 @@ search ends without such a vertex, the set F it reached is closed: every
 hyperedge meeting F is headed inside F, no vertex of F heads more than it
 needs and v heads fewer, so e*(F) < f(F) and F is the violator.
 
-The same stage recognises hypertrees (:func:`is_hypertree`), and the
-exhaustive subset-count check is kept at the end as a test oracle.
+The same stage recognises hypertrees (:func:`is_hypertree`).
 :func:`_orient` is the one owner of these heads: it serves
 :func:`orient_floor`, :func:`orient_with_demands`, :func:`is_hypertree`
 and the rainbow stage's orientation seed, and :func:`_incidence` builds
@@ -40,7 +39,6 @@ from .core import (
     DirectedHypergraph,
     Hypergraph,
     InternalError,
-    LimitExceededError,
     _degree_guarantee,
     _require_valid,
     _Value,
@@ -302,56 +300,3 @@ def orient_floor(hypergraph: Hypergraph, k: int = None) -> DirectedHypergraph:
     if violator is not None:
         raise InternalError(f"floor demands must be feasible for k={k}, got violator {violator}")
     return DirectedHypergraph(hypergraph, heads)
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive oracle, for tests and small inputs only.  It checks the
-# definition: a hypertree is a hypergraph in which every nonempty vertex
-# set X contains at most |X| - 1 hyperedges, with equality at V.
-# ---------------------------------------------------------------------------
-
-
-class BruteforceResult(_Value):
-    """Outcome of the definitional check, with a witness on failure.
-
-    ``violating_subset`` is a vertex set containing too many hyperedges;
-    ``bad_edge_count`` flags a hypergraph that passes every subset bound
-    but misses the equality |E| = n - 1 at the full vertex set.
-    """
-
-    __match_args__ = ("is_hypertree", "violating_subset", "bad_edge_count")
-
-    def __init__(self, is_hypertree: bool, violating_subset: tuple = None, bad_edge_count: bool = False):
-        self.__dict__.update(
-            is_hypertree=is_hypertree, violating_subset=violating_subset, bad_edge_count=bad_edge_count
-        )
-
-    def __bool__(self) -> bool:
-        return self.is_hypertree
-
-
-def is_hypertree_bruteforce(hypergraph: Hypergraph, limit: int = 20) -> BruteforceResult:
-    """Check the subset-count definition over all 2^n vertex subsets.
-
-    Scans nonempty subsets in ascending bitmask order and reports the
-    first X whose contained-edge count exceeds |X| - 1.  Refuses inputs
-    with more than ``limit`` vertices.
-    """
-    _require_valid(hypergraph)
-    n = hypergraph.n
-    if n > limit:
-        raise LimitExceededError(f"n={n} exceeds the exhaustive limit {limit}")
-    edge_masks = [0] * hypergraph.num_edges
-    for i, e in enumerate(hypergraph.edges):
-        mask = 0
-        for v in e:
-            mask |= 1 << v
-        edge_masks[i] = mask
-    for subset in range(1, 1 << n):
-        inside = sum(1 for mask in edge_masks if mask & ~subset == 0)
-        if inside > bin(subset).count("1") - 1:
-            witness = tuple(v for v in range(n) if subset >> v & 1)
-            return BruteforceResult(False, violating_subset=witness)
-    if hypergraph.num_edges != n - 1:
-        return BruteforceResult(False, bad_edge_count=True)
-    return BruteforceResult(True)

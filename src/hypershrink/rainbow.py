@@ -20,15 +20,14 @@ and labels only the part of the exchange graph it searches.  A general
 :class:`ColouredGraph`, whose colour classes are sorted once when it is
 built, goes to the engine from the empty forest.  :func:`star_graph`
 refuses an invalid base and then trusts it: it runs no per-edge check
-and keeps each colour class as an index range.  An exhaustive checker
-for the component-count characterisation doubles as the test oracle.
+and keeps each colour class as an index range.
 """
 
 from collections import deque
-from itertools import accumulate, combinations
+from itertools import accumulate
 from operator import itemgetter
 
-from .core import DirectedHypergraph, LimitExceededError, _exact_int, _exact_int_tuples, _exact_ints, _require_valid, _Value
+from .core import DirectedHypergraph, _exact_int, _exact_int_tuples, _exact_ints, _require_valid, _Value
 from .orientation import _incidence, _orient
 
 
@@ -107,6 +106,9 @@ class RainbowTree(_Value):
             edges = tuple([_exact_ints((u, v, c)) for u, v, c in edges])
         if len(edges) != n - 1:
             raise ValueError(f"{len(edges)} edges cannot span {n} vertices")
+        for u, v, c in edges:  # before the union-find, which -1 would index from the end
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}, {c}) has an endpoint outside [0, {n})")
         uf = UnionFind(n)
         if not all(uf.union(u, v) for u, v, _ in edges):
             raise ValueError("edges contain a cycle")
@@ -501,67 +503,3 @@ def rainbow_spanning_tree(graph):
     if len(forest) < n - 1:
         return None
     return RainbowTree(n, forest)
-
-
-def check_rainbow_condition(graph: ColouredGraph, limit: int = 20):
-    """Exhaustively test the component-count condition for rainbow trees.
-
-    For every colour set R with 0 <= |R| <= n-2 (the r=0 case is plain
-    connectivity), deleting the edges coloured by R must leave at most
-    |R|+1 components.  Returns the first offending R, scanning sizes in
-    ascending order and subsets lexicographically, or None when satisfied.
-    Larger subsets never need checking.  Guarded against exponential
-    blow-up: more than ``limit`` colours is refused.
-    """
-    c = graph.num_colours
-    if c > limit:
-        raise LimitExceededError(
-            f"{c} colours exceed the exhaustive limit {limit} (2^{c} subsets)"
-        )
-    for r in range(0, min(c, graph.n - 2) + 1):
-        for subset in combinations(range(c), r):
-            dropped = set(subset)
-            uf = UnionFind(graph.n)
-            for u, v, col in graph.edges:
-                if col not in dropped:
-                    uf.union(u, v)
-            if uf.components > r + 1:
-                return subset
-    return None
-
-
-# ---------------------------------------------------------------------------
-# DOT export for visual inspection
-# ---------------------------------------------------------------------------
-
-PALETTE = (
-    "#e6194b", "#3cb44b", "#4363d8", "#f58231", "#911eb4",
-    "#46f0f0", "#f032e6", "#bcf60c", "#fabebe", "#008080",
-    "#9a6324", "#800000", "#808000", "#000075", "#a9a9a9",
-)
-
-
-def _dot_edge(u: int, v: int, colour: int, extra: str = "") -> str:
-    paint = PALETTE[colour % len(PALETTE)]
-    return f'  {u} -- {v} [label="{colour}", color="{paint}"{extra}];'
-
-
-def _dot_document(name: str, n: int, edge_lines) -> str:
-    """An undirected DOT graph: vertices 0..n-1, then the given edge lines."""
-    lines = [f"graph {name} {{"]
-    lines.extend(f"  {v};" for v in range(n))
-    lines.extend(edge_lines)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def coloured_graph_to_dot(graph: ColouredGraph, name: str = "coloured") -> str:
-    return _dot_document(
-        name, graph.n, (_dot_edge(u, v, c) for u, v, c in graph.edges)
-    )
-
-
-def rainbow_tree_to_dot(tree: RainbowTree, name: str = "rainbow_tree") -> str:
-    return _dot_document(
-        name, tree.n, (_dot_edge(u, v, c, ", penwidth=2") for u, v, c in tree.edges)
-    )

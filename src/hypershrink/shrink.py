@@ -10,12 +10,12 @@ runs), and read the hyperedge-to-tree-edge bijection off the colours.
 """
 
 import json
-from itertools import chain, combinations, compress, count, product, repeat
+from itertools import chain, compress, count, repeat
 from operator import contains, itemgetter, lt, mul
 
-from .core import Hypergraph, LimitExceededError, _degree_guarantee, _exact_int_tuples, _exact_ints, _require_valid, _Value
+from .core import Hypergraph, _degree_guarantee, _exact_int_tuples, _exact_ints, _require_valid, _Value
 from .orientation import orient_floor
-from .rainbow import UnionFind, _dot_document, _dot_edge, maximum_rainbow_forest
+from .rainbow import maximum_rainbow_forest
 
 
 class NotAHypertreeError(Exception):
@@ -231,55 +231,6 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
     return VerificationReport(tuple(checks))
 
 
-def brute_force_shrink(hypergraph: Hypergraph, limit: int = 10**6):
-    """Exhaustive shrinking oracle.
-
-    Enumerates every choice of one pair per hyperedge (lexicographically)
-    and returns, among the choices forming a spanning tree, the first one
-    maximising min_v d_T(v) / max(1, d_H(v)); returns None when no choice
-    spans, which certifies the input is not a hypertree.  Refuses when the
-    choice space exceeds ``limit``.
-    """
-    from fractions import Fraction  # the oracle's import, kept off the fast path
-
-    _require_valid(hypergraph)
-    n, m = hypergraph.n, hypergraph.num_edges
-    if m != n - 1:
-        return None
-    choice_lists = [list(combinations(e, 2)) for e in hypergraph.edges]
-    total = 1
-    for options in choice_lists:
-        total *= len(options)
-        if total > limit:
-            raise LimitExceededError(
-                f"choice space exceeds the enumeration limit {limit}"
-            )
-    hyper_deg = hypergraph.degrees()
-    best = None
-    best_score = None
-    for pairs in product(*choice_lists):
-        if len(set(pairs)) != m:
-            continue
-        uf = UnionFind(n)
-        if not all(uf.union(u, v) for u, v in pairs):
-            continue
-        if uf.components != 1:
-            continue
-        tree_deg = [0] * n
-        for u, v in pairs:
-            tree_deg[u] += 1
-            tree_deg[v] += 1
-        score = min(
-            (Fraction(tree_deg[v], max(1, hyper_deg[v])) for v in range(n)),
-            default=Fraction(1),
-        )
-        if best_score is None or score > best_score:
-            best, best_score = pairs, score
-    if best is None:
-        return None
-    return Shrinking.from_pairs(best)
-
-
 def shrinking_to_json(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None) -> str:
     """Serialise a shrinking with its degree data and per-vertex bound."""
     _, bound = _degree_guarantee(hypergraph, k)
@@ -295,24 +246,3 @@ def shrinking_to_json(hypergraph: Hypergraph, shrinking: Shrinking, k: int = Non
         },
         check_circular=False,  # ints in tuples and lists: no cycle to find
     )
-
-
-def shrinking_to_dot(hypergraph: Hypergraph, shrinking: Shrinking) -> str:
-    """Overlay the tree (bold, coloured by hyperedge) on the clique
-    expansion (gray) for visual inspection.  An assignment entry outside
-    the tree's index range bolds no edge."""
-    _require_valid(hypergraph)
-    tree = shrinking.tree
-    chosen = {
-        (tree[j], i)
-        for i, j in enumerate(shrinking.assignment[: hypergraph.num_edges])
-        if 0 <= j < len(tree)
-    }
-    edge_lines = []
-    for i, e in enumerate(hypergraph.edges):
-        for a, b in combinations(e, 2):
-            if ((a, b), i) in chosen:
-                edge_lines.append(_dot_edge(a, b, i, ", penwidth=2"))
-            else:
-                edge_lines.append(f'  {a} -- {b} [color="gray", style=dashed];')
-    return _dot_document("shrinking", hypergraph.n, edge_lines)

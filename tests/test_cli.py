@@ -1,13 +1,16 @@
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hypershrink
 from hypershrink import (
     adversarial_star,
     core,
@@ -734,3 +737,20 @@ def test_cli_start_loads_no_oracle_only_module():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_fast_path_modules_import_no_oracle_or_dot_code():
+    # the exhaustive oracles and the DOT writers depend on the fast path,
+    # never the other way round, and no fast-path module imports what
+    # enumerates subsets or choices, or what refuses their size
+    package = Path(hypershrink.__file__).parent
+    banned = {"combinations", "product", "fractions", "LimitExceededError"}
+    for name in ("core", "gen", "orientation", "rainbow", "shrink"):
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                source = (node.module or "").rsplit(".", 1)[-1]
+                assert source not in {"oracles", "dot", "fractions"}, (name, node.module)
+                imported = {alias.name for alias in node.names}
+                assert not imported & ({"oracles", "dot"} | banned), (name, imported)
+            elif isinstance(node, ast.Import):
+                assert not {alias.name for alias in node.names} & banned, name

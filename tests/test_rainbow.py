@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import random
 import re
 import sys
@@ -141,6 +142,15 @@ def test_rainbow_tree_invariants():
     # a cycle is reported before a repeated colour
     with pytest.raises(ValueError, match=r"^edges contain a cycle$"):
         RainbowTree(3, ((0, 1, 0), (0, 1, 0)))
+
+
+@pytest.mark.parametrize("edge", ((0, -1, 0), (0, 5, 0)))
+def test_rainbow_tree_refuses_an_endpoint_out_of_range(edge):
+    # -1 would index the union-find from the end and pass as a spanning
+    # tree of two vertices; 5 would raise IndexError
+    message = re.escape(f"edge {edge} has an endpoint outside [0, 2)")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RainbowTree(2, (edge,))
 
 
 def test_greedy_seed_matches_the_sort_key_scan():
@@ -309,6 +319,29 @@ def test_finder_agrees_with_condition_checker():
         if violator is not None:
             kept = [(u, v) for u, v, c in g.edges if c not in violator]
             assert component_count(g.n, kept) > len(violator) + 1
+
+
+def test_condition_checker_reads_a_directed_hypergraph_as_its_star_expansion():
+    # the oracle takes what rainbow_spanning_tree takes; on small
+    # hypertrees it finds no violator, on their certified breaks one, and
+    # it agrees with the fast path on every orientation
+    hypertrees = broken = 0
+    for n in range(4, 11):
+        for seed in range(6):
+            hg, _ = random_hypertree(n, 3, seed, 0.5)
+            cases = [(hg, True)]
+            # a break needs a vertex in two pairs and a hyperedge off their triangle
+            with contextlib.suppress(ValueError, StopIteration):
+                cases.append((break_hypertree(hg), False))
+            for h, is_tree in cases:
+                directed = orient_floor(h)
+                violator = check_rainbow_condition(directed)
+                assert violator == check_rainbow_condition(star_graph(directed))
+                assert (violator is None) == is_tree
+                assert (violator is None) == (rainbow_spanning_tree(directed) is not None)
+                hypertrees += is_tree
+                broken += not is_tree
+    assert (hypertrees, broken) == (42, 21)
 
 
 def test_condition_checker_limit():

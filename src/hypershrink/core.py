@@ -159,10 +159,13 @@ class DirectedHypergraph(_Value):
         self.__dict__.update(base=base, heads=heads)
 
     def indegree(self, v: int) -> int:
-        """Number of hyperarcs whose head is ``v``."""
+        """Number of hyperarcs whose head is ``v``, a vertex of the base."""
+        if not 0 <= v < self.base.n:
+            raise ValueError(f"vertex {v} out of range [0, {self.base.n})")
         return sum(1 for h in self.heads if h == v)
 
     def indegrees(self) -> list:
+        _require_valid(self.base)  # the heads index the counts
         d = [0] * self.base.n
         for h in self.heads:
             d[h] += 1

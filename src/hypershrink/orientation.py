@@ -25,10 +25,10 @@ hyperedge meeting F is headed inside F, no vertex of F heads more than it
 needs and v heads fewer, so e*(F) < f(F) and F is the violator.
 
 The same stage recognises hypertrees (:func:`is_hypertree`).
-:func:`_orient` is the one owner of these heads: it serves
-:func:`orient_floor`, :func:`orient_with_demands`, :func:`is_hypertree`
-and the rainbow stage's orientation seed, and :func:`_incidence` builds
-the incidence lists they read once per hypergraph.
+:func:`_orient` is the one owner of these heads; :func:`_tight_heads`
+keeps its 0/1 heads, which :func:`is_hypertree`, the rainbow stage's
+orientation seed and the floor orientation of a non-hub hypertree start
+from, and :func:`_incidence` the incidence lists, once per hypergraph.
 """
 
 from itertools import repeat
@@ -191,6 +191,11 @@ def _orient(hypergraph: Hypergraph, need: list) -> tuple:
             heads.append(head)
         if max(need, default=0) <= 0:
             return heads, None
+    return _repairs(hypergraph, heads, need)
+
+
+def _repairs(hypergraph: Hypergraph, heads: list, need: list) -> tuple:
+    """:func:`_repair` each short vertex in vertex order: ``(heads, violator)``."""
     incident = _incidence(hypergraph)
     for v in range(hypergraph.n):
         while need[v] > 0:
@@ -198,6 +203,24 @@ def _orient(hypergraph: Hypergraph, need: list) -> tuple:
             if reached is not None:
                 return heads, tuple(sorted(reached))
     return heads, None
+
+
+def _tight_heads(hypergraph: Hypergraph) -> tuple:
+    """``_orient``'s ``(heads, violator)`` for demand 0 at vertex 0 and 1
+    elsewhere, built once per hypergraph and remembered on it, so read only."""
+    if (tight := hypergraph.__dict__.get("_tight")) is None:
+        tight = _orient(hypergraph, [0] + [1] * (hypergraph.n - 1))
+        object.__setattr__(hypergraph, "_tight", tight)
+    return tight
+
+
+def _hub_like(hypergraph: Hypergraph) -> bool:
+    """Whether a vertex has floor demand f = d // k (k the rank, 1 if
+    edgeless) with k * f * f > n, so that from the tight heads it needs f
+    repairs, each longer than the last: a measured rule."""
+    k = max(hypergraph.rank(), 1)
+    f = max(hypergraph.degrees(), default=0) // k
+    return k * f * f > hypergraph.n
 
 
 def orient_with_demands(hypergraph: Hypergraph, demands) -> OrientationResult:
@@ -257,7 +280,7 @@ def is_hypertree(hypergraph: Hypergraph) -> bool:
     n = hypergraph.n
     if hypergraph.num_edges != n - 1:
         return False
-    heads, violator = _orient(hypergraph, [0] + [1] * (n - 1))
+    heads, violator = _tight_heads(hypergraph)
     if violator is not None:
         return False
     incident = _incidence(hypergraph)
@@ -289,14 +312,25 @@ def floor_demand(hypergraph: Hypergraph, k: int) -> DemandFunction:
 def orient_floor(hypergraph: Hypergraph, k: int = None) -> DirectedHypergraph:
     """Orientation with indegree(v) >= floor(degree(v)/k) for every v.
 
-    ``k`` defaults to the rank, or 1 for an edgeless hypergraph.  Floor
+    ``k`` defaults to the rank, or 1 for an edgeless hypergraph.  A
+    non-hub hypertree starts from its tight heads and repairs what they
+    leave short; the rest get :func:`_orient`'s greedy pass.  Floor
     demands are always feasible for k >= rank (each hyperedge meets at
     most k vertices, so no vertex set can demand more heads than it has
     incident hyperedges), so a violator outcome here means the
     implementation is broken: it raises :class:`InternalError`.
     """
     k, _ = _degree_guarantee(hypergraph, k)
-    heads, violator = _orient(hypergraph, list(floor_demand(hypergraph, k).values))
+    need = list(floor_demand(hypergraph, k).values)
+    heads, violator = None, ()  # not None: the cold path, unless tight heads replace it
+    if hypergraph.num_edges == hypergraph.n - 1 and not _hub_like(hypergraph):
+        heads, violator = _tight_heads(hypergraph)
+    if violator is None:  # warm: repair a copy, as the memo is read only
+        for h in heads:
+            need[h] -= 1
+        heads, violator = _repairs(hypergraph, heads.copy(), need)
+    else:
+        heads, violator = _orient(hypergraph, need)
     if violator is not None:
         raise InternalError(f"floor demands must be feasible for k={k}, got violator {violator}")
     return DirectedHypergraph(hypergraph, heads)

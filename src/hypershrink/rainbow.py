@@ -10,13 +10,14 @@ the fewer the seed leaves, the fewer exchange-graph searches are run.
 
 On a directed hypergraph, read as its star expansion (colour c is
 hyperedge c, each edge of it meeting the head), two seed tiers read the
-hyperedges and heads directly: a scarcest-colour-first scan, the answer
-where it spans (on ``adversarial_star`` hubs, say), else a search along
-the 0/1 orientation that :func:`~hypershrink.orientation.is_hypertree`
-computes, which on hypertrees leaves one to a few components.  Only then
-are :func:`star_graph` and the augmentation engine built, once, from the
-seed's own search trees; the engine flips each shortest path in place
-and labels only the part of the exchange graph it searches.  A general
+hyperedges and heads directly: on a hub-like base only, a
+scarcest-colour-first scan, the answer where it spans; then a search
+along the 0/1 heads that :func:`~hypershrink.orientation.is_hypertree`
+reads, which a non-hub hypertree's floor heads start from, so there it
+spans almost always.  Only then are :func:`star_graph` and the
+augmentation engine built, once, from the seed's own search trees; the
+engine flips each shortest path in place and labels only the part of
+the exchange graph it searches.  A general
 :class:`ColouredGraph`, whose colour classes are sorted once when it is
 built, goes to the engine from the empty forest.  :func:`star_graph`
 refuses an invalid base and then trusts it: it runs no per-edge check
@@ -28,7 +29,7 @@ from itertools import accumulate
 from operator import itemgetter
 
 from .core import DirectedHypergraph, _exact_int, _exact_int_tuples, _exact_ints, _require_valid, _Value
-from .orientation import _incidence, _orient
+from .orientation import _hub_like, _incidence, _tight_heads
 
 
 class UnionFind:
@@ -146,8 +147,8 @@ def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
 
 
 def _scan(directed: DirectedHypergraph):
-    """First seed tier: the kept ``(u, v, colour)`` triples of a
-    scarcest-colour-first scan if they span, else None.
+    """First seed tier on a hub-like base: the kept ``(u, v, colour)``
+    triples of a scarcest-colour-first scan if they span, else None.
 
     A colour with few edges has few places to go, so placing the scarcest
     first leaves fewer augmentations to do.  Star c's edges in endpoint
@@ -183,12 +184,12 @@ def _scan(directed: DirectedHypergraph):
 
 
 def _orientation_seed(directed: DirectedHypergraph) -> tuple:
-    """Second seed tier, built when the scan leaves components: a search
+    """The seed tier after the scan, or first on a non-hub base: a search
     along a 0/1 orientation of the hyperedges.
 
-    :func:`~hypershrink.orientation._orient` heads each hyperedge with
-    demand 0 at vertex 0 and 1 elsewhere, as
-    :func:`~hypershrink.orientation.is_hypertree` does.  A breadth-first
+    :func:`~hypershrink.orientation._tight_heads` heads each hyperedge
+    with demand 0 at vertex 0 and 1 elsewhere, as
+    :func:`~hypershrink.orientation.is_hypertree` reads them.  A breadth-first
     search from vertex 0, then from each vertex still unreached in order,
     moves from x to g = ``heads[c]`` for each hyperedge c at x when g is
     unreached and the star centre ``directed.heads[c]`` is x or g (so x g
@@ -201,10 +202,11 @@ def _orientation_seed(directed: DirectedHypergraph) -> tuple:
     Returns the kept triples, the search trees as ``parent`` and
     ``parent_colour`` arrays (-1 at each root, its tree's least vertex)
     and their union-find.  On ``random_hypertree(2000, k, 1, p)`` it
-    leaves 1-3 components, the scan 131-230.
+    spans after the warm floor orientation; the scan, on the greedy floor
+    heads, would leave 131-230 components.
     """
     hypergraph, centre, n = directed.base, directed.heads, directed.base.n
-    heads, _ = _orient(hypergraph, [0] + [1] * (n - 1))
+    heads, _ = _tight_heads(hypergraph)
     incident = _incidence(hypergraph)
     uf = UnionFind(n)
     parent, parent_colour = [-1] * n, [-1] * n
@@ -472,14 +474,14 @@ def maximum_rainbow_forest(graph) -> tuple:
     (exact without a seed), or a
     :class:`~hypershrink.core.DirectedHypergraph` read as its star
     expansion (an invalid base is refused with ``ValueError("invalid
-    hypergraph: <report>")``): the scan where it spans, else the
-    orientation seed where it spans, else :func:`star_graph` augmented
-    from the seed's search trees.
+    hypergraph: <report>")``): on a hub-like base the scan where it
+    spans, then on any base the orientation seed where it spans, else
+    :func:`star_graph` augmented from the seed's search trees.
     """
     if not isinstance(graph, DirectedHypergraph):
         return _augmented(graph, [-1] * graph.n, [-1] * graph.n, UnionFind(graph.n))
     _require_valid(graph.base)
-    forest = _scan(graph)
+    forest = _scan(graph) if _hub_like(graph.base) else None
     if forest is None:
         forest, parent, parent_colour, uf = _orientation_seed(graph)
         if uf.components > 1:

@@ -7,6 +7,8 @@ hypergraph so indegrees dominate floor(d_H/k), take a rainbow spanning
 tree of the star expansion (every hyperarc a star centred at its head,
 read off the hyperarcs and built only if exchange-graph augmentation
 runs), and read the hyperedge-to-tree-edge bijection off the colours.
+Off hubs the orientation starts from the 0/1 heads that recognise
+hypertrees, along which the rainbow seed searches, so the seed spans.
 """
 
 import json

@@ -390,14 +390,27 @@ def reference_orientation_seed(graph: ColouredGraph) -> tuple:
     return chosen, parent, parent_edge, uf
 
 
-def reference_rainbow_forest(graph: ColouredGraph) -> tuple:
-    """The three rainbow tiers on a coloured graph, each from its
-    reference where it has one: the sort-key scan where it spans, else
+def reference_hub_like(hypergraph: Hypergraph) -> bool:
+    """Whether some vertex v has k * f * f > n for f = floor(d(v) / k),
+    k the largest hyperedge size (1 if edgeless), the degrees counted
+    member by member."""
+    k = max([len(e) for e in hypergraph.edges] + [1])
+    degrees = collections.Counter(v for e in hypergraph.edges for v in e)
+    return any(k * (d // k) ** 2 > hypergraph.n for d in degrees.values())
+
+
+def reference_rainbow_forest(graph: ColouredGraph, base: Hypergraph) -> tuple:
+    """The rainbow tiers on a coloured graph, in the package's order for
+    the hypergraph ``base`` whose star expansion it is, each from its
+    reference where it has one: on a hub-like base the sort-key scan
+    where it spans, and otherwise, or where the scan leaves components,
     the reference orientation seed where it spans, else the package's
     engine augmenting from that seed's search trees.  Returns the
     forest's triples, sorted."""
-    chosen, components = sort_key_greedy(graph)
-    if components > 1:
+    hub_like = reference_hub_like(base)
+    if hub_like:
+        chosen, components = sort_key_greedy(graph)
+    if not hub_like or components > 1:
         chosen, parent, parent_edge, uf = reference_orientation_seed(graph)
         if uf.components > 1:
             engine = rainbow._RainbowEngine(graph, parent, parent_edge, uf)

@@ -233,6 +233,21 @@ def test_directed_hypergraph_rejects_bad_heads():
         DirectedHypergraph(H1, (2, 2))
 
 
+def test_indegrees_refuse_an_invalid_base():
+    # a head of -1 would count at vertex n - 1, one of 5 would overrun
+    for head in (-1, 5):
+        directed = DirectedHypergraph(Hypergraph(3, ((head, 0),)), (head,))
+        with pytest.raises(ValueError, match=r"^invalid hypergraph: vertex-range at edge 0"):
+            directed.indegrees()
+
+
+def test_indegree_refuses_a_vertex_outside_the_base():
+    directed = DirectedHypergraph(H1, (2, 2, 3))
+    for v in (-1, 4, 99):
+        with pytest.raises(ValueError, match=rf"^vertex {v} out of range \[0, 4\)$"):
+            directed.indegree(v)
+
+
 def test_heads_and_demands_of_exact_ints_kept_as_they_are():
     heads, values = (2, 2, 3), (0, 1, 2)
     assert DirectedHypergraph(H1, heads).heads is heads

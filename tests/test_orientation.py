@@ -220,9 +220,18 @@ def test_long_augmenting_paths_do_not_recurse():
 
 
 def test_infeasible_floor_demands_raise_internal_error(monkeypatch):
+    # fresh copies of H1, which is not hub-like: one whose tight heads are
+    # remembered takes the warm start, whose repairs fail here; the other
+    # gets failing tight heads, so it takes the cold orientation, which
+    # fails too
+    warm, cold = Hypergraph(H1.n, H1.edges), Hypergraph(H1.n, H1.edges)
+    assert is_hypertree(warm)
+    monkeypatch.setattr(orientation, "_repairs", lambda hypergraph, heads, need: (heads, (2,)))
+    with pytest.raises(InternalError, match="must be feasible"):
+        orient_floor(warm)
     monkeypatch.setattr(orientation, "_orient", lambda hypergraph, need: ([2, 2, 2], (2,)))
     with pytest.raises(InternalError, match="must be feasible"):
-        orient_floor(H1)
+        orient_floor(cold)
 
 
 def assert_floor_met(hypergraph, k):
@@ -264,19 +273,23 @@ def test_long_path_with_descending_edges(monkeypatch):
 
 
 def test_floor_orientation_builds_no_incidence_when_no_vertex_is_short(monkeypatch):
-    # no vertex of these is short after the greedy heads, so the incidence
-    # lists, which only the repair searches read, are never built for the
-    # floor demands; the rainbow seed orients the colour classes with
-    # tight demands afterwards and builds them there, outside the patch
+    # a hub, and a hypertree less one hyperedge, take the cold floor
+    # orientation; no vertex of them is short after its greedy heads, so
+    # the incidence lists, which only the repair searches read, are never
+    # built.  The whole hypertree is not hub-like, so its floor
+    # orientation starts from the tight heads, which build them
     def refuse(hypergraph):
         raise AssertionError("incidence lists built without a repair search")
 
-    hypergraphs = (adversarial_star(1000, 4), random_hypertree(500, 5, 1, 0.8)[0])
+    tree = random_hypertree(500, 5, 1, 0.8)[0]
+    hypergraphs = (adversarial_star(1000, 4), Hypergraph(tree.n, tree.edges[1:]))
     with monkeypatch.context() as patch:
         patch.setattr(orientation, "_incidence", refuse)
         for hg in hypergraphs:
             orient_floor(hg)
-    for hg in hypergraphs:
+        with pytest.raises(AssertionError, match="incidence lists built"):
+            orient_floor(tree)
+    for hg in (hypergraphs[0], tree):
         assert verify_shrinking(hg, shrink_hypertree(hg)).all_passed
 
 

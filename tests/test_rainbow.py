@@ -18,6 +18,7 @@ from hypershrink import (
     adversarial_star,
     check_rainbow_condition,
     coloured_graph_to_dot,
+    floor_demand,
     is_hypertree,
     maximum_rainbow_forest,
     orient_floor,
@@ -28,7 +29,7 @@ from hypershrink import (
     star_graph,
     verify_shrinking,
 )
-from hypershrink import rainbow
+from hypershrink import orientation, rainbow
 from hypershrink.core import _Value
 from helpers import (
     H1,
@@ -36,9 +37,11 @@ from helpers import (
     brute_rainbow_tree_exists,
     clique_graph,
     component_count,
+    count_incidence_builds,
     is_spanning_tree,
     random_coloured_graph,
     random_valid_hypergraph,
+    reference_hub_like,
     reference_orientation_seed,
     reference_rainbow_forest,
     rooted_forest,
@@ -706,28 +709,42 @@ def count_augmentations(monkeypatch) -> list:
     return calls
 
 
+def refuse_scan(monkeypatch) -> None:
+    def refuse(directed):
+        raise AssertionError("scan run on a base that is not hub-like")
+
+    monkeypatch.setattr(rainbow, "_scan", refuse)
+
+
 @pytest.mark.parametrize("k, p", ((3, 0.5), (3, 0.8), (5, 0.5), (5, 0.8)))
 def test_orientation_seed_leaves_a_tenth_of_the_scans_components(k, p, monkeypatch):
-    # where the scan leaves components the orientation seed leaves at most
-    # a tenth as many, and shrinking augments from it, not from the scan's
-    # seed
+    # these hypertrees are not hub-like, so the floor orientation starts
+    # from the tight heads, the orientation seed runs first and the scan
+    # not at all.  The scan on the cold floor orientation, the first tier
+    # a hub gets, would leave at least ten times as many components as the
+    # seed; the warm start leaves the seed no more than the cold one
+    # would; and shrinking augments from the seed
     hg, _ = random_hypertree(2000, k, 1, p)
-    star = star_graph(orient_floor(hg))
-    _, scanned = sort_key_greedy(star)
+    assert not orientation._hub_like(hg)
+    cold = DirectedHypergraph(hg, orientation._orient(hg, list(floor_demand(hg, k).values))[0])
+    _, scanned = sort_key_greedy(star_graph(cold))
     _, _, _, oriented = rainbow._orientation_seed(orient_floor(hg))
     assert 10 * oriented.components <= scanned
+    assert oriented.components <= rainbow._orientation_seed(cold)[3].components
+    refuse_scan(monkeypatch)
     calls = count_augmentations(monkeypatch)
     assert verify_shrinking(hg, shrink_hypertree(hg))
     assert 10 * len(calls) <= scanned
 
 
 def test_shrink_at_16000_augments_at_most_three_times(monkeypatch):
-    # the scan leaves 1352 components here, so the seed, not the engine,
-    # must join them: each augmentation searches about 0.2 n nodes
+    # the floor orientation starts from the seed's tight heads, so the
+    # seed spans and the engine, whose augmentations each search about
+    # 0.2 n nodes here, makes none
     hg, _ = random_hypertree(16000, 5, 1, 0.8)
     calls = count_augmentations(monkeypatch)
     assert verify_shrinking(hg, shrink_hypertree(hg))
-    assert len(calls) <= 3
+    assert len(calls) == 0
 
 
 def test_hypergraph_seed_matches_the_reference_seed():
@@ -755,7 +772,7 @@ def test_hypergraph_seed_matches_the_reference_seed():
         assert rainbow._parent_edges(d, star, parent, parent_colour) == reference_edge
         assert uf.components == reference_uf.components == d.base.n - len(chosen)
         assert partition(uf, d.base.n) == partition(reference_uf, d.base.n)
-        assert maximum_rainbow_forest(d) == reference_rainbow_forest(star)
+        assert maximum_rainbow_forest(d) == reference_rainbow_forest(star, d.base)
         forests += uf.components > 1
     assert forests >= 50
 
@@ -775,19 +792,50 @@ def refuse_star_graph(monkeypatch) -> None:
     patch_star_graph(monkeypatch, refuse)
 
 
-@pytest.mark.parametrize("m", (1000, 2000))
+@pytest.mark.parametrize("m", (1000, 1999, 2000))
 @pytest.mark.parametrize("k", (3, 4))
 def test_shrink_on_a_hub_builds_no_star_expansion(m, k, monkeypatch):
-    refuse_star_graph(monkeypatch)
+    # a hub-like hypertree keeps the greedy floor orientation, whose heads
+    # leave no vertex short, and the scan, which spans: no incidence
+    # lists, no tight heads and no star expansion are built for it
     hg = adversarial_star(m, k)
+    assert orientation._hub_like(hg) and reference_hub_like(hg)
+    builds = count_incidence_builds(monkeypatch)
+    refuse_star_graph(monkeypatch)
     assert verify_shrinking(hg, shrink_hypertree(hg))
+    assert builds == []
+    assert "_tight" not in vars(hg)
+
+
+def test_warm_floor_orientation_on_random_hypertrees(monkeypatch):
+    # no n = 500 random hypertree is hub-like, so each floor orientation
+    # starts from the tight heads, meets floor(d/k) and leaves the seed
+    # spanning almost always: the engine may run on one of these 160, for
+    # a few augmentations, and measured it runs on none
+    expansions = []
+    patch_star_graph(monkeypatch, lambda d: expansions.append(d) or star_graph(d))
+    calls = count_augmentations(monkeypatch)
+    for k in (3, 5):
+        for p in (0.5, 0.8):
+            for seed in range(1, 41):
+                hg, _ = random_hypertree(500, k, seed, p)
+                assert not orientation._hub_like(hg) and not reference_hub_like(hg)
+                directed = orient_floor(hg)
+                assert "_tight" in vars(hg)
+                assert all(i >= d // k for i, d in zip(directed.indegrees(), hg.degrees()))
+                assert verify_shrinking(hg, shrink_hypertree(hg))
+    assert len(expansions) <= 1
+    assert len(calls) <= 3
 
 
 def test_shrink_builds_no_star_expansion_where_the_seed_spans(monkeypatch):
-    hg, _ = random_hypertree(500, 5, 2, 0.8)
+    # not hub-like, so the seed runs first; the scan would not span
+    hg, _ = random_hypertree(500, 5, 1, 0.8)
+    assert not orientation._hub_like(hg)
     directed = orient_floor(hg)
     assert rainbow._scan(directed) is None
     assert rainbow._orientation_seed(directed)[3].components == 1
+    refuse_scan(monkeypatch)
     refuse_star_graph(monkeypatch)
     assert verify_shrinking(hg, shrink_hypertree(hg))
 
@@ -802,9 +850,22 @@ def test_shrink_builds_one_star_expansion_per_engine(monkeypatch):
         start(engine, *args)
 
     monkeypatch.setattr(rainbow._RainbowEngine, "__init__", counted)
+    # the seed spans on this ladder, so the engine runs on orientations
+    # with random heads (a hypertree's star expansion has a rainbow
+    # spanning tree whatever the heads) and on two small hypertrees whose
+    # warm start leaves the seed short
+    rng = random.Random(1985)
     for n in (250, 500, 1000, 2000):
         for k, p in ((3, 0.5), (5, 0.8)):
             hg, _ = random_hypertree(n, k, 1, p)
             assert verify_shrinking(hg, shrink_hypertree(hg))
             assert len(expansions) == len(engines)
-    assert len(engines) >= 3  # most of the ladder runs the engine
+            directed = DirectedHypergraph(hg, tuple(rng.choice(e) for e in hg.edges))
+            assert len(maximum_rainbow_forest(directed)) == n - 1
+            assert len(expansions) == len(engines)
+    for params in ((160, 3, 18, 0.8), (240, 3, 17, 1.0)):
+        hg, _ = random_hypertree(*params)
+        before = len(engines)
+        assert verify_shrinking(hg, shrink_hypertree(hg))
+        assert len(expansions) == len(engines) == before + 1
+    assert len(engines) >= 3

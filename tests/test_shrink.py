@@ -392,12 +392,12 @@ def test_lean_shrink_matches_the_checked_path():
         checked = ColouredGraph(star.n, star.edges)
         assert checked.edges == star.edges
         assert checked._classes == [list(cl) for cl in star._classes]
-        tree = RainbowTree(checked.n, reference_rainbow_forest(checked))
+        tree = RainbowTree(checked.n, reference_rainbow_forest(checked, hg))
         pairs = {c: (u, v) for u, v, c in tree.edges}
         assert shrink_hypertree(hg) == Shrinking.from_pairs([pairs[i] for i in range(hg.num_edges)])
     for hg in hypergraphs[24:36]:  # n = 500, each with pairs to break
         broken = break_hypertree(hg)
-        assert len(reference_rainbow_forest(star_graph(orient_floor(broken)))) < broken.n - 1
+        assert len(reference_rainbow_forest(star_graph(orient_floor(broken)), broken)) < broken.n - 1
         with pytest.raises(NotAHypertreeError) as info:
             shrink_hypertree(broken)
         assert info.value.reason == "no-rainbow-tree"
@@ -453,8 +453,8 @@ def test_dot_output_shape():
         "  1;\n"
         "  2;\n"
         "  3;\n"
-        '  0 -- 1 [color="gray", style=dashed];\n'
-        '  0 -- 2 [label="0", color="#e6194b", penwidth=2];\n'
+        '  0 -- 1 [label="0", color="#e6194b", penwidth=2];\n'
+        '  0 -- 2 [color="gray", style=dashed];\n'
         '  1 -- 2 [color="gray", style=dashed];\n'
         '  1 -- 2 [label="1", color="#3cb44b", penwidth=2];\n'
         '  1 -- 3 [color="gray", style=dashed];\n'

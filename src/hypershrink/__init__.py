@@ -26,14 +26,7 @@ from .core import (
     hypergraph_to_text,
     validate,
 )
-from .dot import coloured_graph_to_dot, rainbow_tree_to_dot, shrinking_to_dot
 from .gen import SplitMix64, adversarial_star, random_hypertree, random_tree
-from .oracles import (
-    BruteforceResult,
-    brute_force_shrink,
-    check_rainbow_condition,
-    is_hypertree_bruteforce,
-)
 from .orientation import (
     OrientationResult,
     floor_demand,
@@ -59,6 +52,33 @@ from .shrink import (
 )
 
 __version__ = "1.0.0"
+
+# Public name -> the module off the shrink/check path that defines it.
+# Each module is imported on the first access of one of its names
+# (PEP 562), so `import hypershrink` and the CLI start without them.
+_OFF_PATH = {
+    "BruteforceResult": "oracles",
+    "brute_force_shrink": "oracles",
+    "check_rainbow_condition": "oracles",
+    "is_hypertree_bruteforce": "oracles",
+    "coloured_graph_to_dot": "dot",
+    "rainbow_tree_to_dot": "dot",
+    "shrinking_to_dot": "dot",
+}
+
+
+def __getattr__(name):
+    if name not in _OFF_PATH:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_OFF_PATH[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_OFF_PATH))
 
 __all__ = [
     "BruteforceResult",

@@ -33,9 +33,7 @@ from .core import (
     hypergraph_to_json,
     validate,
 )
-from .dot import shrinking_to_dot
 from .gen import _check_hypertree_args, random_hypertree
-from .oracles import is_hypertree_bruteforce
 from .orientation import (
     floor_demand,
     is_hypertree,
@@ -138,6 +136,8 @@ def _cmd_check(args) -> int:
             return EXIT_OK
         print("not a hypertree")
         return EXIT_NEGATIVE
+    from .oracles import is_hypertree_bruteforce  # off the fast path: loaded on use
+
     result = is_hypertree_bruteforce(hypergraph, limit=args.limit)
     if result:
         print("hypertree")
@@ -168,6 +168,8 @@ def _cmd_shrink(args) -> int:
         return EXIT_NEGATIVE
     report = verify_shrinking(hypergraph, shrinking, args.k)
     if args.out == "dot":
+        from .dot import shrinking_to_dot  # off the fast path: loaded on use
+
         print(shrinking_to_dot(hypergraph, shrinking))
     else:
         print(shrinking_to_json(hypergraph, shrinking, args.k))

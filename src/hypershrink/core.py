@@ -193,8 +193,14 @@ class DemandFunction(_Value):
         return sum(self.values)
 
     def sum_over(self, vertices) -> int:
-        """f(F): the sum of demands over a vertex set."""
-        return sum(self.values[v] for v in vertices)
+        """f(F): the sum of demands over a set of vertices in [0, n)."""
+        values, n = self.values, len(self.values)
+        total = 0
+        for v in vertices:
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} out of range [0, {n})")
+            total += values[v]
+        return total
 
 
 class Violation(_Value):
@@ -246,19 +252,21 @@ def validate(hypergraph: Hypergraph) -> ValidationReport:
     if "_report" in hypergraph.__dict__:
         return hypergraph._report
     n, edges = hypergraph.n, hypergraph.edges
-    flat = list(chain.from_iterable(edges))
     # Whole-column passes decide; the per-edge scan only names violations.
-    # Every edge is strictly sorted iff the ascending adjacent pairs of flat,
-    # less those straddling two edges, number len(flat) - len(edges).
-    valid = (
-        min(map(len, edges), default=2) >= 2
-        and min(flat, default=0) >= 0
-        and max(flat, default=-1) < n
-        and sum(map(lt, flat, flat[1:]))
-        - sum(map(lt, map(itemgetter(-1), edges), map(itemgetter(0), edges[1:])))
-        == len(flat) - len(edges)
-        and len(set(edges)) == len(edges)
-    )
+    valid = min(map(len, edges), default=2) >= 2
+    if valid:
+        # Every edge is strictly sorted iff the ascending adjacent pairs of
+        # flat, less those straddling two edges, number len(flat) - len(edges);
+        # then each edge's first and last members are its least and greatest
+        flat = list(chain.from_iterable(edges))
+        firsts, lasts = list(map(itemgetter(0), edges)), list(map(itemgetter(-1), edges))
+        valid = (
+            sum(map(lt, flat, flat[1:])) - sum(map(lt, lasts, firsts[1:]))
+            == len(flat) - len(edges)
+            and min(firsts, default=0) >= 0
+            and max(lasts, default=-1) < n
+            and len(set(edges)) == len(edges)
+        )
     problems = []
     seen = {}
     for i, e in enumerate(() if valid else edges):

@@ -104,6 +104,19 @@ def _repair(v: int, heads: list, need: list, incident: list):
     return came_from
 
 
+def _neediest(e: tuple, need: list) -> int:
+    """The first member of ``e`` with the largest need, as
+    ``max(e, key=need.__getitem__)`` returns it, by a plain loop, which
+    skips a key call per member."""
+    head = e[0]
+    most = need[head]
+    for v in e:
+        if need[v] > most:
+            head = v
+            most = need[v]
+    return head
+
+
 def _forced_heads(edges: tuple, need: list, incident: list) -> list:
     """The greedy pass with forced heads, for tight demands.
 
@@ -147,7 +160,7 @@ def _forced_heads(edges: tuple, need: list, incident: list) -> list:
             head = a if need[a] >= need[b] else b
             head = head if need[head] >= need[c] else c
         else:
-            head = max(e, key=need.__getitem__)
+            head = _neediest(e, need)
         need[head] -= 1
         heads[i] = head
         # the head was not forced, so need < free or need <= 0 stays true
@@ -177,7 +190,7 @@ def _orient(hypergraph: Hypergraph, need: list) -> tuple:
     else:
         heads = []
         for e in edges:
-            # pairs and triples inline the first member max(e, key=...) returns
+            # pairs and triples inline the member _neediest returns
             if len(e) == 2:
                 a, b = e
                 head = a if need[a] >= need[b] else b
@@ -186,7 +199,7 @@ def _orient(hypergraph: Hypergraph, need: list) -> tuple:
                 head = a if need[a] >= need[b] else b
                 head = head if need[head] >= need[c] else c
             else:
-                head = max(e, key=need.__getitem__)
+                head = _neediest(e, need)
             need[head] -= 1
             heads.append(head)
         if max(need, default=0) <= 0:
@@ -303,10 +316,16 @@ def floor_demand(hypergraph: Hypergraph, k: int) -> DemandFunction:
     feasibility argument charges each hyperedge at most |e| * (1/k) <= 1
     against the incident-edge count.
     """
+    return DemandFunction(_floor_needs(hypergraph, k)[1])
+
+
+def _floor_needs(hypergraph: Hypergraph, k) -> tuple:
+    """``(k, needs)``: k as :func:`floor_demand` reads and refuses it, and
+    floor(degree(v) / k) for every v as a fresh list."""
     k, _ = _degree_guarantee(hypergraph, k)  # refuses an invalid hypergraph, then k < 1
     if k < hypergraph.rank():
         raise ValueError(f"k={k} is below the rank {hypergraph.rank()}")
-    return DemandFunction(tuple(map(floordiv, hypergraph.degrees(), repeat(k))))
+    return k, list(map(floordiv, hypergraph.degrees(), repeat(k)))
 
 
 def orient_floor(hypergraph: Hypergraph, k: int = None) -> DirectedHypergraph:
@@ -320,8 +339,7 @@ def orient_floor(hypergraph: Hypergraph, k: int = None) -> DirectedHypergraph:
     incident hyperedges), so a violator outcome here means the
     implementation is broken: it raises :class:`InternalError`.
     """
-    k, _ = _degree_guarantee(hypergraph, k)
-    need = list(floor_demand(hypergraph, k).values)
+    k, need = _floor_needs(hypergraph, k)
     heads, violator = None, ()  # not None: the cold path, unless tight heads replace it
     if hypergraph.num_edges == hypergraph.n - 1 and not _hub_like(hypergraph):
         heads, violator = _tight_heads(hypergraph)

@@ -59,6 +59,14 @@ class Shrinking(_Value):
         index = {pair: j for j, pair in enumerate(tree)}
         return cls(tree, tuple(index[p] for p in normalised))
 
+    @classmethod
+    def _trusted(cls, tree: tuple, assignment: tuple) -> "Shrinking":
+        """Keep a tuple of ``(u, v)`` tuples of exact ints and a tuple of
+        exact ints as they are, skipping the constructor's normalisation."""
+        shrinking = cls.__new__(cls)
+        shrinking.__dict__.update(tree=tree, assignment=assignment)
+        return shrinking
+
     def pair_for(self, i: int) -> tuple:
         """The tree edge assigned to hyperedge i; a hyperedge outside the
         assignment's index range, or an entry outside the tree's, raises
@@ -107,11 +115,12 @@ def shrink_hypertree(hypergraph: Hypergraph, k: int = None) -> Shrinking:
         raise NotAHypertreeError(
             "no-rainbow-tree", "the star expansion has no rainbow spanning tree"
         )
-    # sorted triples, each colour once: hyperedge c gets colour c's position
+    # sorted triples, each colour once: hyperedge c gets colour c's position.
+    # Their members are the base's exact ints, so nothing needs normalising
     assignment = [0] * m
     for j, (_, _, c) in enumerate(tree):
         assignment[c] = j
-    return Shrinking([(u, v) for u, v, _ in tree], assignment)
+    return Shrinking._trusted(tuple([(u, v) for u, v, _ in tree]), tuple(assignment))
 
 
 class VerificationCheck(_Value):
@@ -189,7 +198,8 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
 
     assignment, edges = shrinking.assignment, hypergraph.edges
     # the range test comes first, so that no entry indexes from the end
-    contained = min(assignment, default=0) >= 0 and max(assignment, default=-1) < len(tree)
+    in_range = min(assignment, default=0) >= 0 and max(assignment, default=-1) < len(tree)
+    contained = in_range
     if contained:
         ends = list(map(tree.__getitem__, assignment))
         contained = all(map(contains, edges, map(itemgetter(0), ends)))
@@ -207,7 +217,8 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
         )
     )
 
-    bijective = len(assignment) == m and sorted(assignment) == list(range(len(tree)))
+    # a permutation of range(m): m entries, each in range, none repeated
+    bijective = in_range and len(assignment) == m == len(tree) and len(set(assignment)) == m
     checks.append(VerificationCheck("bijection", bijective))
 
     hyper_deg = hypergraph.degrees()

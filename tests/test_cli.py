@@ -681,6 +681,10 @@ SHRINK_DIGESTS = {
     ("random", (9, 3, 5, 0.8), ("--k", "4")): (
         "ebd98e2d7083d31eb8a0f1a09a3eb0a4406d67865081975c89210ffcf8531258",
         "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
+    # 1000 hyperedges of 5 members, headed by the plain greedy pass
+    ("hub", (1000, 5), ()): (
+        "fcc8fc9e53b2fa2fa552b30a984e7371ecffa5396f2a26f2d95ac48900d23521",
+        "473157a4e93d03e3051303f4b5a0ee5b33084eaaabf500cd6a71d8124e7580df"),
 }
 
 
@@ -715,6 +719,10 @@ def test_shrink_output_is_pinned(case, tmp_path, capsys):
 ORIENT_DIGESTS = {
     ("hub", (1500, 4)): "7147b2e21d895261b241ccdc5af461fc47c298934fe4264970a26fa130ec5f52",
     ("random", (500, 3, 1, 0.5)): "d1a139093fc716b72187166b6f78e5324b842d09623467d9f8843bd9397458ba",
+    # the plain pass on 1000 hyperedges of 5 members, and the forced pass
+    # of the tight heads on hyperedges of 4 and 5 members
+    ("hub", (1000, 5)): "05c880052c0ac41f82d0c34f577045e63f8f3821fea5338a8b31984821b3b385",
+    ("random", (500, 5, 4, 0.8)): "2e79acbd82050295c8c2ef4a1b6931eb8b274328700822a2b5e741afc55fc087",
 }
 
 
@@ -739,6 +747,30 @@ def test_cli_start_loads_no_oracle_only_module():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_shrink_and_check_load_no_oracle_or_dot_module(tmp_path):
+    # the package resolves the oracle and DOT names on first use, so the
+    # commands the benchmark times never load those modules, while a star
+    # import still binds every public name
+    path = tmp_path / "h.json"
+    path.write_text(hypergraph_to_json(random_hypertree(12, 3, 1, 0.5)[0]))
+    code = (
+        "import contextlib, io, sys, hypershrink.cli as c\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [c.main(['shrink', {str(path)!r}]), c.main(['check', {str(path)!r}])]\n"
+        "print(codes, sorted({'hypershrink.oracles', 'hypershrink.dot'} & set(sys.modules)))\n"
+        "import hypershrink\n"
+        "names = {}\n"
+        "exec('from hypershrink import *', names)\n"
+        "print(sorted(set(hypershrink.__all__) - set(names)), set(hypershrink.__all__) <= set(dir(hypershrink)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=cli_env(), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0] []\n[] True\n"
 
 
 def test_fast_path_modules_import_no_oracle_or_dot_code():

@@ -272,6 +272,16 @@ def test_demand_function():
         DemandFunction((0, -1))
 
 
+def test_sum_over_refuses_a_vertex_outside_the_range():
+    # -1 once summed the last vertex's demand, and n raised IndexError
+    f = DemandFunction((0, 1, 2))
+    assert f.sum_over(()) == 0 and f.sum_over(range(3)) == 3
+    for v in (-1, 3, 99):
+        with pytest.raises(ValueError) as info:
+            f.sum_over((1, v))
+        assert str(info.value) == f"vertex {v} out of range [0, 3)"
+
+
 def test_json_round_trip():
     assert hypergraph_from_json(hypergraph_to_json(H1)) == H1
 

@@ -212,6 +212,13 @@ def _shrinkings_to_report():
     yield H1, Shrinking(tree, assignment[:2] + (len(tree),))
     yield H1, Shrinking(tree, assignment[:2])
     yield H1, Shrinking(tree, assignment + (0,))
+    # the bijection check counts distinct entries, so it must still fail a
+    # repeated entry at full length (hyperedge 1 takes hyperedge 2's tree
+    # edge (2, 3), which it contains: only the bijection fails), one entry
+    # too many with a repeat, and a tree one edge longer than m
+    yield H1, Shrinking(tree, assignment[:1] + assignment[2:] * 2)
+    yield H1, Shrinking(tree, assignment + assignment[-1:])
+    yield H1, Shrinking(tree + ((0, 3),), assignment)
     yield H1, Shrinking(((0, 3), (1, 2), (2, 3)), (0, 1, 2))
     yield H1, Shrinking(((0, 9), (1, 2), (2, 3)), (0, 1, 2))
     # rank 3, and the hub of degree 150 keeps no tree edge: every check
@@ -236,6 +243,18 @@ def test_reports_and_json_match_the_per_vertex_reference():
             assert shrinking_to_json(hg, s, k) == reference_shrinking_to_json(
                 Hypergraph(hg.n, hg.edges), s, k
             )
+
+
+def test_shrink_returns_what_the_public_constructor_would():
+    # shrink_hypertree skips the constructor's normalisation, so its values
+    # must already be what the constructor keeps: tuples of exact ints
+    for hg in (adversarial_star(150, 4), random_hypertree(200, 5, 3, 0.8)[0], Hypergraph(1, ())):
+        s = shrink_hypertree(hg)
+        assert s == Shrinking(s.tree, s.assignment)
+        assert type(s.tree) is tuple and type(s.assignment) is tuple
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in s.tree)
+        assert {type(v) for pair in s.tree for v in pair} | {type(j) for j in s.assignment} <= {int}
+        assert len(s.tree) == hg.n - 1 and verify_shrinking(hg, s).all_passed
 
 
 def test_pair_for_refuses_out_of_range_assignment_entries():

@@ -193,7 +193,7 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
             if a == b:
                 tree_ok, detail = False, f"cycle closed by ({u}, {v})"
                 break
-            parent[a] = b
+            parent[b] = a  # as UnionFind.union links: v's root under u's
     checks.append(VerificationCheck("spanning-tree", tree_ok, detail))
 
     assignment, edges = shrinking.assignment, hypergraph.edges
@@ -209,13 +209,10 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
         for i, (j, e) in enumerate(zip(assignment, edges))
         if not (0 <= j < len(tree) and tree[j][0] in e and tree[j][1] in e)
     ]
-    checks.append(
-        VerificationCheck(
-            "containment",
-            not bad and len(assignment) == m,
-            "" if not bad else f"hyperedges {bad} do not contain their tree edge",
-        )
-    )
+    problems = [f"hyperedges {bad} do not contain their tree edge"] if bad else []
+    if len(assignment) != m:
+        problems.append(f"{len(assignment)} assignment entries for {m} hyperedges")
+    checks.append(VerificationCheck("containment", not problems, "; ".join(problems)))
 
     # a permutation of range(m): m entries, each in range, none repeated
     bijective = in_range and len(assignment) == m == len(tree) and len(set(assignment)) == m

@@ -493,13 +493,11 @@ def reference_verify_shrinking(hypergraph, shrinking, k=None) -> VerificationRep
         for i, (j, e) in enumerate(zip(shrinking.assignment, hypergraph.edges))
         if not (0 <= j < len(tree) and tree[j][0] in e and tree[j][1] in e)
     ]
-    checks.append(
-        VerificationCheck(
-            "containment",
-            not bad and len(shrinking.assignment) == m,
-            "" if not bad else f"hyperedges {bad} do not contain their tree edge",
-        )
-    )
+    detail = f"hyperedges {bad} do not contain their tree edge" if bad else ""
+    if len(shrinking.assignment) != m:
+        entries = f"{len(shrinking.assignment)} assignment entries for {m} hyperedges"
+        detail = f"{detail}; {entries}" if detail else entries
+    checks.append(VerificationCheck("containment", not detail, detail))
     bijective = len(shrinking.assignment) == m and sorted(
         shrinking.assignment
     ) == list(range(len(tree)))

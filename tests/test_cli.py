@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -511,6 +512,116 @@ def test_internal_value_error_exits_3(h1_file, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: ValueError: bug\n"
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """Run the body with the cyclic collector on or off, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_shrink_on_a_hub_runs_no_collection(tmp_path, capsys):
+    # the per-edge containers of a hub shrink trigger collector passes when
+    # the command runs with the collector on; main pauses it
+    path = tmp_path / "hub.json"
+    path.write_text(hypergraph_to_json(adversarial_star(1999, 4)))
+    argv = ["shrink", str(path)]
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    args = _build_parser().parse_args(argv)
+    gc.callbacks.append(count)
+    try:
+        with collector(True):
+            assert args.func(args) == 0
+            unpaused = len(passes)
+            passes.clear()
+            assert main(argv) == 0
+    finally:
+        gc.callbacks.remove(count)
+    assert unpaused > 0
+    assert passes == []
+    capsys.readouterr()
+
+
+def exit_code(argv):
+    """main's exit code, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_on_every_way_out(enabled, h1_file, triangle_file,
+                                                      monkeypatch, capsys):
+    seen = []
+
+    def broken(hypergraph):
+        seen.append(gc.isenabled())
+        raise KeyError("lost")
+
+    for argv, code in (
+        (["check", h1_file], 0),
+        (["check", triangle_file], 1),
+        (["check", "/no/such/file"], 2),
+        (["--help"], 0),
+        (["shrink", "--no-such-flag", h1_file], 2),
+    ):
+        with collector(enabled):
+            assert exit_code(argv) == code, argv
+            assert gc.isenabled() is enabled, argv
+    monkeypatch.setattr("hypershrink.cli.is_hypertree", broken)
+    with collector(enabled):
+        assert main(["check", h1_file]) == 3
+        assert gc.isenabled() is enabled
+    assert seen == [False]  # the command ran with the collector paused
+    capsys.readouterr()
+
+
+def test_commands_leave_no_cyclic_garbage(h1_file, tmp_path, capsys):
+    # main pauses the collector, so a cycle made by a command would wait
+    # for the next collection: the pipeline must make none.  Building the
+    # parser leaves argparse's formatter cycles once; it is cached
+    path_json = tmp_path / "path.json"
+    path_json.write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}')
+    met, violated = tmp_path / "met.json", tmp_path / "violated.json"
+    met.write_text("[0, 2, 0]")
+    violated.write_text("[1, 1, 1]")
+    hub = tmp_path / "hub.json"
+    hub.write_text(hypergraph_to_json(adversarial_star(300, 4)))
+    random_file = tmp_path / "random.json"
+    random_file.write_text(hypergraph_to_json(random_hypertree(300, 5, 1, 0.8)[0]))
+    cases = (
+        (["validate", h1_file], 0),
+        (["check", str(random_file)], 0),
+        (["check", "--oracle", h1_file], 0),
+        (["shrink", str(hub)], 0),
+        (["shrink", str(random_file)], 0),
+        (["shrink", "--out", "dot", h1_file], 0),
+        (["orient", str(random_file)], 0),
+        (["orient", str(path_json), "--demands", str(met)], 0),
+        (["orient", str(path_json), "--demands", str(violated)], 1),
+        (["gen", "--n", "50", "--k", "3", "--seed", "1", "--witness", str(tmp_path / "w.json")], 0),
+        (["bench", "--trials", "2", "--n", "40", "--k", "3", "--seed", "1"], 0),
+        (["shrink", "/no/such/file"], 2),
+        (["shrink", "--k", "0", h1_file], 2),
+    )
+    _build_parser()
+    with collector(False):
+        gc.collect()
+        for argv, code in cases:
+            assert main(argv) == code, argv
+            assert gc.collect() == 0, argv
+    capsys.readouterr()
 
 
 def test_internal_error_exits_3_under_optimisation(h1_file):

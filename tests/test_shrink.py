@@ -106,6 +106,17 @@ def test_verify_flags_containment_failure():
     assert "0" in report["containment"].detail
 
 
+def test_verify_names_an_assignment_of_the_wrong_length():
+    tree = ((0, 1), (1, 2), (2, 3))
+    for assignment, detail in (
+        ((0, 1, 2, 2), "4 assignment entries for 3 hyperedges"),
+        ((0, 1), "2 assignment entries for 3 hyperedges"),
+        ((2, 1), "hyperedges [0] do not contain their tree edge; 2 assignment entries for 3 hyperedges"),
+    ):
+        check = verify_shrinking(H1, Shrinking(tree, assignment))["containment"]
+        assert not check.passed and check.detail == detail
+
+
 def test_verify_flags_non_tree():
     bad = Shrinking(((0, 1), (1, 2), (0, 2)), (0, 1, 2))
     report = verify_shrinking(H1, bad)
@@ -226,6 +237,10 @@ def _shrinkings_to_report():
     star = adversarial_star(150, 3)
     yield star, Shrinking([e[-2:] for e in star.edges], range(star.num_edges))
     yield star, shrink_hypertree(star)
+    # a cycle closed only after a star prefix as long as the tree allows
+    yield star, Shrinking([(0, v) for v in range(1, star.n - 1)] + [(1, 2)], range(star.num_edges))
+    yield H1, Shrinking(((0, 1), (1, 2), (2, 3)), (0, 1, 2, 2))
+    yield H1, Shrinking(((0, 1), (1, 2), (2, 3)), (0, 1))
     yield Hypergraph(1, ()), Shrinking((), ())
     yield Hypergraph(1, ()), Shrinking(((0, 1),), ())
     random500 = random_hypertree(500, 5, 1, 0.8)[0]

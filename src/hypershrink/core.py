@@ -56,6 +56,15 @@ def _exact_ints(values) -> tuple:
     return values if set(map(type, values)) <= {int} else tuple(map(_exact_int, values))
 
 
+def _vertex(v, n: int) -> int:
+    """``v`` read by :func:`_exact_int` as a vertex id, refused with
+    ValueError outside [0, n)."""
+    v = _exact_int(v)
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range [0, {n})")
+    return v
+
+
 class _Value:
     """Base of the immutable value classes.
 
@@ -95,9 +104,10 @@ class Hypergraph(_Value):
 
     The constructor normalises edges to tuples but does not enforce the
     simplicity invariants; use :func:`validate` to obtain a violation
-    report.  All query methods assume a valid hypergraph.  The value is
-    immutable, so :meth:`degrees`, :meth:`rank` and the :func:`validate`
-    report are computed once and remembered.
+    report.  :meth:`degrees`, which indexes by vertex id, refuses a
+    hypergraph :func:`validate` rejects.  The value is immutable, so
+    :meth:`degrees`, :meth:`rank` and the :func:`validate` report are
+    computed once and remembered.
     """
 
     __match_args__ = ("n", "edges")
@@ -119,6 +129,7 @@ class Hypergraph(_Value):
         """Degree of every vertex, indexed by vertex id (a fresh list)."""
         d = self.__dict__.get("_degrees")
         if d is None:
+            _require_valid(self)  # the members index the counts
             d = [0] * self.n
             for v in chain.from_iterable(self.edges):
                 d[v] += 1
@@ -160,9 +171,7 @@ class DirectedHypergraph(_Value):
 
     def indegree(self, v: int) -> int:
         """Number of hyperarcs whose head is ``v``, a vertex of the base."""
-        if not 0 <= v < self.base.n:
-            raise ValueError(f"vertex {v} out of range [0, {self.base.n})")
-        return sum(1 for h in self.heads if h == v)
+        return self.heads.count(_vertex(v, self.base.n))
 
     def indegrees(self) -> list:
         _require_valid(self.base)  # the heads index the counts
@@ -187,7 +196,11 @@ class DemandFunction(_Value):
         return len(self.values)
 
     def __getitem__(self, v: int) -> int:
-        return self.values[v]
+        """f(v) for a vertex v in [0, n)."""
+        return self.values[_vertex(v, len(self.values))]
+
+    def __iter__(self):
+        return iter(self.values)
 
     def total(self) -> int:
         return sum(self.values)
@@ -195,12 +208,7 @@ class DemandFunction(_Value):
     def sum_over(self, vertices) -> int:
         """f(F): the sum of demands over a set of vertices in [0, n)."""
         values, n = self.values, len(self.values)
-        total = 0
-        for v in vertices:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range [0, {n})")
-            total += values[v]
-        return total
+        return sum([values[_vertex(v, n)] for v in vertices])
 
 
 class Violation(_Value):

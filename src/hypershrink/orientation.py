@@ -26,9 +26,9 @@ needs and v heads fewer, so e*(F) < f(F) and F is the violator.
 
 The same stage recognises hypertrees (:func:`is_hypertree`).
 :func:`_orient` is the one owner of these heads; :func:`_tight_heads`
-keeps its 0/1 heads, which :func:`is_hypertree`, the rainbow stage's
-orientation seed and the floor orientation of a non-hub hypertree start
-from, and :func:`_incidence` the incidence lists, once per hypergraph.
+keeps its 0/1 heads, which :func:`is_hypertree`, the rainbow seed and the
+floor orientation of every non-hub input with |E| = n - 1 start from, and
+:func:`_incidence` the incidence lists, once per hypergraph.
 """
 
 from itertools import repeat
@@ -105,9 +105,9 @@ def _repair(v: int, heads: list, need: list, incident: list):
 
 
 def _neediest(e: tuple, need: list) -> int:
-    """The first member of ``e`` with the largest need, as
-    ``max(e, key=need.__getitem__)`` returns it, by a plain loop, which
-    skips a key call per member."""
+    """The head rule of both greedy passes: the first member of ``e``
+    with the largest need, as ``max(e, key=need.__getitem__)`` returns it,
+    by a plain loop, which skips a key call per member."""
     head = e[0]
     most = need[head]
     for v in e:
@@ -127,7 +127,8 @@ def _forced_heads(edges: tuple, need: list, incident: list) -> list:
     first in, first out; the cascade runs over the vertices forced at the
     start, in order, and again after each greedy head, over the members
     of that hyperedge it forced.  The greedy pass heads each hyperedge
-    still unheaded as the plain pass does.
+    still unheaded at :func:`_neediest`'s member, so every hyperedge has a
+    head before any repair runs.
     """
     free = list(map(len, incident))
     heads = [-1] * len(edges)
@@ -152,15 +153,7 @@ def _forced_heads(edges: tuple, need: list, incident: list) -> list:
             forced = []
         if heads[i] != -1:
             continue
-        if len(e) == 2:  # inlined as in the plain pass below
-            a, b = e
-            head = a if need[a] >= need[b] else b
-        elif len(e) == 3:
-            a, b, c = e
-            head = a if need[a] >= need[b] else b
-            head = head if need[head] >= need[c] else c
-        else:
-            head = _neediest(e, need)
+        head = _neediest(e, need)
         need[head] -= 1
         heads[i] = head
         # the head was not forced, so need < free or need <= 0 stays true
@@ -190,7 +183,7 @@ def _orient(hypergraph: Hypergraph, need: list) -> tuple:
     else:
         heads = []
         for e in edges:
-            # pairs and triples inline the member _neediest returns
+            # pairs and triples inline _neediest, whose call a hub would feel
             if len(e) == 2:
                 a, b = e
                 head = a if need[a] >= need[b] else b
@@ -331,22 +324,21 @@ def _floor_needs(hypergraph: Hypergraph, k) -> tuple:
 def orient_floor(hypergraph: Hypergraph, k: int = None) -> DirectedHypergraph:
     """Orientation with indegree(v) >= floor(degree(v)/k) for every v.
 
-    ``k`` defaults to the rank, or 1 for an edgeless hypergraph.  A
-    non-hub hypertree starts from its tight heads and repairs what they
-    leave short; the rest get :func:`_orient`'s greedy pass.  Floor
+    ``k`` defaults to the rank, or 1 for an edgeless hypergraph.  Every
+    non-hub input with |E| = n - 1 starts from its tight heads (complete
+    even where their repairs failed) and repairs what they leave short;
+    the rest get :func:`_orient`'s greedy pass.  Floor
     demands are always feasible for k >= rank (each hyperedge meets at
     most k vertices, so no vertex set can demand more heads than it has
     incident hyperedges), so a violator outcome here means the
     implementation is broken: it raises :class:`InternalError`.
     """
     k, need = _floor_needs(hypergraph, k)
-    heads, violator = None, ()  # not None: the cold path, unless tight heads replace it
     if hypergraph.num_edges == hypergraph.n - 1 and not _hub_like(hypergraph):
-        heads, violator = _tight_heads(hypergraph)
-    if violator is None:  # warm: repair a copy, as the memo is read only
+        heads = _tight_heads(hypergraph)[0]
         for h in heads:
             need[h] -= 1
-        heads, violator = _repairs(hypergraph, heads.copy(), need)
+        heads, violator = _repairs(hypergraph, heads.copy(), need)  # the memo is read only
     else:
         heads, violator = _orient(hypergraph, need)
     if violator is not None:

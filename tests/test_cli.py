@@ -444,14 +444,14 @@ def test_console_script_runs():
     assert json.loads(proc.stdout)["n"] == 5
 
 
-def infeasible_orientation(hypergraph, need):
-    """Stand-in for ``orientation._orient`` that reports the always
+def infeasible_orientation(hypergraph, heads, need):
+    """Stand-in for ``orientation._repairs`` that reports the always
     feasible floor demands infeasible, to break an invariant on purpose."""
-    return [2] * len(hypergraph.edges), (2,)
+    return heads, (2,)
 
 
 def test_internal_error_exits_3(h1_file, monkeypatch, capsys):
-    monkeypatch.setattr("hypershrink.orientation._orient", infeasible_orientation)
+    monkeypatch.setattr("hypershrink.orientation._repairs", infeasible_orientation)
     for command in ("orient", "shrink"):
         assert main([command, h1_file]) == 3
         captured = capsys.readouterr()
@@ -630,7 +630,7 @@ def test_internal_error_exits_3_under_optimisation(h1_file):
         "import sys\n"
         "from hypershrink import orientation\n"
         "from hypershrink.cli import main\n"
-        "orientation._orient = lambda hypergraph, need: ([2, 2, 2], (2,))\n"
+        "orientation._repairs = lambda hypergraph, heads, need: (heads, (2,))\n"
         "sys.exit(main(['orient', sys.argv[1]]))\n"
     )
     proc = subprocess.run(
@@ -858,6 +858,22 @@ def test_cli_start_loads_no_oracle_only_module():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_readme_library_example_runs_on_the_standard_library():
+    # the python block under README's "## Library" runs as written; -I -S
+    # keeps the environment and site-packages out of the child, so the
+    # package directory goes on sys.path by hand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "shrink_hypertree(h)" in example and "assert " in example
+    root = str(Path(hypershrink.__file__).resolve().parent.parent)
+    code = f"import sys\nsys.path.insert(0, {root!r})\n{example}print('ok')\n"
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
 
 
 def test_shrink_and_check_load_no_oracle_or_dot_module(tmp_path):

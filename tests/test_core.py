@@ -207,6 +207,13 @@ def test_degrees_and_rank_without_edges(n):
     assert hg.rank() == 0
 
 
+def test_degrees_refuse_an_invalid_hypergraph():
+    # -1 once counted at vertex n - 1, and 5 raised a bare IndexError
+    for edge in ((-1, 0), (0, 5)):
+        with pytest.raises(ValueError, match=r"^invalid hypergraph: vertex-range at edge 0"):
+            Hypergraph(3, (edge,)).degrees()
+
+
 def test_validation_report_str_names_edge():
     report = validate(Hypergraph(3, ((1, 1),)))
     assert "edge 0" in str(report)
@@ -246,6 +253,10 @@ def test_indegree_refuses_a_vertex_outside_the_base():
     for v in (-1, 4, 99):
         with pytest.raises(ValueError, match=rf"^vertex {v} out of range \[0, 4\)$"):
             directed.indegree(v)
+    # a vertex id is read as an exact integer: 1.5 once answered 0
+    assert directed.indegree(2.0) == 2
+    with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
+        directed.indegree(1.5)
 
 
 def test_heads_and_demands_of_exact_ints_kept_as_they_are():
@@ -280,6 +291,21 @@ def test_sum_over_refuses_a_vertex_outside_the_range():
         with pytest.raises(ValueError) as info:
             f.sum_over((1, v))
         assert str(info.value) == f"vertex {v} out of range [0, 3)"
+    # 1.5 once raised TypeError
+    with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
+        f.sum_over((1, 1.5))
+
+
+def test_demand_lookup_refuses_a_vertex_outside_the_range():
+    # -1 once read the last vertex's demand; iteration still ends at n
+    f = DemandFunction((1, 2, 3))
+    assert f[0] == 1 and f[2.0] == 3
+    assert list(f) == [1, 2, 3]
+    for v in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^vertex {v} out of range \[0, 3\)$"):
+            f[v]
+    with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
+        f[1.5]
 
 
 def test_json_round_trip():

@@ -24,6 +24,7 @@ from helpers import (
     TRIANGLE4,
     brute_orientation_exists,
     count_incidence_builds,
+    random_edge_family,
     random_valid_hypergraph,
     reference_greedy_heads,
     reference_repair,
@@ -220,10 +221,9 @@ def test_long_augmenting_paths_do_not_recurse():
 
 
 def test_infeasible_floor_demands_raise_internal_error(monkeypatch):
-    # fresh copies of H1, which is not hub-like: one whose tight heads are
-    # remembered takes the warm start, whose repairs fail here; the other
-    # gets failing tight heads, so it takes the cold orientation, which
-    # fails too
+    # fresh copies of H1, which is not hub-like, so both take the warm
+    # start: one from tight heads remembered before the repairs fail here,
+    # the other from failing tight heads; the repairs fail on both
     warm, cold = Hypergraph(H1.n, H1.edges), Hypergraph(H1.n, H1.edges)
     assert is_hypertree(warm)
     monkeypatch.setattr(orientation, "_repairs", lambda hypergraph, heads, need: (heads, (2,)))
@@ -232,6 +232,40 @@ def test_infeasible_floor_demands_raise_internal_error(monkeypatch):
     monkeypatch.setattr(orientation, "_orient", lambda hypergraph, need: ([2, 2, 2], (2,)))
     with pytest.raises(InternalError, match="must be feasible"):
         orient_floor(cold)
+
+
+def test_floor_orientation_starts_from_failed_tight_heads(monkeypatch):
+    # |E| = n - 1 and not hub-like, but the tight demands fail: TRIANGLE4's
+    # isolated vertex 3 heads nothing, and so do short vertices of random
+    # edge families.  The tight heads still head every hyperedge, so the
+    # floor orientation repairs a copy of them and runs no greedy pass
+    def refuse(hypergraph, need):
+        raise AssertionError("the greedy pass ran")
+
+    repairs = orientation._repairs
+    rng = random.Random(3)
+    families = [TRIANGLE4] + [random_edge_family(rng, rng.randint(3, 12)) for _ in range(300)]
+    checked = 0
+    for hg in families:
+        hg = Hypergraph(hg.n, hg.edges)
+        tight, violator = orientation._tight_heads(hg)
+        if violator is None or orientation._hub_like(hg):
+            continue
+        kept = tight.copy()
+        starts = []
+        with monkeypatch.context() as patch:
+            patch.setattr(orientation, "_orient", refuse)
+            patch.setattr(
+                orientation,
+                "_repairs",
+                lambda hypergraph, heads, need: starts.append(heads.copy())
+                or repairs(hypergraph, heads, need),
+            )
+            assert_floor_met(hg, hg.rank())
+        assert starts == [tight]
+        assert orientation._tight_heads(hg) == (kept, violator)
+        checked += 1
+    assert checked >= 50
 
 
 def assert_floor_met(hypergraph, k):

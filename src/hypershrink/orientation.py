@@ -27,8 +27,10 @@ needs and v heads fewer, so e*(F) < f(F) and F is the violator.
 The same stage recognises hypertrees (:func:`is_hypertree`).
 :func:`_orient` is the one owner of these heads; :func:`_tight_heads`
 keeps its 0/1 heads, which :func:`is_hypertree`, the rainbow seed and the
-floor orientation of every non-hub input with |E| = n - 1 start from, and
-:func:`_incidence` the incidence lists, once per hypergraph.
+floor orientation of every non-hub input with |E| = n - 1 start from,
+:func:`_tight_violator` their checked violator, the one negative
+certificate of both ``check`` and ``shrink``, and :func:`_incidence` the
+incidence lists, once per hypergraph.
 """
 
 from itertools import repeat
@@ -220,6 +222,16 @@ def _tight_heads(hypergraph: Hypergraph) -> tuple:
     return tight
 
 
+def _tight_violator(hypergraph: Hypergraph):
+    """The tight heads' violator F, or None: the negative certificate of
+    :func:`is_hypertree` and of :func:`~hypershrink.shrink.shrink_hypertree`,
+    checked to show f(F) > e*(F) first, else :class:`InternalError`."""
+    violator = _tight_heads(hypergraph)[1]
+    if violator is not None and len(violator) - (0 in violator) <= hypergraph.incident_edge_count(violator):
+        raise InternalError(f"the tight heads' violator {violator} has f(F) <= e*(F)")
+    return violator
+
+
 def _hub_like(hypergraph: Hypergraph) -> bool:
     """Whether a vertex has floor demand f = d // k (k the rank, 1 if
     edgeless) with k * f * f > n, so that from the tight heads it needs f
@@ -286,10 +298,9 @@ def is_hypertree(hypergraph: Hypergraph) -> bool:
     n = hypergraph.n
     if hypergraph.num_edges != n - 1:
         return False
-    heads, violator = _tight_heads(hypergraph)
-    if violator is not None:
+    if _tight_violator(hypergraph) is not None:
         return False
-    incident = _incidence(hypergraph)
+    heads, incident = _tight_heads(hypergraph)[0], _incidence(hypergraph)
     reached = bytearray(n)
     reached[0] = 1
     order = [0]

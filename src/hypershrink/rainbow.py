@@ -196,8 +196,8 @@ def _orientation_seed(directed: DirectedHypergraph) -> tuple:
     is a star edge of colour c), and keeps that edge.  Each vertex is
     reached once, through a hyperedge headed at it, so the colours stay
     distinct and no cycle closes.  Any heads give such a seed, so a failed
-    repair only stops the repairs; the engine's final all-sinks search
-    still decides the negative answer.
+    repair only stops the repairs and the engine still grows a maximum
+    forest; off hubs, ``shrink_hypertree`` refuses on that failure first.
 
     Returns the kept triples, the search trees as ``parent`` and
     ``parent_colour`` arrays (-1 at each root, its tree's least vertex)

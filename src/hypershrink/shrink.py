@@ -15,8 +15,9 @@ import json
 from itertools import chain, compress, count, repeat
 from operator import contains, itemgetter, lt, mul
 
-from .core import Hypergraph, _degree_guarantee, _exact_int_tuples, _exact_ints, _require_valid, _Value
-from .orientation import orient_floor
+from .core import Hypergraph, InternalError, _degree_guarantee, _require_valid, _Value
+from .core import _exact_int_tuples, _exact_ints
+from .orientation import _hub_like, _tight_violator, is_hypertree, orient_floor
 from .rainbow import maximum_rainbow_forest
 
 
@@ -24,7 +25,8 @@ class NotAHypertreeError(Exception):
     """The input admits no shrinking to a spanning tree.
 
     ``reason`` records which check failed: "edge-count" when |E| != n-1,
-    "no-rainbow-tree" when the star expansion has no rainbow spanning tree.
+    "no-rainbow-tree" when the star expansion has no rainbow spanning tree,
+    which :func:`~hypershrink.orientation.is_hypertree` has certified.
     """
 
     def __init__(self, reason: str, message: str):
@@ -97,21 +99,26 @@ def shrink_hypertree(hypergraph: Hypergraph, k: int = None) -> Shrinking:
     """Shrink a hypertree to a spanning tree meeting the degree bound.
 
     ``k`` defaults to the rank; a larger k weakens the bound but is
-    accepted for experiments.  Raises :class:`NotAHypertreeError` when the
-    input is not a hypertree; the check is lazy (|E| != n-1 up front, a
-    missing rainbow tree otherwise), no separate recognition pass is run.
-    A hypergraph that is not simple is refused first, exactly as
-    :func:`~hypershrink.orientation.is_hypertree` refuses it.  Past that
-    check each stage trusts what the one before it guarantees;
-    :func:`verify_shrinking` checks the result.
+    accepted for experiments.  A hypergraph that is not simple is refused
+    first, exactly as :func:`~hypershrink.orientation.is_hypertree`
+    refuses it.  Raises :class:`NotAHypertreeError` where and only where
+    ``is_hypertree`` answers False: on |E| != n-1, then off hubs on the
+    tight heads' violator, before ``k`` is read or any orientation built,
+    then on a rainbow forest short of n-1 edges.  A hypertree always has
+    a rainbow tree (the paper's rainbow criterion), so a short forest on
+    one raises :class:`~hypershrink.core.InternalError`.  Each stage
+    trusts the one before it; :func:`verify_shrinking` checks the result.
     """
     _require_valid(hypergraph)
     n, m = hypergraph.n, hypergraph.num_edges
     if m != n - 1:
         count = f"on {n} vertices has {n - 1} hyperedges, got {m}" if n else "has at least one vertex"
         raise NotAHypertreeError("edge-count", f"a hypertree {count}")
-    tree = maximum_rainbow_forest(orient_floor(hypergraph, k))
+    refused = not _hub_like(hypergraph) and _tight_violator(hypergraph) is not None
+    tree = () if refused else maximum_rainbow_forest(orient_floor(hypergraph, k))
     if len(tree) < n - 1:
+        if not refused and is_hypertree(hypergraph):
+            raise InternalError(f"a rainbow forest of {len(tree)} edges on a hypertree of {n} vertices")
         raise NotAHypertreeError(
             "no-rainbow-tree", "the star expansion has no rainbow spanning tree"
         )

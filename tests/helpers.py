@@ -175,6 +175,23 @@ def break_hypertree(hg: Hypergraph) -> Hypergraph:
     return broken
 
 
+def relabelled(hg: Hypergraph, order) -> Hypergraph:
+    """``hg`` with each vertex v renamed ``order[v]``, its hyperedges
+    sorted again."""
+    return Hypergraph(hg.n, tuple(sorted(tuple(sorted(order[v] for v in e)) for e in hg.edges)))
+
+
+def four_labellings(n: int) -> list:
+    """The identity, the reversal and two seeded random permutations of
+    range(n), as lists ``order`` for :func:`relabelled`."""
+    orders = [list(range(n)), list(range(n - 1, -1, -1))]
+    for seed in (1, 2):
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        orders.append(order)
+    return orders
+
+
 def random_edge_family(rng: random.Random, n: int) -> Hypergraph:
     """n - 1 distinct random hyperedges of 2 to 4 vertices on n >= 2
     vertices.  Unlike random_tree_count_hypergraph, whose large

@@ -13,10 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 import hypershrink
 from hypershrink import (
+    InternalError,
     adversarial_star,
     core,
     hypergraph_to_json,
+    rainbow,
     random_hypertree,
+    shrink_hypertree,
 )
 from hypershrink.cli import _build_parser, main
 from helpers import cli_env
@@ -457,6 +460,32 @@ def test_internal_error_exits_3(h1_file, monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("internal error:")
+
+
+def test_short_rainbow_forest_on_a_hypertree_exits_3(tmp_path, monkeypatch, capsys):
+    # the star expansion of a hypertree has a rainbow spanning tree, so an
+    # engine that gives up on one is a bug, not "not a hypertree"; this
+    # hypertree's seed leaves components, so shrink builds the engine
+    hypergraph, _ = random_hypertree(16, 3, 7, 0.8)
+    path = tmp_path / "random.json"
+    path.write_text(hypergraph_to_json(hypergraph))
+    monkeypatch.setattr(rainbow._RainbowEngine, "augment", lambda engine: False)
+    assert main(["shrink", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+    with pytest.raises(InternalError):
+        shrink_hypertree(hypergraph)
+
+
+def test_uncertified_violator_exits_3(h1_file, monkeypatch, capsys):
+    # (2,) demands one head but meets three hyperedges of H1, so check
+    # refuses to print "not a hypertree" on it
+    monkeypatch.setattr("hypershrink.orientation._repairs", infeasible_orientation)
+    assert main(["check", h1_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
 
 
 def test_one_validation_report_per_operation(h1_file, tmp_path, monkeypatch, capsys):

@@ -14,6 +14,7 @@ from hypershrink import (
     ColouredGraph,
     DirectedHypergraph,
     LimitExceededError,
+    NotAHypertreeError,
     RainbowTree,
     adversarial_star,
     check_rainbow_condition,
@@ -38,12 +39,14 @@ from helpers import (
     clique_graph,
     component_count,
     count_incidence_builds,
+    four_labellings,
     is_spanning_tree,
     random_coloured_graph,
     random_valid_hypergraph,
     reference_hub_like,
     reference_orientation_seed,
     reference_rainbow_forest,
+    relabelled,
     rooted_forest,
     sort_key_greedy,
 )
@@ -745,6 +748,38 @@ def test_shrink_at_16000_augments_at_most_three_times(monkeypatch):
     calls = count_augmentations(monkeypatch)
     assert verify_shrinking(hg, shrink_hypertree(hg))
     assert len(calls) == 0
+
+
+def test_shrink_refuses_a_violator_without_the_engine_under_relabellings(monkeypatch):
+    # on broken (20000, 3, 1, 0.5) the tight heads have a violator under
+    # every labelling below; at a low label the seed on those heads leaves
+    # about 180 components, one augmentation each, so shrink must refuse on
+    # the violator before any star expansion or engine is built.  The
+    # broken (20000, 5, 1, 0.8) input has no violator and reaches the
+    # engine, which measured one expansion and 1-2 augmentations: a bound
+    expansions, engines = [], []
+    patch_star_graph(monkeypatch, lambda d: expansions.append(d) or star_graph(d))
+    calls = count_augmentations(monkeypatch)
+
+    class CountedEngine(rainbow._RainbowEngine):
+        def __init__(self, *args):
+            engines.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(rainbow, "_RainbowEngine", CountedEngine)
+    for k, p, violator in ((3, 0.5, True), (5, 0.8, False)):
+        broken = break_hypertree(random_hypertree(20000, k, 1, p)[0])
+        for order in four_labellings(broken.n):
+            for seen in (expansions, engines, calls):
+                seen.clear()
+            hg = relabelled(broken, order)
+            with pytest.raises(NotAHypertreeError):
+                shrink_hypertree(hg)
+            assert (orientation._tight_heads(hg)[1] is not None) == violator
+            if violator:
+                assert expansions == [] and engines == []
+            else:
+                assert len(expansions) <= 1 and len(calls) <= 2
 
 
 def test_hypergraph_seed_matches_the_reference_seed():

@@ -17,6 +17,7 @@ from hypershrink import (
     adversarial_star,
     brute_force_shrink,
     floor_demand,
+    is_hypertree,
     is_hypertree_bruteforce,
     orient_floor,
     random_hypertree,
@@ -39,6 +40,7 @@ from helpers import (
     reference_shrinking_to_json,
     reference_tree_degrees,
     reference_verify_shrinking,
+    relabelled,
 )
 
 
@@ -526,3 +528,30 @@ def test_pipeline_property(n, k, seed, p):
     assert report["spanning-tree"].passed
     assert report["containment"].passed
     assert report["bijection"].passed
+
+
+@st.composite
+def relabelled_edge_families(draw):
+    """n - 1 distinct hyperedges of 2 to k <= 4 vertices on n <= 9
+    vertices, and the same family under a drawn vertex permutation."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    k = draw(st.integers(min_value=2, max_value=min(n, 4)))
+    edge = st.sets(st.integers(0, n - 1), min_size=2, max_size=k).map(lambda e: tuple(sorted(e)))
+    hg = Hypergraph(n, tuple(sorted(draw(st.lists(edge, min_size=n - 1, max_size=n - 1, unique=True)))))
+    return hg, relabelled(hg, draw(st.permutations(range(n))))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(relabelled_edge_families())
+def test_shrink_refuses_exactly_where_check_does(family):
+    # check's answer (is_hypertree) and shrink's refusal both agree with
+    # the exhaustive oracle under any labelling, and every shrinking verifies
+    for hg in family:
+        want = bool(is_hypertree_bruteforce(hg))
+        assert is_hypertree(hg) is want
+        try:
+            shrinking = shrink_hypertree(hg)
+        except NotAHypertreeError:
+            assert not want
+        else:
+            assert want and verify_shrinking(hg, shrinking)

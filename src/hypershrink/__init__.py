@@ -8,6 +8,11 @@ vertex keeps tree degree at least max(1, floor(d/k)) where d is its
 hypergraph degree and k the rank, via two engines: demand-constrained
 orientation (Hall's theorem) and rainbow spanning tree extraction
 (graphic and partition matroid intersection).
+
+Importing the package loads the recognition stage alone (``core``,
+``gen`` and ``orientation``).  The names of ``rainbow`` and ``shrink``,
+which only a shrinking needs, and of the exhaustive ``oracles`` and the
+``dot`` writers resolve on first access, as do those submodule names.
 """
 
 from .core import (
@@ -34,51 +39,42 @@ from .orientation import (
     orient_floor,
     orient_with_demands,
 )
-from .rainbow import (
-    ColouredGraph,
-    RainbowTree,
-    maximum_rainbow_forest,
-    rainbow_spanning_tree,
-    star_graph,
-)
-from .shrink import (
-    NotAHypertreeError,
-    Shrinking,
-    VerificationCheck,
-    VerificationReport,
-    shrink_hypertree,
-    shrinking_to_json,
-    verify_shrinking,
-)
 
 __version__ = "1.0.0"
 
-# Public name -> the module off the shrink/check path that defines it.
-# Each module is imported on the first access of one of its names
+# Name -> the submodule that defines it, each submodule's own name
+# included.  The stage-two modules (rainbow, shrink) and the off-path ones
+# (oracles, dot) are imported on the first access of one of their names
 # (PEP 562), so `import hypershrink` and the CLI start without them.
-_OFF_PATH = {
-    "BruteforceResult": "oracles",
-    "brute_force_shrink": "oracles",
-    "check_rainbow_condition": "oracles",
-    "is_hypertree_bruteforce": "oracles",
-    "coloured_graph_to_dot": "dot",
-    "rainbow_tree_to_dot": "dot",
-    "shrinking_to_dot": "dot",
+_LAZY = {
+    name: module
+    for module, names in {
+        "rainbow": ("ColouredGraph", "RainbowTree", "maximum_rainbow_forest",
+                    "rainbow_spanning_tree", "star_graph"),
+        "shrink": ("NotAHypertreeError", "Shrinking", "VerificationCheck",
+                   "VerificationReport", "shrink_hypertree", "shrinking_to_json",
+                   "verify_shrinking"),
+        "oracles": ("BruteforceResult", "brute_force_shrink", "check_rainbow_condition",
+                    "is_hypertree_bruteforce"),
+        "dot": ("coloured_graph_to_dot", "rainbow_tree_to_dot", "shrinking_to_dot"),
+    }.items()
+    for name in (module, *names)
 }
 
 
 def __getattr__(name):
-    if name not in _OFF_PATH:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    value = getattr(import_module(f".{_OFF_PATH[name]}", __name__), name)
+    module = import_module(f".{_LAZY[name]}", __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
     globals()[name] = value  # later reads skip this hook
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_OFF_PATH))
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "BruteforceResult",

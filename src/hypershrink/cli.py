@@ -18,6 +18,12 @@ runs and gives the caller back its own setting on every way out, so an
 in-process caller that had it off keeps it off.  The pause is safe
 because the pipeline makes no reference cycles (a test pins this for
 every subcommand): a pass over its per-edge containers finds nothing.
+
+The recognition stage (``core``, ``gen``, ``orientation``) is imported
+with this module.  ``shrink`` and ``bench`` import ``hypershrink.shrink``,
+and with it ``hypershrink.rainbow``, when they run, and read its functions
+off that module at each call, so ``check``, ``orient``, ``validate`` and
+``gen`` never load the rainbow stage.
 """
 
 import argparse
@@ -46,12 +52,6 @@ from .orientation import (
     is_hypertree,
     orient_floor,
     orient_with_demands,
-)
-from .shrink import (
-    NotAHypertreeError,
-    shrink_hypertree,
-    shrinking_to_json,
-    verify_shrinking,
 )
 
 EXIT_OK = 0
@@ -166,6 +166,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_shrink(args) -> int:
+    from .shrink import NotAHypertreeError, shrink_hypertree, shrinking_to_json, verify_shrinking
+
     hypergraph = _load_valid_hypergraph(args.file)
     _check_k(hypergraph, args.k)
     try:
@@ -231,6 +233,8 @@ def _cmd_bench(args) -> int:
     (non-negative when the guarantee holds), ``min_degree_ratio`` is
     min_v d_T(v)/d_H(v).
     """
+    from .shrink import shrink_hypertree
+
     if args.trials < 1:
         raise FormatError("need at least one trial")
     _check_generator_args(args)

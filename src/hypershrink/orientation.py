@@ -235,10 +235,14 @@ def _tight_violator(hypergraph: Hypergraph):
 def _hub_like(hypergraph: Hypergraph) -> bool:
     """Whether a vertex has floor demand f = d // k (k the rank, 1 if
     edgeless) with k * f * f > n, so that from the tight heads it needs f
-    repairs, each longer than the last: a measured rule."""
-    k = max(hypergraph.rank(), 1)
-    f = max(hypergraph.degrees(), default=0) // k
-    return k * f * f > hypergraph.n
+    repairs, each longer than the last: a measured rule.  Remembered on
+    the hypergraph, which the shrink path asks three times."""
+    if (hub := hypergraph.__dict__.get("_hub")) is None:
+        k = max(hypergraph.rank(), 1)
+        f = max(hypergraph.degrees(), default=0) // k
+        hub = k * f * f > hypergraph.n
+        object.__setattr__(hypergraph, "_hub", hub)
+    return hub
 
 
 def orient_with_demands(hypergraph: Hypergraph, demands) -> OrientationResult:

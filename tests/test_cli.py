@@ -1,4 +1,5 @@
 import ast
+import collections
 import contextlib
 import gc
 import hashlib
@@ -927,6 +928,71 @@ def test_shrink_and_check_load_no_oracle_or_dot_module(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[0, 0] []\n[] True\n"
+
+
+# Runs the CLI on each argument list of argv[1] (JSON) in one process and
+# prints the package modules loaded after the import and after the commands
+STAGE_CHILD = """\
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.partition('.')[0] == 'hypershrink')
+import hypershrink.cli as c
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [c.main(argv) for argv in json.loads(sys.argv[1])]
+print(codes, loaded())
+"""
+
+
+def test_cli_start_loads_the_recognition_stage_alone(tmp_path):
+    # the CLI starts with the package, core, gen and orientation; validate,
+    # check, orient and gen never load the rainbow stage, and shrink and
+    # bench, each in a fresh process, load rainbow and shrink on first use
+    path = str(tmp_path / "h.json")
+    Path(path).write_text(hypergraph_to_json(random_hypertree(12, 3, 1, 0.5)[0]))
+    start = ["hypershrink", "hypershrink.cli", "hypershrink.core", "hypershrink.gen",
+             "hypershrink.orientation"]
+    stage_two = sorted(start + ["hypershrink.rainbow", "hypershrink.shrink"])
+    recognition = [["validate", path], ["check", path], ["orient", path],
+                   ["gen", "--n", "12", "--k", "3", "--seed", "1"]]
+    bench = ["bench", "--trials", "1", "--n", "12", "--k", "3", "--seed", "1"]
+    for argvs, after in ((recognition, start), ([["shrink", path]], stage_two), ([bench], stage_two)):
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", STAGE_CHILD, json.dumps(argvs)], env=cli_env(),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{start}\n{[0] * len(argvs)} {after}\n"
+    # the package resolves the stage-two names and submodules on first access
+    code = (
+        "import hypershrink\n"
+        "print(hypershrink.rainbow.UnionFind.__name__, "
+        "hypershrink.shrink_hypertree is hypershrink.shrink.shrink_hypertree)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=cli_env(), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "UnionFind True\n"
+
+
+def test_shrink_and_bench_call_the_shrink_module_functions(h1_file, monkeypatch):
+    # the commands look shrink_hypertree, verify_shrinking and
+    # shrinking_to_json up on hypershrink.shrink at each call, where the
+    # benchmark's span hooks replace them, so a stand-in there is called
+    calls = collections.Counter()
+    for name in ("shrink_hypertree", "verify_shrinking", "shrinking_to_json"):
+        def counted(*args, _name=name, _fn=getattr(hypershrink.shrink, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(hypershrink.shrink, name, counted)
+    assert main(["shrink", h1_file]) == 0
+    assert calls == {"shrink_hypertree": 1, "verify_shrinking": 1, "shrinking_to_json": 1}
+    calls.clear()
+    assert main(["bench", "--trials", "2", "--n", "12", "--k", "3", "--seed", "1"]) == 0
+    assert calls == {"shrink_hypertree": 2}
 
 
 def test_fast_path_modules_import_no_oracle_or_dot_code():

@@ -27,6 +27,7 @@ from helpers import (
     random_edge_family,
     random_valid_hypergraph,
     reference_greedy_heads,
+    reference_hub_like,
     reference_repair,
 )
 
@@ -422,3 +423,18 @@ def test_repair_matches_the_deque_reference():
             assert need == expected_need
             outcomes.add(reached is None)
     assert outcomes == {True, False}
+
+
+def test_hub_like_is_remembered(monkeypatch):
+    # shrink_hypertree, orient_floor and maximum_rainbow_forest each ask
+    # whether the input is hub-like; the answer is remembered on the
+    # hypergraph, so only the first question reads its degrees
+    calls = []
+    degrees = Hypergraph.degrees
+    monkeypatch.setattr(Hypergraph, "degrees", lambda self: calls.append(self) or degrees(self))
+    for hg in (adversarial_star(2000, 3), random_hypertree(500, 3, 1, 0.5)[0]):
+        calls.clear()
+        first = orientation._hub_like(hg)
+        assert calls == [hg]
+        assert orientation._hub_like(hg) is first is reference_hub_like(hg)
+        assert calls == [hg]

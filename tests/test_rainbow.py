@@ -782,6 +782,23 @@ def test_shrink_refuses_a_violator_without_the_engine_under_relabellings(monkeyp
                 assert len(expansions) <= 1 and len(calls) <= 2
 
 
+def test_hubs_and_large_hypertrees_shrink_without_the_expansion_under_relabellings(monkeypatch):
+    # hubs take the scan and these random hypertrees the orientation seed,
+    # which spans on them, under the identity, the reversal (which moves
+    # the hub from the first label to the last) and two permutations:
+    # shrink verifies, check answers True and no star expansion is built
+    expansions = []
+    patch_star_graph(monkeypatch, lambda d: expansions.append(d) or star_graph(d))
+    bases = [adversarial_star(1000, 3), adversarial_star(2000, 4)]
+    bases += [random_hypertree(2000, k, 1, p)[0] for k, p in ((3, 0.5), (5, 0.8))]
+    for base in bases:
+        for order in four_labellings(base.n):
+            hg = relabelled(base, order)
+            assert verify_shrinking(hg, shrink_hypertree(hg))
+            assert is_hypertree(hg)
+            assert expansions == []
+
+
 def test_hypergraph_seed_matches_the_reference_seed():
     # the seed reads hyperedges and heads where the reference looks each
     # star edge up in a dict over the expansion; both keep the same edges

@@ -26,18 +26,19 @@ class InternalError(RuntimeError):
     which means the implementation, not the input, is at fault."""
 
 
-def _exact_int_tuples(rows: tuple, width: int = None) -> bool:
-    """Whether every row is a tuple of exact ``int`` (not ``bool`` or
-    another int-like), each of length ``width`` if given.
+def _exact_int_tuples(rows: tuple, width: int = None):
+    """The members of ``rows`` as one flat list, in order, when every row
+    is a tuple of exact ``int`` (not ``bool`` or another int-like), each
+    of length ``width`` if given; else None.
 
     Whole-column C-level passes decide, so constructors can keep such
     rows as they are and rebuild any other input with :func:`_exact_int`.
     """
-    return (
-        set(map(type, rows)) <= {tuple}
-        and (width is None or set(map(len, rows)) <= {width})
-        and set(map(type, chain.from_iterable(rows))) <= {int}
-    )
+    if set(map(type, rows)) <= {tuple} and (width is None or set(map(len, rows)) <= {width}):
+        flat = list(chain.from_iterable(rows))
+        if set(map(type, flat)) <= {int}:
+            return flat
+    return None
 
 
 def _exact_int(x) -> int:
@@ -71,8 +72,9 @@ class _Value:
     ``__match_args__`` names the fields, in constructor order; equality
     (within one class), the hash and the repr read them, and positional
     ``match`` patterns bind them.  Constructors store the fields through
-    ``__dict__``, where methods also keep their memos, which stay out of
-    equality, hash and repr; every other write raises AttributeError.
+    ``__dict__``, where constructors and methods also keep their memos,
+    which stay out of equality, hash and repr; every other write raises
+    AttributeError.
     """
 
     __match_args__ = ()
@@ -107,7 +109,10 @@ class Hypergraph(_Value):
     report.  :meth:`degrees`, which indexes by vertex id, refuses a
     hypergraph :func:`validate` rejects.  The value is immutable, so
     :meth:`degrees`, :meth:`rank` and the :func:`validate` report are
-    computed once and remembered.
+    computed once and remembered.  The constructor also keeps every
+    member in one flat list, in edge order, which its exact-int check
+    builds; :func:`validate` and :meth:`degrees` read that list instead of
+    walking the edges again.  Like every memo, it is read only.
     """
 
     __match_args__ = ("n", "edges")
@@ -117,9 +122,11 @@ class Hypergraph(_Value):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         edges = tuple(edges)
-        if not _exact_int_tuples(edges):
+        members = _exact_int_tuples(edges)
+        if members is None:
             edges = tuple(map(_exact_ints, edges))
-        self.__dict__.update(n=n, edges=edges)
+            members = list(chain.from_iterable(edges))
+        self.__dict__.update(n=n, edges=edges, _members=members)
 
     @property
     def num_edges(self) -> int:
@@ -131,7 +138,7 @@ class Hypergraph(_Value):
         if d is None:
             _require_valid(self)  # the members index the counts
             d = [0] * self.n
-            for v in chain.from_iterable(self.edges):
+            for v in self._members:
                 d[v] += 1
             object.__setattr__(self, "_degrees", d)
         return d.copy()
@@ -145,8 +152,10 @@ class Hypergraph(_Value):
         return r
 
     def incident_edge_count(self, vertices) -> int:
-        """Number of hyperedges meeting the given vertex set (e*(F))."""
-        fset = set(vertices)
+        """Number of hyperedges meeting the given set F of vertices in
+        [0, n) (e*(F)); each id is read by :func:`_vertex`."""
+        n = self.n
+        fset = {_vertex(v, n) for v in vertices}
         return sum(1 for e in self.edges if not fset.isdisjoint(e))
 
 
@@ -266,7 +275,7 @@ def validate(hypergraph: Hypergraph) -> ValidationReport:
         # Every edge is strictly sorted iff the ascending adjacent pairs of
         # flat, less those straddling two edges, number len(flat) - len(edges);
         # then each edge's first and last members are its least and greatest
-        flat = list(chain.from_iterable(edges))
+        flat = hypergraph._members
         firsts, lasts = list(map(itemgetter(0), edges)), list(map(itemgetter(-1), edges))
         valid = (
             sum(map(lt, flat, flat[1:])) - sum(map(lt, lasts, firsts[1:]))

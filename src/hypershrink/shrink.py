@@ -47,7 +47,7 @@ class Shrinking(_Value):
 
     def __init__(self, tree: tuple = (), assignment: tuple = ()):
         tree = tuple(tree)
-        if not _exact_int_tuples(tree, 2):
+        if _exact_int_tuples(tree, 2) is None:
             tree = tuple([_exact_ints((u, v)) for u, v in tree])
         self.__dict__.update(tree=tree, assignment=_exact_ints(assignment))
 
@@ -83,7 +83,9 @@ class Shrinking(_Value):
     def tree_degrees(self, n: int) -> list:
         """Degree in the tree of every vertex 0..n-1 (a fresh list);
         endpoints outside that range are not counted.  Computed once per
-        n and remembered, as the value is immutable."""
+        n and remembered, as the value is immutable; a tree that
+        :func:`verify_shrinking` accepts has its counts for n remembered
+        there, by the spanning-tree check that reads every endpoint."""
         memo = self.__dict__.get("_tree_degrees")
         if memo is None or memo[0] != n:
             d = [0] * n
@@ -188,10 +190,13 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
     detail = "" if tree_ok else f"{len(tree)} edges for {n} vertices"
     if tree_ok:
         parent = list(range(n))
+        degree = [0] * n
         for u, v in tree:
             if not (0 <= u < n and 0 <= v < n and u != v):
                 tree_ok, detail = False, f"bad edge ({u}, {v})"
                 break
+            degree[u] += 1
+            degree[v] += 1
             a, b = u, v
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
@@ -201,6 +206,8 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
                 tree_ok, detail = False, f"cycle closed by ({u}, {v})"
                 break
             parent[b] = a  # as UnionFind.union links: v's root under u's
+        if tree_ok:  # every endpoint counted, all in range: tree_degrees(n)
+            object.__setattr__(shrinking, "_tree_degrees", (n, degree))
     checks.append(VerificationCheck("spanning-tree", tree_ok, detail))
 
     assignment, edges = shrinking.assignment, hypergraph.edges
@@ -226,7 +233,7 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
     checks.append(VerificationCheck("bijection", bijective))
 
     hyper_deg = hypergraph.degrees()
-    tree_deg = shrinking.tree_degrees(n)
+    tree_deg = degree if tree_ok else shrinking.tree_degrees(n)  # read only
     if n == 1:
         checks.append(VerificationCheck("degree-floor-bound", True, "single vertex"))
         checks.append(VerificationCheck("halving-corollary", True, "single vertex"))

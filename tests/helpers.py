@@ -155,6 +155,12 @@ def break_hypertree(hg: Hypergraph) -> Hypergraph:
     hyperedge disjoint from {u, v, w}.  The edge count stays n - 1 while
     X = {u, v, w} holds three hyperedges, more than |X| - 1, so the result
     is certified not to be a hypertree."""
+    return broken_with_triangle(hg)[0]
+
+
+def broken_with_triangle(hg: Hypergraph) -> tuple:
+    """``(broken, (u, v, w))``: :func:`break_hypertree`'s result and the
+    three vertices of its certified triangle."""
     pairs_at = {}
     for e in hg.edges:
         if len(e) == 2:
@@ -172,7 +178,7 @@ def break_hypertree(hg: Hypergraph) -> Hypergraph:
     # module, so an assert here would vanish under python -O
     if len(inside) != 3 or broken.num_edges != hg.n - 1:
         raise AssertionError("the break did not produce a certified non-hypertree")
-    return broken
+    return broken, (u, v, w)
 
 
 def relabelled(hg: Hypergraph, order) -> Hypergraph:
@@ -190,6 +196,19 @@ def four_labellings(n: int) -> list:
         random.Random(seed).shuffle(order)
         orders.append(order)
     return orders
+
+
+def moved_to_an_end(n: int, vertices, first: bool = True) -> list:
+    """An ``order`` for :func:`relabelled` that gives ``vertices`` the
+    first labels (or the last ones), in the order given, and every other
+    vertex the remaining labels in its own order."""
+    vertices = list(vertices)
+    moved = set(vertices)
+    rest = [v for v in range(n) if v not in moved]
+    order = [0] * n
+    for label, v in enumerate(vertices + rest if first else rest + vertices):
+        order[v] = label
+    return order
 
 
 def random_edge_family(rng: random.Random, n: int) -> Hypergraph:

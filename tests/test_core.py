@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,6 +37,18 @@ def test_incident_edge_count():
     assert H1.incident_edge_count({0, 3}) == 3
     assert H1.incident_edge_count({0}) == 1
     assert H1.incident_edge_count(()) == 0
+
+
+def test_incident_edge_count_reads_each_vertex_id_exactly():
+    # as indegree, f[v] and sum_over do: 1.5 and 5 once answered 0
+    path = Hypergraph(3, ((0, 1), (1, 2)))
+    assert path.incident_edge_count([True]) == path.incident_edge_count([1]) == 2
+    assert path.incident_edge_count([2.0]) == 1
+    with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
+        path.incident_edge_count([1.5])
+    for v in (-1, 3, 5):
+        with pytest.raises(ValueError, match=rf"^vertex {v} out of range \[0, 3\)$"):
+            path.incident_edge_count([0, v])
 
 
 def test_exact_int_tuples_kept_and_other_input_normalised():
@@ -445,6 +458,28 @@ def test_json_parse_checks_the_member_types_once(monkeypatch):
     parsed = hypergraph_from_json('{"n": 4, "edges": [[0, 1, 2], [1, 2, 3], [2, 3]]}')
     assert parsed == H1 and validate(parsed).ok
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("parse, text", [
+    (hypergraph_from_json, '{"n": 4, "edges": [[0, 1, 2], [1, 2, 3], [2, 3]]}'),
+    (hypergraph_from_text, "4 3\n0 1 2\n1 2 3\n2 3\n"),
+], ids=["json", "text"])
+def test_parsed_members_are_walked_once(monkeypatch, parse, text):
+    # the constructor's exact-int check flattens the members once and keeps
+    # the list; validate and degrees() read it rather than walk the edges
+    walks = []
+
+    class CountedChain:
+        @staticmethod
+        def from_iterable(rows):
+            walks.append(rows)
+            return chain.from_iterable(rows)
+
+    monkeypatch.setattr(core, "chain", CountedChain)
+    parsed = parse(text)
+    assert parsed == H1 and validate(parsed).ok
+    assert parsed.degrees() == [1, 2, 3, 2]
+    assert len(walks) == 1 and walks[0] is parsed.edges
 
 
 def test_demands_from_json():

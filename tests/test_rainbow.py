@@ -35,12 +35,14 @@ from hypershrink.core import _Value
 from helpers import (
     H1,
     break_hypertree,
+    broken_with_triangle,
     brute_rainbow_tree_exists,
     clique_graph,
     component_count,
     count_incidence_builds,
     four_labellings,
     is_spanning_tree,
+    moved_to_an_end,
     random_coloured_graph,
     random_valid_hypergraph,
     reference_hub_like,
@@ -797,6 +799,78 @@ def test_hubs_and_large_hypertrees_shrink_without_the_expansion_under_relabellin
             assert verify_shrinking(hg, shrink_hypertree(hg))
             assert is_hypertree(hg)
             assert expansions == []
+
+
+def count_repairs(monkeypatch) -> list:
+    """A list that gains one entry per ``orientation._repair`` search."""
+    searches = []
+    repair = orientation._repair
+    monkeypatch.setattr(orientation, "_repair", lambda *args: searches.append(args[0]) or repair(*args))
+    return searches
+
+
+def answers_and_repairs(hg, searches) -> tuple:
+    """``((check, shrink), tight, total)``: check's answer, shrink's (True
+    when its shrinking verifies, else the refusal's reason), the repair
+    searches check made and those check and shrink made together."""
+    searches.clear()
+    check = is_hypertree(hg)
+    tight = len(searches)
+    try:
+        shrunk = verify_shrinking(hg, shrink_hypertree(hg)).all_passed
+    except NotAHypertreeError as exc:
+        shrunk = exc.reason
+    return (check, shrunk), tight, len(searches)
+
+
+# Repair searches allowed at n vertices, whatever the labelling: check's
+# tight heads at most n / 50 and check with shrink at most n / 40.  At
+# n = 20 000 the identity, the reversal and the short-first order below
+# measured 36-305 and 234-437, and a broken input refuses after one
+def repairs_within_bound(n: int, tight: int, total: int) -> bool:
+    return tight <= n // 50 and total <= n // 40
+
+
+def test_violator_first_or_last_answers_as_the_identity(monkeypatch):
+    # the certified triangle of a broken hypertree takes the labels 0-2,
+    # then n-3..n-1: both refuse on the tight heads' violator, as the
+    # identity labelling does, with no star expansion
+    expansions = []
+    patch_star_graph(monkeypatch, lambda d: expansions.append(d) or star_graph(d))
+    searches = count_repairs(monkeypatch)
+    broken, triangle = broken_with_triangle(random_hypertree(20000, 3, 1, 0.5)[0])
+    expected, tight, total = answers_and_repairs(broken, searches)
+    assert expected == (False, "no-rainbow-tree")
+    assert repairs_within_bound(broken.n, tight, total)
+    for first in (True, False):
+        hg = relabelled(broken, moved_to_an_end(broken.n, triangle, first))
+        answers, tight, total = answers_and_repairs(hg, searches)
+        assert answers == expected
+        assert repairs_within_bound(hg.n, tight, total)
+    assert expansions == []
+
+
+def test_short_vertices_first_shrink_as_the_identity(monkeypatch):
+    # the vertices the forced heads leave short under the identity take the
+    # first labels, so the repairs, which serve short vertices in label
+    # order, meet them first: the answers and the verified shrinkings stay,
+    # no star expansion is built and the repairs stay within the bound
+    expansions = []
+    patch_star_graph(monkeypatch, lambda d: expansions.append(d) or star_graph(d))
+    searches = count_repairs(monkeypatch)
+    for k, p in ((3, 0.5), (5, 0.8)):
+        base = random_hypertree(20000, k, 1, p)[0]
+        need = [0] + [1] * (base.n - 1)
+        orientation._forced_heads(base.edges, need, orientation._incidence(base))
+        short = [v for v, left in enumerate(need) if left > 0]
+        expected, tight, total = answers_and_repairs(base, searches)
+        assert expected == (True, True) and short
+        assert repairs_within_bound(base.n, tight, total)
+        hg = relabelled(base, moved_to_an_end(base.n, short))
+        answers, tight, total = answers_and_repairs(hg, searches)
+        assert answers == expected
+        assert repairs_within_bound(hg.n, tight, total)
+    assert expansions == []
 
 
 def test_hypergraph_seed_matches_the_reference_seed():

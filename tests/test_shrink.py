@@ -262,6 +262,53 @@ def test_reports_and_json_match_the_per_vertex_reference():
             )
 
 
+def test_verify_remembers_the_degrees_of_a_tree_it_accepts(monkeypatch):
+    # the spanning-tree check counts each endpoint as it links the tree, so
+    # an accepted tree's counts are the memo before tree_degrees is asked:
+    # its own loop never runs, and no check, detail or output byte moves
+    found = []
+    tree_degrees = Shrinking.tree_degrees
+
+    def counted(shrinking, n):
+        found.append(vars(shrinking).get("_tree_degrees", (None,))[0] == n)
+        return tree_degrees(shrinking, n)
+
+    monkeypatch.setattr(Shrinking, "tree_degrees", counted)
+    cases = [H1, Hypergraph(1, ()), adversarial_star(30, 3), adversarial_star(20, 4)]
+    cases += [random_hypertree(60, k, seed, p)[0] for seed in (1, 2) for k, p in ((3, 0.5), (5, 0.8))]
+    for hg in cases:
+        shrunk = shrink_hypertree(hg)
+        fresh = Shrinking(shrunk.tree, shrunk.assignment)
+        report = verify_shrinking(hg, fresh)
+        assert report and report == reference_verify_shrinking(hg, fresh)
+        assert vars(fresh)["_tree_degrees"] == (hg.n, reference_tree_degrees(fresh, hg.n))
+        assert shrinking_to_json(hg, fresh) == reference_shrinking_to_json(hg, fresh)
+    assert found and all(found)
+
+
+def test_a_rejected_tree_keeps_the_reference_degrees_and_report():
+    # a tree the spanning-tree check refuses part way leaves no partial
+    # counts behind: tree_degrees counts it by its own loop.  Each defect
+    # sits on the last edge, whose endpoints a partial count would miss
+    hg = random_hypertree(12, 3, 1, 0.5)[0]
+    n, shrunk = hg.n, shrink_hypertree(hg)
+    kept, (u, v) = list(shrunk.tree[:-1]), shrunk.tree[-1]
+    candidates = {
+        "bad edge": kept + [(u, u)],
+        "cycle": kept + [kept[0]],
+        "edge count": kept,
+        "endpoint n": kept + [(u, n)],
+        "endpoint -1": kept + [(-1, v)],
+    }
+    for name, tree in candidates.items():
+        fresh = Shrinking(tree, shrunk.assignment)
+        report = verify_shrinking(hg, fresh)
+        assert not report["spanning-tree"].passed, name
+        assert report == reference_verify_shrinking(hg, fresh), name
+        assert fresh.tree_degrees(n) == reference_tree_degrees(fresh, n), name
+        assert shrinking_to_json(hg, fresh) == reference_shrinking_to_json(hg, fresh), name
+
+
 def test_shrink_returns_what_the_public_constructor_would():
     # shrink_hypertree skips the constructor's normalisation, so its values
     # must already be what the constructor keeps: tuples of exact ints

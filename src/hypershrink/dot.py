@@ -48,12 +48,13 @@ def rainbow_tree_to_dot(tree: RainbowTree, name: str = "rainbow_tree") -> str:
 
 def shrinking_to_dot(hypergraph: Hypergraph, shrinking: Shrinking) -> str:
     """Overlay the tree (bold, coloured by hyperedge) on the clique
-    expansion (gray) for visual inspection.  An assignment entry outside
-    the tree's index range bolds no edge."""
+    expansion (gray) for visual inspection.  A tree pair is matched
+    whichever way round it is written; an assignment entry outside the
+    tree's index range bolds no edge."""
     _require_valid(hypergraph)
     tree = shrinking.tree
     chosen = {
-        (tree[j], i)
+        (tuple(sorted(tree[j])), i)
         for i, j in enumerate(shrinking.assignment[: hypergraph.num_edges])
         if 0 <= j < len(tree)
     }

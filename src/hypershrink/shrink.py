@@ -255,18 +255,41 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
     return VerificationReport(tuple(checks))
 
 
+# Items per encoder call.  Before CPython 3.12 the C encoder keeps one
+# string per number until it joins the whole text, about 17 times the
+# text's size; encoding a long array slice by slice bounds that transient
+# to one slice.
+_SLICE = 1024
+# ints in tuples and lists: no cycle to find
+_encode = json.JSONEncoder(check_circular=False).encode
+
+
+def _add_array(parts: list, items) -> None:
+    """Append pieces that join to ``json.dumps(items)``, one encoder call
+    per slice of at most ``_SLICE`` items."""
+    parts.append("[")
+    for start in range(0, len(items), _SLICE):
+        if start:
+            parts.append(", ")
+        parts.append(_encode(items[start : start + _SLICE])[1:-1])
+    parts.append("]")
+
+
 def shrinking_to_json(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None) -> str:
-    """Serialise a shrinking with its degree data and per-vertex bound."""
+    """Serialise a shrinking with its degree data and per-vertex bound.
+
+    The text is that of one ``json.dumps`` of ``{"tree", "assignment",
+    "degrees": {"hyper", "tree"}, "bound"}``, encoded array by array."""
     _, bound = _degree_guarantee(hypergraph, k)
-    return json.dumps(
-        {
-            "tree": shrinking.tree,
-            "assignment": shrinking.assignment,
-            "degrees": {
-                "hyper": hypergraph.degrees(),
-                "tree": shrinking.tree_degrees(hypergraph.n),
-            },
-            "bound": bound,
-        },
-        check_circular=False,  # ints in tuples and lists: no cycle to find
-    )
+    parts = ['{"tree": ']
+    _add_array(parts, shrinking.tree)
+    parts.append(', "assignment": ')
+    _add_array(parts, shrinking.assignment)
+    parts.append(', "degrees": {"hyper": ')
+    _add_array(parts, hypergraph.degrees())
+    parts.append(', "tree": ')
+    _add_array(parts, shrinking.tree_degrees(hypergraph.n))
+    parts.append('}, "bound": ')
+    _add_array(parts, bound)
+    parts.append("}")
+    return "".join(parts)

@@ -28,7 +28,9 @@ from hypershrink import (
     verify_shrinking,
 )
 from hypershrink import cli
+from hypershrink.shrink import _SLICE
 import json
+import tracemalloc
 
 from helpers import (
     H1,
@@ -218,6 +220,8 @@ def _shrinkings_to_report():
     good = shrink_hypertree(H1)
     tree, assignment = good.tree, good.assignment
     yield H1, good
+    # the same pairs written high-to-low: every check passes on them
+    yield H1, Shrinking(((1, 0), (2, 1), (3, 2)), assignment)
     # -1 in place of the last tree edge, which the hyperedge does contain:
     # only the range test tells the two apart
     last = assignment.index(len(tree) - 1)
@@ -247,6 +251,15 @@ def _shrinkings_to_report():
     yield Hypergraph(1, ()), Shrinking(((0, 1),), ())
     random500 = random_hypertree(500, 5, 1, 0.8)[0]
     yield random500, shrink_hypertree(random500)
+    yield Hypergraph(0, ()), Shrinking((), ())
+    # the largest hub the benchmark draws; then a tree of exactly one
+    # serialisation slice and one a pair longer, whose other arrays are a
+    # slice long or one or two items past it
+    hub = adversarial_star(1999, 4)
+    yield hub, shrink_hypertree(hub)
+    for n in (_SLICE + 1, _SLICE + 2):
+        hg = random_hypertree(n, 4, 1, 0.8)[0]
+        yield hg, shrink_hypertree(hg)
 
 
 def test_reports_and_json_match_the_per_vertex_reference():
@@ -260,6 +273,23 @@ def test_reports_and_json_match_the_per_vertex_reference():
             assert shrinking_to_json(hg, s, k) == reference_shrinking_to_json(
                 Hypergraph(hg.n, hg.edges), s, k
             )
+
+
+def test_serialising_holds_at_most_five_times_its_text():
+    # before CPython 3.12 the C encoder keeps one string per number until it
+    # joins the whole text: one json.dumps of these answers peaked at about
+    # 17 times their length.  On 3.12 and later it writes into one buffer,
+    # so there an unsliced encoding may pass this test too
+    for hg in (adversarial_star(1999, 4), random_hypertree(2000, 5, 1, 0.8)[0]):
+        s = shrink_hypertree(hg)
+        assert verify_shrinking(hg, s)  # as the CLI does before it serialises
+        tracemalloc.start()
+        try:
+            text = shrinking_to_json(hg, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * len(text), (hg.n, peak, len(text))
 
 
 def test_verify_remembers_the_degrees_of_a_tree_it_accepts(monkeypatch):
@@ -358,7 +388,7 @@ def test_dot_bolds_only_in_range_assignment_entries():
         lines = shrinking_to_dot(hg, s).splitlines()
         drawn = [tuple(map(int, m.groups())) for m in map(bold.fullmatch, lines) if m]
         for a, b, i in drawn:
-            assert 0 <= assignment[i] < len(tree) and tree[assignment[i]] == (a, b)
+            assert 0 <= assignment[i] < len(tree) and tuple(sorted(tree[assignment[i]])) == (a, b)
         assert len(drawn) == sum(
             0 <= j < len(tree) and set(tree[j]) <= set(e)
             for j, e in zip(assignment, hg.edges)

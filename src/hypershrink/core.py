@@ -79,6 +79,14 @@ class _Value:
 
     __match_args__ = ()
 
+    @classmethod
+    def _trusted(cls, *fields, **memos):
+        """The value of ``fields`` (in ``__match_args__`` order) and ``memos``,
+        kept as they are: the one way past the constructor's checks."""
+        value = cls.__new__(cls)
+        value.__dict__.update(zip(cls.__match_args__, fields), **memos)
+        return value
+
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
 

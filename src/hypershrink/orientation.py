@@ -28,9 +28,9 @@ The same stage recognises hypertrees (:func:`is_hypertree`).
 :func:`_orient` is the one owner of these heads; :func:`_tight_heads`
 keeps its 0/1 heads, which :func:`is_hypertree`, the rainbow seed and the
 floor orientation of every non-hub input with |E| = n - 1 start from,
-:func:`_tight_violator` their checked violator, the one negative
-certificate of both ``check`` and ``shrink``, and :func:`_incidence` the
-incidence lists, once per hypergraph.
+with their violator, the one negative certificate of both ``check`` and
+``shrink``, which :func:`_certify` checks once, before it is remembered;
+:func:`_incidence` keeps the incidence lists, once per hypergraph.
 """
 
 from itertools import repeat
@@ -213,23 +213,22 @@ def _repairs(hypergraph: Hypergraph, heads: list, need: list) -> tuple:
     return heads, None
 
 
+def _certify(hypergraph: Hypergraph, violator: tuple, demand: int) -> None:
+    """Raise :class:`InternalError` unless F = ``violator`` has f(F) = ``demand`` > e*(F)."""
+    if demand <= hypergraph.incident_edge_count(violator):
+        raise InternalError(f"the violator {violator} has f(F) = {demand} <= e*(F)")
+
+
 def _tight_heads(hypergraph: Hypergraph) -> tuple:
     """``_orient``'s ``(heads, violator)`` for demand 0 at vertex 0 and 1
-    elsewhere, built once per hypergraph and remembered on it, so read only."""
+    elsewhere, built once per hypergraph and remembered on it, so read only,
+    once :func:`_certify` passes the violator (nothing is remembered if not)."""
     if (tight := hypergraph.__dict__.get("_tight")) is None:
         tight = _orient(hypergraph, [0] + [1] * (hypergraph.n - 1))
+        if (violator := tight[1]) is not None:
+            _certify(hypergraph, violator, len(violator) - (0 in violator))
         object.__setattr__(hypergraph, "_tight", tight)
     return tight
-
-
-def _tight_violator(hypergraph: Hypergraph):
-    """The tight heads' violator F, or None: the negative certificate of
-    :func:`is_hypertree` and of :func:`~hypershrink.shrink.shrink_hypertree`,
-    checked to show f(F) > e*(F) first, else :class:`InternalError`."""
-    violator = _tight_heads(hypergraph)[1]
-    if violator is not None and len(violator) - (0 in violator) <= hypergraph.incident_edge_count(violator):
-        raise InternalError(f"the tight heads' violator {violator} has f(F) <= e*(F)")
-    return violator
 
 
 def _hub_like(hypergraph: Hypergraph) -> bool:
@@ -250,8 +249,8 @@ def orient_with_demands(hypergraph: Hypergraph, demands) -> OrientationResult:
 
     Runs the greedy pass, with forced heads first when the demands are
     tight, then the repair searches in vertex order (see the module
-    docstring), so the result is deterministic.  Returns the
-    closed set reached by the first failed search as the violator.
+    docstring), so the result is deterministic.  The violator is the closed
+    set the first failed search reached, once :func:`_certify` passes it.
     """
     _require_valid(hypergraph)
     if not isinstance(demands, DemandFunction):
@@ -265,6 +264,7 @@ def orient_with_demands(hypergraph: Hypergraph, demands) -> OrientationResult:
         return OrientationResult(violator=tuple(range(hypergraph.n)))
     heads, violator = _orient(hypergraph, list(demands.values))
     if violator is not None:
+        _certify(hypergraph, violator, demands.sum_over(violator))
         return OrientationResult(violator=violator)
     return OrientationResult(oriented=DirectedHypergraph(hypergraph, heads))
 
@@ -302,9 +302,10 @@ def is_hypertree(hypergraph: Hypergraph) -> bool:
     n = hypergraph.n
     if hypergraph.num_edges != n - 1:
         return False
-    if _tight_violator(hypergraph) is not None:
+    heads, violator = _tight_heads(hypergraph)
+    if violator is not None:
         return False
-    heads, incident = _tight_heads(hypergraph)[0], _incidence(hypergraph)
+    incident = _incidence(hypergraph)
     reached = bytearray(n)
     reached[0] = 1
     order = [0]

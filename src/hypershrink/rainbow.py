@@ -71,7 +71,7 @@ class ColouredGraph(_Value):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         edges = tuple(edges)
-        if not _exact_int_tuples(edges, 3):
+        if _exact_int_tuples(edges, 3) is None:
             edges = tuple([_exact_ints((u, v, c)) for u, v, c in edges])
         seen = set()
         for u, v, c in edges:
@@ -103,7 +103,7 @@ class RainbowTree(_Value):
     def __init__(self, n: int, edges: tuple = ()):
         n = _exact_int(n)
         edges = tuple(edges)
-        if not _exact_int_tuples(edges, 3):
+        if _exact_int_tuples(edges, 3) is None:
             edges = tuple([_exact_ints((u, v, c)) for u, v, c in edges])
         if len(edges) != n - 1:
             raise ValueError(f"{len(edges)} edges cannot span {n} vertices")
@@ -139,11 +139,8 @@ def star_graph(directed: DirectedHypergraph) -> ColouredGraph:
             elif t > h:
                 append((h, t, i))
     bounds = list(accumulate([len(e) - 1 for e in directed.base.edges], initial=0))
-    graph = object.__new__(ColouredGraph)
-    object.__setattr__(graph, "n", directed.base.n)
-    object.__setattr__(graph, "edges", tuple(edges))
-    object.__setattr__(graph, "_classes", list(map(range, bounds, bounds[1:])))
-    return graph
+    classes = list(map(range, bounds, bounds[1:]))
+    return ColouredGraph._trusted(directed.base.n, tuple(edges), _classes=classes)
 
 
 def _scan(directed: DirectedHypergraph):
@@ -198,6 +195,7 @@ def _orientation_seed(directed: DirectedHypergraph) -> tuple:
     distinct and no cycle closes.  Any heads give such a seed, so a failed
     repair only stops the repairs and the engine still grows a maximum
     forest; off hubs, ``shrink_hypertree`` refuses on that failure first.
+    An uncertified violator has raised in ``_tight_heads`` before any search.
 
     Returns the kept triples, the search trees as ``parent`` and
     ``parent_colour`` arrays (-1 at each root, its tree's least vertex)

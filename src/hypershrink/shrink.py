@@ -17,7 +17,7 @@ from operator import contains, itemgetter, lt, mul
 
 from .core import Hypergraph, InternalError, _degree_guarantee, _require_valid, _Value
 from .core import _exact_int_tuples, _exact_ints
-from .orientation import _hub_like, _tight_violator, is_hypertree, orient_floor
+from .orientation import _hub_like, _tight_heads, is_hypertree, orient_floor
 from .rainbow import maximum_rainbow_forest
 
 
@@ -60,14 +60,6 @@ class Shrinking(_Value):
             raise ValueError("chosen pairs are not distinct")
         index = {pair: j for j, pair in enumerate(tree)}
         return cls(tree, tuple(index[p] for p in normalised))
-
-    @classmethod
-    def _trusted(cls, tree: tuple, assignment: tuple) -> "Shrinking":
-        """Keep a tuple of ``(u, v)`` tuples of exact ints and a tuple of
-        exact ints as they are, skipping the constructor's normalisation."""
-        shrinking = cls.__new__(cls)
-        shrinking.__dict__.update(tree=tree, assignment=assignment)
-        return shrinking
 
     def pair_for(self, i: int) -> tuple:
         """The tree edge assigned to hyperedge i; a hyperedge outside the
@@ -116,7 +108,7 @@ def shrink_hypertree(hypergraph: Hypergraph, k: int = None) -> Shrinking:
     if m != n - 1:
         count = f"on {n} vertices has {n - 1} hyperedges, got {m}" if n else "has at least one vertex"
         raise NotAHypertreeError("edge-count", f"a hypertree {count}")
-    refused = not _hub_like(hypergraph) and _tight_violator(hypergraph) is not None
+    refused = not _hub_like(hypergraph) and _tight_heads(hypergraph)[1] is not None
     tree = () if refused else maximum_rainbow_forest(orient_floor(hypergraph, k))
     if len(tree) < n - 1:
         if not refused and is_hypertree(hypergraph):

@@ -489,6 +489,19 @@ def test_uncertified_violator_exits_3(h1_file, monkeypatch, capsys):
     assert captured.err.startswith("internal error:")
 
 
+def test_uncertified_demand_violator_exits_3(h1_file, tmp_path, monkeypatch, capsys):
+    # the demands total |E| = 3, so the pre-check passes and the repairs
+    # run; f((2,)) = 1 but (2,) meets all three hyperedges of H1, so orient
+    # refuses to print that violator as a certificate
+    demands = tmp_path / "f.json"
+    demands.write_text("[0, 1, 1, 1]")
+    monkeypatch.setattr("hypershrink.orientation._repairs", infeasible_orientation)
+    assert main(["orient", h1_file, "--demands", str(demands)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+
+
 def test_one_validation_report_per_operation(h1_file, tmp_path, monkeypatch, capsys):
     # the report built while loading is remembered on the hypergraph, so
     # the checks inside shrink_hypertree, is_hypertree, verify_shrinking

@@ -5,11 +5,14 @@ import pytest
 
 from hypershrink import (
     DemandFunction,
+    DirectedHypergraph,
     Hypergraph,
     InternalError,
+    NotAHypertreeError,
     adversarial_star,
     floor_demand,
     is_hypertree,
+    maximum_rainbow_forest,
     orient_floor,
     orient_with_demands,
     random_hypertree,
@@ -224,15 +227,62 @@ def test_long_augmenting_paths_do_not_recurse():
 def test_infeasible_floor_demands_raise_internal_error(monkeypatch):
     # fresh copies of H1, which is not hub-like, so both take the warm
     # start: one from tight heads remembered before the repairs fail here,
-    # the other from failing tight heads; the repairs fail on both
+    # where the floor repairs fail; the other from failing tight heads,
+    # whose violator (2,) meets three hyperedges, so it is refused when
+    # the tight heads are built, before any floor repair runs
     warm, cold = Hypergraph(H1.n, H1.edges), Hypergraph(H1.n, H1.edges)
     assert is_hypertree(warm)
     monkeypatch.setattr(orientation, "_repairs", lambda hypergraph, heads, need: (heads, (2,)))
     with pytest.raises(InternalError, match="must be feasible"):
         orient_floor(warm)
     monkeypatch.setattr(orientation, "_orient", lambda hypergraph, need: ([2, 2, 2], (2,)))
-    with pytest.raises(InternalError, match="must be feasible"):
+    with pytest.raises(InternalError, match=r"violator \(2,\) has f\(F\) = 1 <= e\*\(F\)"):
         orient_floor(cold)
+
+
+def test_uncertified_tight_violator_is_refused_by_every_reader(monkeypatch):
+    # the stand-in fails only the tight repairs, the one call made before
+    # the tight heads are remembered; its violator (2,) demands one head
+    # but meets all three hyperedges of H1.  Each reader gets it through
+    # _tight_heads, which refuses it and remembers nothing
+    repairs = orientation._repairs
+
+    def tight_fails(hypergraph, heads, need):
+        if "_tight" in vars(hypergraph):
+            return repairs(hypergraph, heads, need)
+        return heads, (2,)
+
+    monkeypatch.setattr(orientation, "_repairs", tight_fails)
+    readers = (
+        orient_floor,
+        lambda h: maximum_rainbow_forest(DirectedHypergraph(h, (2, 2, 2))),
+        is_hypertree,
+        shrink_hypertree,
+    )
+    for read in readers:
+        h = Hypergraph(H1.n, H1.edges)
+        with pytest.raises(InternalError, match=r"violator \(2,\) has f\(F\) = 1 <= e\*\(F\)"):
+            read(h)
+        assert "_tight" not in vars(h)
+
+
+def test_tight_certificate_is_counted_once(monkeypatch):
+    # TRIANGLE4 has |E| = n - 1 and is not hub-like, so both is_hypertree
+    # and shrink_hypertree refuse it on the tight heads' violator; it is
+    # certified when it is remembered, not on each read
+    counted = []
+    real = Hypergraph.incident_edge_count
+
+    def counting(hypergraph, vertices):
+        counted.append(vertices)
+        return real(hypergraph, vertices)
+
+    monkeypatch.setattr(Hypergraph, "incident_edge_count", counting)
+    h = Hypergraph(TRIANGLE4.n, TRIANGLE4.edges)
+    assert not is_hypertree(h)
+    with pytest.raises(NotAHypertreeError):
+        shrink_hypertree(h)
+    assert len(counted) == 1
 
 
 def test_floor_orientation_starts_from_failed_tight_heads(monkeypatch):

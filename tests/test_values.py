@@ -22,6 +22,8 @@ from hypershrink import (
     ValidationReport,
     VerificationReport,
     Violation,
+    shrink_hypertree,
+    star_graph,
     validate,
 )
 from hypershrink.core import _degree_guarantee
@@ -89,6 +91,19 @@ DEFAULTS = (
 )
 
 IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(CASES)]
+
+SHRUNK = shrink_hypertree(PATH)
+SHRUNK.tree_degrees(3)  # a memo for the round trips to keep
+
+# (a value built past its constructor's checks by _Value._trusted, the
+# checked constructor's value of the same fields, their repr)
+TRUSTED = (
+    (
+        star_graph(DIRECTED), ColouredGraph(3, ((0, 1, 0), (1, 2, 1))),
+        "ColouredGraph(n=3, edges=((0, 1, 0), (1, 2, 1)))",
+    ),
+    (SHRUNK, Shrinking(((0, 1), (1, 2)), (0, 1)), "Shrinking(tree=((0, 1), (1, 2)), assignment=(0, 1))"),
+)
 
 
 def test_every_value_class_has_a_case():
@@ -180,6 +195,17 @@ def test_pickle_and_deepcopy_round_trips(cls, args, text):
         assert repr(other) == text
         with pytest.raises(AttributeError):
             setattr(other, cls.__match_args__[0], None)
+
+
+@pytest.mark.parametrize("trusted, checked, text", TRUSTED, ids=["star_graph", "shrink_hypertree"])
+def test_trusted_values_behave_like_checked_ones(trusted, checked, text):
+    assert trusted == checked and hash(trusted) == hash(checked)
+    assert repr(trusted) == repr(checked) == text
+    assert set(vars(trusted)) > set(trusted.__match_args__)  # memos to keep
+    copies = [pickle.loads(pickle.dumps(trusted, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies + [copy.deepcopy(trusted)]:
+        assert type(other) is type(trusted) and other == checked
+        assert vars(other) == vars(trusted)
 
 
 def test_round_trips_keep_memos_and_class_lists():

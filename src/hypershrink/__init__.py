@@ -9,10 +9,11 @@ hypergraph degree and k the rank, via two engines: demand-constrained
 orientation (Hall's theorem) and rainbow spanning tree extraction
 (graphic and partition matroid intersection).
 
-Importing the package loads the recognition stage alone (``core``,
-``gen`` and ``orientation``).  The names of ``rainbow`` and ``shrink``,
-which only a shrinking needs, and of the exhaustive ``oracles`` and the
-``dot`` writers resolve on first access, as do those submodule names.
+Importing the package loads the recognition stage alone (``core`` and
+``orientation``).  The names of ``rainbow`` and ``shrink``, which only a
+shrinking needs, of the seeded generators in ``gen``, and of the
+exhaustive ``oracles`` and the ``dot`` writers resolve on first access,
+as do those submodule names.
 """
 
 from .core import (
@@ -31,7 +32,6 @@ from .core import (
     hypergraph_to_text,
     validate,
 )
-from .gen import SplitMix64, adversarial_star, random_hypertree, random_tree
 from .orientation import (
     OrientationResult,
     floor_demand,
@@ -43,9 +43,10 @@ from .orientation import (
 __version__ = "1.0.0"
 
 # Name -> the submodule that defines it, each submodule's own name
-# included.  The stage-two modules (rainbow, shrink) and the off-path ones
-# (oracles, dot) are imported on the first access of one of their names
-# (PEP 562), so `import hypershrink` and the CLI start without them.
+# included.  The stage-two modules (rainbow, shrink), the generators (gen)
+# and the off-path ones (oracles, dot) are imported on the first access of
+# one of their names (PEP 562), so `import hypershrink` and the CLI start
+# without them.
 _LAZY = {
     name: module
     for module, names in {
@@ -54,6 +55,7 @@ _LAZY = {
         "shrink": ("NotAHypertreeError", "Shrinking", "VerificationCheck",
                    "VerificationReport", "shrink_hypertree", "shrinking_to_json",
                    "verify_shrinking"),
+        "gen": ("SplitMix64", "adversarial_star", "random_hypertree", "random_tree"),
         "oracles": ("BruteforceResult", "brute_force_shrink", "check_rainbow_condition",
                     "is_hypertree_bruteforce"),
         "dot": ("coloured_graph_to_dot", "rainbow_tree_to_dot", "shrinking_to_dot"),

@@ -19,11 +19,13 @@ in-process caller that had it off keeps it off.  The pause is safe
 because the pipeline makes no reference cycles (a test pins this for
 every subcommand): a pass over its per-edge containers finds nothing.
 
-The recognition stage (``core``, ``gen``, ``orientation``) is imported
-with this module.  ``shrink`` and ``bench`` import ``hypershrink.shrink``,
-and with it ``hypershrink.rainbow``, when they run, and read its functions
-off that module at each call, so ``check``, ``orient``, ``validate`` and
-``gen`` never load the rainbow stage.
+The recognition stage (``core``, ``orientation``) is imported with this
+module.  ``shrink`` and ``bench`` import ``hypershrink.shrink``, and with
+it ``hypershrink.rainbow``, when they run, and ``gen`` and ``bench``
+import the generators in ``hypershrink.gen``; each reads its functions
+off that module at each call.  So ``check``, ``orient``, ``validate``
+and ``gen`` never load the rainbow stage, and ``check``, ``orient``,
+``validate`` and ``shrink`` never load the generators.
 """
 
 import argparse
@@ -46,7 +48,6 @@ from .core import (
     hypergraph_to_json,
     validate,
 )
-from .gen import _check_hypertree_args, random_hypertree
 from .orientation import (
     floor_demand,
     is_hypertree,
@@ -107,6 +108,8 @@ def _check_generator_args(args) -> None:
     """Refuse ``--n``, ``--k`` or ``--p`` outside the generator's range
     as bad input, an ``--n`` above the parsers' vertex limit first,
     before anything of size n is drawn."""
+    from .gen import _check_hypertree_args
+
     _check_vertex_count(max(args.n, 0))  # a negative n has too few vertices
     try:
         _check_hypertree_args(args.n, args.k, args.p)
@@ -212,6 +215,8 @@ def _cmd_orient(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .gen import random_hypertree
+
     _check_generator_args(args)
     hypergraph, witness = random_hypertree(args.n, args.k, args.seed, args.p)
     if args.witness is not None:  # before stdout, so a failed write prints nothing
@@ -233,6 +238,7 @@ def _cmd_bench(args) -> int:
     (non-negative when the guarantee holds), ``min_degree_ratio`` is
     min_v d_T(v)/d_H(v).
     """
+    from .gen import random_hypertree
     from .shrink import shrink_hypertree
 
     if args.trials < 1:

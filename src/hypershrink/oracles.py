@@ -3,14 +3,15 @@
 Nothing here is on the ``shrink``/``check`` path.  Each oracle checks a
 definition by enumeration and refuses an input past its limit with
 :class:`~hypershrink.core.LimitExceededError`; ``hypershrink check
---oracle`` runs :func:`is_hypertree_bruteforce`.
+--oracle`` runs :func:`is_hypertree_bruteforce`, which needs ``core``
+alone.  :func:`check_rainbow_condition` and :func:`brute_force_shrink`
+import what they use of ``rainbow`` and ``shrink`` when they run, so
+``check --oracle`` never loads the rainbow stage.
 """
 
 from itertools import combinations, product
 
 from .core import DirectedHypergraph, Hypergraph, LimitExceededError, _require_valid, _Value
-from .rainbow import UnionFind, star_graph
-from .shrink import Shrinking
 
 
 class BruteforceResult(_Value):
@@ -73,6 +74,8 @@ def check_rainbow_condition(graph, limit: int = 20):
     :class:`~hypershrink.core.DirectedHypergraph` read as its star
     expansion (an invalid base is refused as :func:`star_graph` refuses it).
     """
+    from .rainbow import UnionFind, star_graph
+
     if isinstance(graph, DirectedHypergraph):
         graph = star_graph(graph)
     c = graph.num_colours
@@ -102,6 +105,9 @@ def brute_force_shrink(hypergraph: Hypergraph, limit: int = 10**6):
     choice space exceeds ``limit``.
     """
     from fractions import Fraction  # the oracle's import, kept off the fast path
+
+    from .rainbow import UnionFind
+    from .shrink import Shrinking
 
     _require_valid(hypergraph)
     n, m = hypergraph.n, hypergraph.num_edges

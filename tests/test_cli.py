@@ -381,7 +381,8 @@ def refuse_to_generate(*args):
      ["bench", "--trials", "1", "--k", "3", "--seed", "0"]],
 )
 def test_generator_refuses_n_above_the_vertex_limit(argv, monkeypatch, capsys):
-    monkeypatch.setattr("hypershrink.cli.random_hypertree", refuse_to_generate)
+    # the commands read the generator off hypershrink.gen at each call
+    monkeypatch.setattr("hypershrink.gen.random_hypertree", refuse_to_generate)
     limit = core.MAX_VERTICES
     assert main(argv + ["--n", str(limit + 1)]) == 2
     captured = capsys.readouterr()
@@ -890,10 +891,11 @@ def test_orient_output_is_pinned(case, tmp_path, capsys):
 
 def test_cli_start_loads_no_oracle_only_module():
     # fractions (with decimal and numbers) serves brute_force_shrink alone,
-    # and the package needs neither typing nor csv, nor dataclasses with
-    # the inspect, ast and dis it loads; -S keeps site, which may import
-    # typing itself, out of the child
-    modules = "{'fractions', 'decimal', 'typing', 'csv', 'dataclasses', 'inspect', 'ast', 'dis'}"
+    # heapq the generators alone, and the package needs neither typing nor
+    # csv, nor dataclasses with the inspect, ast and dis it loads; -S keeps
+    # site, which may import typing itself, out of the child
+    modules = ("{'fractions', 'decimal', 'heapq', 'typing', 'csv', 'dataclasses', 'inspect', "
+               "'ast', 'dis'}")
     code = f"import sys, hypershrink.cli; print(sorted({modules} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], env=cli_env(), capture_output=True, text=True,
@@ -958,36 +960,44 @@ print(codes, loaded())
 
 
 def test_cli_start_loads_the_recognition_stage_alone(tmp_path):
-    # the CLI starts with the package, core, gen and orientation; validate,
-    # check, orient and gen never load the rainbow stage, and shrink and
-    # bench, each in a fresh process, load rainbow and shrink on first use
+    # the CLI starts with the package, core and orientation; validate,
+    # check and orient load nothing more, and each other command, in a
+    # fresh process, loads on first use only what it runs: gen the
+    # generators, check --oracle the oracles without the rainbow stage,
+    # shrink rainbow and shrink, and bench all three
     path = str(tmp_path / "h.json")
     Path(path).write_text(hypergraph_to_json(random_hypertree(12, 3, 1, 0.5)[0]))
-    start = ["hypershrink", "hypershrink.cli", "hypershrink.core", "hypershrink.gen",
-             "hypershrink.orientation"]
-    stage_two = sorted(start + ["hypershrink.rainbow", "hypershrink.shrink"])
-    recognition = [["validate", path], ["check", path], ["orient", path],
-                   ["gen", "--n", "12", "--k", "3", "--seed", "1"]]
+    start = ["hypershrink", "hypershrink.cli", "hypershrink.core", "hypershrink.orientation"]
+    stage_two = ["hypershrink.rainbow", "hypershrink.shrink"]
+    recognition = [["validate", path], ["check", path], ["orient", path]]
+    gen = ["gen", "--n", "12", "--k", "3", "--seed", "1"]
     bench = ["bench", "--trials", "1", "--n", "12", "--k", "3", "--seed", "1"]
-    for argvs, after in ((recognition, start), ([["shrink", path]], stage_two), ([bench], stage_two)):
+    for argvs, added in ((recognition, []), ([gen], ["hypershrink.gen"]),
+                         ([["check", "--oracle", path]], ["hypershrink.oracles"]),
+                         ([["shrink", path]], stage_two),
+                         ([bench], ["hypershrink.gen"] + stage_two)):
+        after = sorted(start + added)
         result = subprocess.run(
             [sys.executable, "-S", "-c", STAGE_CHILD, json.dumps(argvs)], env=cli_env(),
             capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == f"{start}\n{[0] * len(argvs)} {after}\n"
-    # the package resolves the stage-two names and submodules on first access
+    # the package resolves the stage-two and generator names and submodules
+    # on first access
     code = (
-        "import hypershrink\n"
-        "print(hypershrink.rainbow.UnionFind.__name__, "
-        "hypershrink.shrink_hypertree is hypershrink.shrink.shrink_hypertree)\n"
+        "import sys, hypershrink\n"
+        "print('hypershrink.gen' in sys.modules, hypershrink.rainbow.UnionFind.__name__, "
+        "hypershrink.shrink_hypertree is hypershrink.shrink.shrink_hypertree, "
+        "hypershrink.random_hypertree is hypershrink.gen.random_hypertree, "
+        "hypershrink.SplitMix64 is hypershrink.gen.SplitMix64)\n"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], env=cli_env(), capture_output=True, text=True,
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "UnionFind True\n"
+    assert result.stdout == "False UnionFind True True True\n"
 
 
 def test_shrink_and_bench_call_the_shrink_module_functions(h1_file, monkeypatch):

@@ -206,7 +206,7 @@ def test_every_consumer_of_the_guarantee_agrees(monkeypatch, capsys):
                 )
         if hg.n > 1:
             # bench states the guarantee for the rank; it shrinks hg itself
-            monkeypatch.setattr(cli, "random_hypertree", lambda *_: (hg, None))
+            monkeypatch.setattr("hypershrink.gen.random_hypertree", lambda *_: (hg, None))
             argv = ["bench", "--trials", "1", "--n", str(hg.n), "--k", "3", "--seed", "1"]
             assert cli.main(argv) == 0
             row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))

@@ -201,16 +201,8 @@ def _cmd_orient(args) -> int:
     if result.is_oriented:
         print(_directed_to_json(result.oriented))
         return EXIT_OK
-    violator = result.violator
-    print(
-        json.dumps(
-            {
-                "violator": list(violator),
-                "f(F)": demands.sum_over(violator),
-                "e*(F)": hypergraph.incident_edge_count(violator),
-            }
-        )
-    )
+    demand, met = result._certificate
+    print(json.dumps({"violator": list(result.violator), "f(F)": demand, "e*(F)": met}))
     return EXIT_NEGATIVE
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import hypershrink
 from hypershrink import ColouredGraph, Hypergraph
-from hypershrink import rainbow
+from hypershrink import orientation, rainbow
 from hypershrink.core import FormatError, ValidationReport, Violation, _require_valid
 from hypershrink.orientation import _incidence, _orient
 from hypershrink.rainbow import UnionFind
@@ -293,6 +293,78 @@ def reference_repair(v: int, heads: list, need: list, incident: list):
     return came_from
 
 
+def reference_two_sided_repair(v: int, heads: list, need: list, incident: list, edges: tuple, spares: dict):
+    """The orientation stage's two-sided repair search with a ``deque``
+    per side.  A level is everything a side's queue holds when the side
+    is expanded.  The backward side starts from ``spares`` (the vertices
+    with need < 0, in vertex order) and steps from y to every member of
+    the hyperedges headed at y, in hyperedge order; it is expanded
+    whenever its queue is nonempty and shorter than the forward one.  The
+    forward side steps as :func:`reference_repair`'s search does.  A
+    vertex labelled by both sides, or a spare reached forwards, joins
+    them, and every head on the path moves one step back (in place); a
+    spare left with need 0 is deleted from ``spares``.  Returns
+    ``(reached, ahead, behind)``: ``reached`` is None on success, else the
+    dict the forward side reached, run alone to exhaustion once either
+    side is empty; ``ahead`` and ``behind`` count the vertices each side
+    labelled, the spares that start the backward side left out."""
+    forward = {v: None}  # vertex -> (vertex it was reached from, hyperedge)
+    backward = {}  # vertex -> (vertex it steps to, hyperedge)
+    ahead, behind = collections.deque([v]), collections.deque(spares)
+
+    def joined(w):
+        moves = []
+        x = w
+        while forward[x] is not None:
+            previous, i = forward[x]
+            moves.append((i, previous))
+            x = previous
+        x = w
+        while x in backward:
+            nearer, i = backward[x]
+            moves.append((i, x))
+            x = nearer
+        for i, head in moves:
+            heads[i] = head
+        need[v] -= 1
+        need[x] += 1
+        if need[x] == 0:
+            del spares[x]
+        return None, len(forward), len(backward)
+
+    while ahead:
+        if behind and len(behind) < len(ahead):
+            for _ in range(len(behind)):
+                y = behind.popleft()
+                for i in sorted(i for i in incident[y] if heads[i] == y):
+                    for x in edges[i]:
+                        if x not in backward and need[x] >= 0:
+                            backward[x] = (y, i)
+                            if x in forward:
+                                return joined(x)
+                            behind.append(x)
+            if not behind:
+                break
+            continue
+        for _ in range(len(ahead)):
+            x = ahead.popleft()
+            for i in incident[x]:
+                y = heads[i]
+                if y not in forward:
+                    forward[y] = (x, i)
+                    if need[y] < 0 or y in backward:
+                        return joined(y)
+                    ahead.append(y)
+    while ahead:  # the backward side ran dry: no path, so finish the forward one
+        x = ahead.popleft()
+        for i in incident[x]:
+            y = heads[i]
+            if y not in forward:
+                forward[y] = (x, i)
+                ahead.append(y)
+    return forward, len(forward), len(backward)
+
+
 def random_coloured_graph(rng: random.Random, n_max: int = 8, c_max: int = 12) -> ColouredGraph:
     """Random edge-coloured simple graph with dense colour ids."""
     n = rng.randint(1, n_max)
@@ -370,6 +442,16 @@ def rooted_forest(graph: ColouredGraph, seed) -> tuple:
                     parent[y], parent_edge[y] = x, i
                     stack.append(y)
     return parent, parent_edge, uf
+
+
+def count_repairs(monkeypatch) -> list:
+    """A list that gains the short vertex of each repair search, one-sided
+    (``orientation._repair``) or two-sided (``_two_sided_repair``)."""
+    searches = []
+    for name in ("_repair", "_two_sided_repair"):
+        repair = getattr(orientation, name)
+        monkeypatch.setattr(orientation, name, lambda *args, repair=repair: searches.append(args[0]) or repair(*args))
+    return searches
 
 
 def count_incidence_builds(monkeypatch) -> list:

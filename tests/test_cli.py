@@ -240,6 +240,22 @@ def test_orient_infeasible_demands(tmp_path, capsys):
     assert data["e*(F)"] == 2
 
 
+def test_negative_orient_counts_e_star_once(triangle_file, tmp_path, monkeypatch, capsys):
+    # orient_with_demands counts e*(F) once, to certify its violator, and
+    # remembers the certified counts on its result, which orient prints:
+    # one pass over the hyperedges for one answer, and the same bytes
+    counted = []
+    real = core.Hypergraph.incident_edge_count
+    monkeypatch.setattr(
+        core.Hypergraph, "incident_edge_count", lambda h, vertices: counted.append(vertices) or real(h, vertices)
+    )
+    demands = tmp_path / "f.json"
+    demands.write_text("[0, 1, 1, 1]")
+    assert main(["orient", triangle_file, "--demands", str(demands)]) == 1
+    assert capsys.readouterr().out == '{"violator": [3], "f(F)": 1, "e*(F)": 0}\n'
+    assert counted == [(3,)]
+
+
 def test_orient_demand_length_mismatch(tmp_path, capsys):
     hg = tmp_path / "path.json"
     hg.write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}')
@@ -805,7 +821,8 @@ def test_fuzzed_files_never_leak_an_internal_error(fuzz_path, files):
 # p), hubs adversarial_star(m, k).  The random stdout digests were
 # recorded after the floor orientation of a hypertree that is not
 # hub-like began to start from the tight heads and the orientation seed
-# to run first there; every output passed verify_shrinking first.  The
+# to run first there, and two of them again after tight repairs began to
+# search from both ends; every output passed verify_shrinking first.  The
 # hub digests predate the orientation seed and stay, since a hub keeps
 # the cold floor orientation and the scan, which spans there.
 SHRINK_DIGESTS = {
@@ -813,10 +830,10 @@ SHRINK_DIGESTS = {
         "78e37b96bafd14524df7f8767e833252a65f1083aca24570c678f09018f14ed7",
         "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
     ("random", (500, 3, 2, 0.8), ()): (
-        "3a3738b813cc61e7d5def6d90cc0194a074583977401a86ad6dc5ef139884db1",
+        "46655bcd44041d67f0aad84ee0ae05d15dc82c30c2d7d0a54e26143e8c7bcc00",
         "dc4549fcf632a88f6a89d3f83822756cb62c7ed75e7347d2111d1f33fe09e99b"),
     ("random", (500, 5, 3, 0.5), ()): (
-        "497b91497f6134858e3afcf84e53a90050c17820f7d8c45007a9e2abfdff6a0c",
+        "72f03c2f00a77462daabfe5d43893ebc1d19fe30fba3fe8575ddd3add846c8a5",
         "473157a4e93d03e3051303f4b5a0ee5b33084eaaabf500cd6a71d8124e7580df"),
     ("random", (500, 5, 4, 0.8), ()): (
         "4703dbbb7215a4947cafdc67f94143ec23711ca7bad755d7d8f40bf274063c1a",

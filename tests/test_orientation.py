@@ -9,6 +9,7 @@ from hypershrink import (
     Hypergraph,
     InternalError,
     NotAHypertreeError,
+    OrientationResult,
     adversarial_star,
     floor_demand,
     is_hypertree,
@@ -27,12 +28,26 @@ from helpers import (
     TRIANGLE4,
     brute_orientation_exists,
     count_incidence_builds,
+    count_repairs,
     random_edge_family,
     random_valid_hypergraph,
     reference_greedy_heads,
     reference_hub_like,
     reference_repair,
+    reference_two_sided_repair,
 )
+
+
+def test_certified_counts_are_remembered_on_the_result():
+    # the counts the violator was certified with, (f(F), e*(F)), are a
+    # memo: equality, hash, repr and match patterns read the fields alone
+    result = orient_with_demands(TRIANGLE4, (0, 1, 1, 1))
+    assert result._certificate == (1, 0)
+    plain = OrientationResult(violator=result.violator)
+    assert result == plain and hash(result) == hash(plain) and repr(result) == repr(plain)
+    assert OrientationResult.__match_args__ == ("oriented", "violator")
+    # the total exceeds the hyperedge count: F = V, which every hyperedge meets
+    assert orient_with_demands(PATH3, (1, 1, 1))._certificate == (3, 2)
 
 
 def test_single_demand_met():
@@ -342,11 +357,7 @@ def test_orient_floor_on_hub_in_both_labellings():
 
 
 def test_long_path_with_descending_edges(monkeypatch):
-    searches = []
-    repair = orientation._repair
-    monkeypatch.setattr(
-        orientation, "_repair", lambda *args: searches.append(args[0]) or repair(*args)
-    )
+    searches = count_repairs(monkeypatch)
     n = 20000
     demands = [0] + [1] * (n - 1)
     for hg, expected in zip(descending_paths(n), ([], [n - 1])):
@@ -418,8 +429,10 @@ def test_greedy_heads_match_the_max_reference(monkeypatch):
     # and needs that start or go negative, in any member order.  Tight
     # needs (their total is the hyperedge count) take forced heads first;
     # some of the random needs are tight, and then 200 draws spread the
-    # hyperedge count over the vertices so that every one is
-    monkeypatch.setattr(orientation, "_repair", lambda v, heads, need, incident: {v: None})
+    # hyperedge count over the vertices so that every one is.  Tight needs
+    # take the two-sided search, which gives up at once too
+    for search in ("_repair", "_two_sided_repair"):
+        monkeypatch.setattr(orientation, search, lambda v, *state: {v: None})
     rng = random.Random(5)
     sizes = set()
     tight = 0
@@ -473,6 +486,58 @@ def test_repair_matches_the_deque_reference():
             assert need == expected_need
             outcomes.add(reached is None)
     assert outcomes == {True, False}
+
+
+def test_two_sided_repair_matches_the_deque_reference():
+    # random heads under slack needs and under tight ones (short and spare
+    # heads equally many, as in every search is_hypertree makes): the
+    # hyperedge count spread over the vertices, or the indegrees with one
+    # or two units moved, which leaves few spares, so that the backward
+    # side is expanded.  Each short vertex is repaired until it is served
+    # or its search fails, from the state the last repair left, with the
+    # spares listed once, as _repairs lists them; they stay the vertices
+    # with need < 0, in vertex order
+    rng = random.Random(13)
+    outcomes = set()
+    tight = 0
+    for draw in range(600):
+        hg = random_valid_hypergraph(rng, n_max=16, m_max=24)
+        heads = [rng.choice(e) for e in hg.edges]
+        if draw % 3 == 0:
+            need = [rng.randint(0, 2) for _ in range(hg.n)]
+        elif draw % 3 == 1:
+            need = [0] * hg.n
+            for _ in hg.edges:
+                need[rng.randrange(hg.n)] += 1
+        else:
+            need = [heads.count(v) for v in range(hg.n)]
+            for _ in range(rng.randint(1, 2)):
+                need[rng.choice(heads)] -= 1
+                need[rng.randrange(hg.n)] += 1
+        for head in heads:
+            need[head] -= 1
+        tight += sum(need) == 0
+        incident = orientation._incidence(hg)
+        spares = dict.fromkeys(y for y, f in enumerate(need) if f < 0)
+        for v in range(hg.n):
+            while need[v] > 0:
+                expected_heads, expected_need = heads.copy(), need.copy()
+                expected_spares = spares.copy()
+                expected, _, behind = reference_two_sided_repair(
+                    v, expected_heads, expected_need, incident, hg.edges, expected_spares
+                )
+                reached = orientation._two_sided_repair(v, heads, need, incident, hg.edges, spares)
+                assert reached == expected
+                assert list(reached or ()) == list(expected or ())  # same search order
+                assert heads == expected_heads
+                assert need == expected_need
+                assert list(spares) == list(expected_spares) == [y for y, f in enumerate(need) if f < 0]
+                outcomes.add((reached is None, behind > 0))
+                if reached is not None:
+                    break
+    # served and failed searches, each with and without the backward side
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+    assert tight >= 400
 
 
 def test_hub_like_is_remembered(monkeypatch):

@@ -40,6 +40,7 @@ from helpers import (
     clique_graph,
     component_count,
     count_incidence_builds,
+    count_repairs,
     four_labellings,
     is_spanning_tree,
     moved_to_an_end,
@@ -799,14 +800,6 @@ def test_hubs_and_large_hypertrees_shrink_without_the_expansion_under_relabellin
             assert verify_shrinking(hg, shrink_hypertree(hg))
             assert is_hypertree(hg)
             assert expansions == []
-
-
-def count_repairs(monkeypatch) -> list:
-    """A list that gains one entry per ``orientation._repair`` search."""
-    searches = []
-    repair = orientation._repair
-    monkeypatch.setattr(orientation, "_repair", lambda *args: searches.append(args[0]) or repair(*args))
-    return searches
 
 
 def answers_and_repairs(hg, searches) -> tuple:

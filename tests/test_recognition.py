@@ -34,8 +34,13 @@ from helpers import (
     break_hypertree,
     brute_is_hypertree,
     count_incidence_builds,
+    count_repairs,
+    four_labellings,
+    moved_to_an_end,
     random_edge_family,
     random_tree_count_hypergraph,
+    reference_two_sided_repair,
+    relabelled,
 )
 
 
@@ -147,14 +152,7 @@ def test_forced_heads_leave_few_repairs(monkeypatch):
     # without forced heads the greedy pass leaves about 15% of these 500
     # vertices short; with them a few are left, on hypertrees and broken
     # ones alike
-    searches = []
-    real = orientation._repair
-
-    def counted(*args):
-        searches.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(orientation, "_repair", counted)
+    searches = count_repairs(monkeypatch)
     for k in (3, 5):
         for seed in (1, 2, 3, 4):
             hg, _ = random_hypertree(500, k, seed, 0.5)
@@ -162,6 +160,65 @@ def test_forced_heads_leave_few_repairs(monkeypatch):
                 searches.clear()
                 assert is_hypertree(instance) == answer
                 assert len(searches) <= 12
+
+
+def count_labels(monkeypatch) -> tuple:
+    """``(labels, states)``: ``labels`` gains, per repair search, the
+    vertices its two sides label, the spares that start the backward side
+    left out.  Beside each ``_repairs`` call's searches, the reference
+    (:func:`reference_two_sided_repair`) repairs a copy of the call's
+    first state, kept in ``states`` as ``(spares, heads, copied heads,
+    copied need, copied spares)``.  Each search must return and leave in
+    ``spares`` what the reference does, so the reference's counts are
+    the search's; a one-sided search fails the test, as the tight demands
+    of :func:`is_hypertree` never take it."""
+    labels, states = [], {}
+    real = orientation._two_sided_repair
+
+    def counted(v, heads, need, incident, edges, spares):
+        # the state holds spares, so its id is not reused while it is kept
+        if id(spares) not in states:
+            states[id(spares)] = (spares, heads, heads.copy(), need.copy(), spares.copy())
+        _, _, expected_heads, expected_need, expected_spares = states[id(spares)]
+        expected, ahead, behind = reference_two_sided_repair(
+            v, expected_heads, expected_need, incident, edges, expected_spares
+        )
+        reached = real(v, heads, need, incident, edges, spares)
+        assert reached == expected
+        assert list(spares) == list(expected_spares)
+        labels.append(ahead + behind)
+        return reached
+
+    def one_sided(*args):
+        raise AssertionError("a one-sided search ran on tight demands")
+
+    monkeypatch.setattr(orientation, "_two_sided_repair", counted)
+    monkeypatch.setattr(orientation, "_repair", one_sided)
+    return labels, states
+
+
+def test_repair_searches_label_at_most_3n(monkeypatch):
+    # one-sided searches labelled 6.92n and 4.24n vertices on these two
+    # hypertrees as generated, and two-sided ones 2.20n and 1.16n.  The
+    # first is checked under four labellings and with the vertices the
+    # forced heads leave short taking the first labels, so that they are
+    # served first; those read 2.30n-2.73n.  The repaired heads must end
+    # as the reference's
+    labels, states = count_labels(monkeypatch)
+    first = random_hypertree(50000, 5, 1, 0.8)[0]
+    need = [0] + [1] * (first.n - 1)
+    orientation._forced_heads(first.edges, need, orientation._incidence(first))
+    short = [v for v, left in enumerate(need) if left > 0]
+    orders = four_labellings(first.n) + [moved_to_an_end(first.n, short)]
+    hypertrees = [relabelled(first, order) for order in orders]
+    hypertrees.append(random_hypertree(50000, 3, 1, 0.5)[0])
+    for hg in hypertrees:
+        labels.clear()
+        states.clear()
+        assert is_hypertree(hg)
+        assert labels and sum(labels) <= 3 * hg.n
+        ((_, heads, expected_heads, _, _),) = states.values()
+        assert heads == expected_heads
 
 
 def test_check_at_scale_10000():

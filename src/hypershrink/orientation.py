@@ -21,21 +21,21 @@ spare vertex, one heading more hyperedges than it needs, with every
 hyperedge on the path handing its head one step back.  So v gains a
 head, the spare gives one up, and every vertex between keeps its count.
 
-The demands the repairs start from pick the search.  Slack ones leave
-spares plentiful, and a breadth-first search from v soon meets one
-(:func:`_repair`).  Tight ones (the needs total 0 once every hyperedge
-is headed) leave exactly as many spare heads as missing ones, so a
-search from v alone labels about n / (spares) vertices.  There the
-search grows from both ends (bidirectional search, Pohl 1971;
-:func:`_two_sided_repair`): breadth first from v, and backwards from
-the spares, from y to every member of a hyperedge headed at y, a level
-of the smaller frontier at a time, until the two sides meet.  The
-searches of one check of ``random_hypertree(50000, k, 1, p)`` then label
-2.2n vertices in all, in place of 6.9n (k = 5, p = 0.8), or 1.2n in
-place of 4.2n (k = 3, p = 0.5).  Either way, if no path exists the
-search from v runs to its end, and the set F it reached is closed: every
-hyperedge meeting F is headed inside F, no vertex of F heads more than
-it needs and v heads fewer, so e*(F) < f(F) and F is the violator.
+The search grows from both ends (bidirectional search, Pohl 1971;
+:func:`_repair`): breadth first from v, and backwards from the spares,
+from y to every member of a hyperedge headed at y, a level of the
+smaller frontier at a time, until the two sides meet.  Slack demands
+usually leave spares plentiful, so the side from v stays the smaller
+one and the search is a plain breadth-first search from v.  Tight ones
+(the needs total 0 once every hyperedge is headed) leave exactly as many
+spare heads as missing ones, where a search from v alone labels about
+n / (spares) vertices; the searches of one check of
+``random_hypertree(50000, k, 1, p)`` label 2.2n vertices in all, in
+place of 6.9n (k = 5, p = 0.8), or 1.2n in place of 4.2n (k = 3,
+p = 0.5).  If no path exists the search from v runs to its end, and the
+set F it reached is closed: every hyperedge meeting F is headed inside
+F, no vertex of F heads more than it needs and v heads fewer, so
+e*(F) < f(F) and F is the violator.
 
 The same stage recognises hypertrees (:func:`is_hypertree`).
 :func:`_orient` is the one owner of these heads; :func:`_tight_heads`
@@ -93,49 +93,21 @@ def _incidence(hypergraph: Hypergraph) -> list:
     return incident
 
 
-def _repair(v: int, heads: list, need: list, incident: list):
-    """Give the short vertex v one more head: the one-sided search, for
-    slack demands, whose spare heads are plentiful.
-
-    Searches breadth first from v over the moves x -> heads[i], i a
-    hyperedge containing x, for a vertex y with need[y] < 0 (a spare
-    head), then moves each head on the path one step back.  Returns None
-    on success, otherwise the closed vertex set the search reached.
-    """
-    came_from = {v: None}
-    queue = [v]
-    for x in queue:  # grows while it is read: breadth first
-        for i in incident[x]:
-            y = heads[i]
-            if y in came_from:
-                continue
-            came_from[y] = (x, i)
-            if need[y] < 0:
-                need[y] += 1
-                need[v] -= 1
-                while y != v:
-                    x, i = came_from[y]
-                    heads[i] = x
-                    y = x
-                return None
-            queue.append(y)
-    return came_from
-
-
-def _two_sided_repair(v: int, heads: list, need: list, incident: list, edges: tuple, spares: dict):
-    """Give the short vertex v one more head: the two-sided search, for
-    tight demands, whose spare heads are few.
+def _repair(v: int, heads: list, need: list, incident: list, edges: tuple, spares: dict):
+    """Give the short vertex v one more head, by a search from both ends.
 
     ``spares`` holds the vertices with need < 0, in vertex order.  The
-    search grows level by level from v, over the moves of :func:`_repair`,
-    and from the spares, backwards: a member x of a hyperedge headed at y
-    steps to y.  It always expands the smaller frontier, the forward one
-    on a tie, so where the spares outnumber every forward level it is
-    :func:`_repair`'s search.  Where the sides meet, each head on the path
+    search grows level by level from v, over the moves x -> heads[i], i a
+    hyperedge containing x, and from the spares, backwards: a member x of
+    a hyperedge headed at y steps to y.  It always expands the smaller
+    frontier, the forward one on a tie, so where the spares outnumber
+    every forward level, as slack demands usually leave them, it is a
+    plain breadth-first search from v.  Where the sides meet, each head on the path
     v ... spare moves one step back, and a spare left with need 0 leaves
     ``spares``.  If a side runs dry first, no path exists: the forward
-    side runs on alone and its closed set is returned, as :func:`_repair`
-    returns it; None on success.
+    side runs on alone and the closed set it reached is returned, each
+    vertex mapped to the (vertex, hyperedge) it was reached through;
+    None on success.
     """
     ahead = {v: None}  # vertex -> (x, i): reached from x through hyperedge i
     behind = {}  # vertex -> (y, i): a member of hyperedge i, headed at y
@@ -171,7 +143,7 @@ def _two_sided_repair(v: int, heads: list, need: list, incident: list, edges: tu
 
 def _meet(w: int, v: int, heads: list, need: list, ahead: dict, behind: dict, spares: dict) -> None:
     """Move each head one step back along the path v ... w ... spare that
-    :func:`_two_sided_repair` found: None."""
+    :func:`_repair` found: None."""
     need[v] -= 1
     y = w
     while y != v:
@@ -284,22 +256,19 @@ def _orient(hypergraph: Hypergraph, need: list) -> tuple:
 
 
 def _repairs(hypergraph: Hypergraph, heads: list, need: list) -> tuple:
-    """Repair each short vertex in vertex order: ``(heads, violator)``.
-
-    Tight demands (the needs total 0, so the spare heads are exactly as
-    many as the missing ones) take :func:`_two_sided_repair`, from spares
-    listed once here; slack ones take :func:`_repair`.
-    """
-    incident, edges, spares = _incidence(hypergraph), hypergraph.edges, None
-    if sum(need) == 0:
-        spares = dict.fromkeys(y for y, f in enumerate(need) if f < 0)
-    for v in range(hypergraph.n):
+    """Repair each short vertex in vertex order (:func:`_repair`), from
+    the spares listed once here if any vertex is short:
+    ``(heads, violator)``."""
+    # a repair lowers the need of the vertex it serves and raises a spare's
+    # to at most 0, so the vertices short now are all that will be
+    short = [v for v, f in enumerate(need) if f > 0]
+    if not short:
+        return heads, None
+    incident, edges = _incidence(hypergraph), hypergraph.edges
+    spares = {y: None for y, f in enumerate(need) if f < 0}
+    for v in short:
         while need[v] > 0:
-            if spares is None:
-                reached = _repair(v, heads, need, incident)
-            else:
-                reached = _two_sided_repair(v, heads, need, incident, edges, spares)
-            if reached is not None:
+            if (reached := _repair(v, heads, need, incident, edges, spares)) is not None:
                 return heads, tuple(sorted(reached))
     return heads, None
 

@@ -445,12 +445,11 @@ def rooted_forest(graph: ColouredGraph, seed) -> tuple:
 
 
 def count_repairs(monkeypatch) -> list:
-    """A list that gains the short vertex of each repair search, one-sided
-    (``orientation._repair``) or two-sided (``_two_sided_repair``)."""
+    """A list that gains the short vertex of each repair search
+    (``orientation._repair``)."""
     searches = []
-    for name in ("_repair", "_two_sided_repair"):
-        repair = getattr(orientation, name)
-        monkeypatch.setattr(orientation, name, lambda *args, repair=repair: searches.append(args[0]) or repair(*args))
+    repair = orientation._repair
+    monkeypatch.setattr(orientation, "_repair", lambda *args: searches.append(args[0]) or repair(*args))
     return searches
 
 

@@ -429,10 +429,8 @@ def test_greedy_heads_match_the_max_reference(monkeypatch):
     # and needs that start or go negative, in any member order.  Tight
     # needs (their total is the hyperedge count) take forced heads first;
     # some of the random needs are tight, and then 200 draws spread the
-    # hyperedge count over the vertices so that every one is.  Tight needs
-    # take the two-sided search, which gives up at once too
-    for search in ("_repair", "_two_sided_repair"):
-        monkeypatch.setattr(orientation, search, lambda v, *state: {v: None})
+    # hyperedge count over the vertices so that every one is
+    monkeypatch.setattr(orientation, "_repair", lambda v, *state: {v: None})
     rng = random.Random(5)
     sizes = set()
     tight = 0
@@ -463,32 +461,6 @@ def test_greedy_heads_match_the_max_reference(monkeypatch):
 
 
 def test_repair_matches_the_deque_reference():
-    # random heads leave vertices short and others with spare heads; each
-    # short vertex is repaired in turn, from the state the last repair left
-    rng = random.Random(11)
-    outcomes = set()
-    for _ in range(300):
-        hg = random_valid_hypergraph(rng, n_max=10, m_max=16)
-        need = [rng.randint(0, 2) for _ in range(hg.n)]
-        heads = [rng.choice(e) for e in hg.edges]
-        for head in heads:
-            need[head] -= 1
-        incident = orientation._incidence(hg)
-        for v in range(hg.n):
-            if need[v] <= 0:
-                continue
-            expected_heads, expected_need = heads.copy(), need.copy()
-            expected = reference_repair(v, expected_heads, expected_need, incident)
-            reached = orientation._repair(v, heads, need, incident)
-            assert reached == expected
-            assert list(reached or ()) == list(expected or ())  # same search order
-            assert heads == expected_heads
-            assert need == expected_need
-            outcomes.add(reached is None)
-    assert outcomes == {True, False}
-
-
-def test_two_sided_repair_matches_the_deque_reference():
     # random heads under slack needs and under tight ones (short and spare
     # heads equally many, as in every search is_hypertree makes): the
     # hyperedge count spread over the vertices, or the indegrees with one
@@ -496,7 +468,9 @@ def test_two_sided_repair_matches_the_deque_reference():
     # side is expanded.  Each short vertex is repaired until it is served
     # or its search fails, from the state the last repair left, with the
     # spares listed once, as _repairs lists them; they stay the vertices
-    # with need < 0, in vertex order
+    # with need < 0, in vertex order.  A failed search, or one whose
+    # backward side labelled nothing, is the one-sided breadth-first
+    # search from v (reference_repair), result and heads alike
     rng = random.Random(13)
     outcomes = set()
     tight = 0
@@ -526,12 +500,17 @@ def test_two_sided_repair_matches_the_deque_reference():
                 expected, _, behind = reference_two_sided_repair(
                     v, expected_heads, expected_need, incident, hg.edges, expected_spares
                 )
-                reached = orientation._two_sided_repair(v, heads, need, incident, hg.edges, spares)
+                one_sided_heads, one_sided_need = heads.copy(), need.copy()
+                one_sided = reference_repair(v, one_sided_heads, one_sided_need, incident)
+                reached = orientation._repair(v, heads, need, incident, hg.edges, spares)
                 assert reached == expected
                 assert list(reached or ()) == list(expected or ())  # same search order
                 assert heads == expected_heads
                 assert need == expected_need
                 assert list(spares) == list(expected_spares) == [y for y, f in enumerate(need) if f < 0]
+                if reached is not None or behind == 0:
+                    assert list((reached or {}).items()) == list((one_sided or {}).items())
+                    assert (heads, need) == (one_sided_heads, one_sided_need)
                 outcomes.add((reached is None, behind > 0))
                 if reached is not None:
                     break

@@ -170,10 +170,9 @@ def count_labels(monkeypatch) -> tuple:
     first state, kept in ``states`` as ``(spares, heads, copied heads,
     copied need, copied spares)``.  Each search must return and leave in
     ``spares`` what the reference does, so the reference's counts are
-    the search's; a one-sided search fails the test, as the tight demands
-    of :func:`is_hypertree` never take it."""
+    the search's."""
     labels, states = [], {}
-    real = orientation._two_sided_repair
+    real = orientation._repair
 
     def counted(v, heads, need, incident, edges, spares):
         # the state holds spares, so its id is not reused while it is kept
@@ -189,11 +188,7 @@ def count_labels(monkeypatch) -> tuple:
         labels.append(ahead + behind)
         return reached
 
-    def one_sided(*args):
-        raise AssertionError("a one-sided search ran on tight demands")
-
-    monkeypatch.setattr(orientation, "_two_sided_repair", counted)
-    monkeypatch.setattr(orientation, "_repair", one_sided)
+    monkeypatch.setattr(orientation, "_repair", counted)
     return labels, states
 
 

@@ -12,14 +12,13 @@ orientation meeting them gives every vertex exactly its demand, so
 forced heads come first, after Karp and Sipser (1981): a vertex needing
 as many heads as it has unheaded hyperedges takes them all, which may
 force their other members in turn.  The cascade runs before the greedy
-pass and again after each greedy head; on generated n = 500 hypertrees
-it cuts the vertices left short from about 15% to under 1%.  Slack
-demands keep the plain greedy pass.  A repair pass then serves each
-vertex v still short, one missing head at a time, along an augmenting
-path: from v over the moves "x -> head of a hyperedge containing x" to a
-spare vertex, one heading more hyperedges than it needs, with every
-hyperedge on the path handing its head one step back.  So v gains a
-head, the spare gives one up, and every vertex between keeps its count.
+pass and again after each greedy head.  Slack demands keep the plain
+greedy pass.  A repair pass then serves each vertex v still short, one
+missing head at a time, along an augmenting path: from v over the moves
+"x -> head of a hyperedge containing x" to a spare vertex, one heading
+more hyperedges than it needs, with every hyperedge on the path handing
+its head one step back.  So v gains a head, the spare gives one up, and
+every vertex between keeps its count.
 
 The search grows from both ends (bidirectional search, Pohl 1971;
 :func:`_repair`): breadth first from v, and backwards from the spares,
@@ -29,13 +28,10 @@ usually leave spares plentiful, so the side from v stays the smaller
 one and the search is a plain breadth-first search from v.  Tight ones
 (the needs total 0 once every hyperedge is headed) leave exactly as many
 spare heads as missing ones, where a search from v alone labels about
-n / (spares) vertices; the searches of one check of
-``random_hypertree(50000, k, 1, p)`` label 2.2n vertices in all, in
-place of 6.9n (k = 5, p = 0.8), or 1.2n in place of 4.2n (k = 3,
-p = 0.5).  If no path exists the search from v runs to its end, and the
-set F it reached is closed: every hyperedge meeting F is headed inside
-F, no vertex of F heads more than it needs and v heads fewer, so
-e*(F) < f(F) and F is the violator.
+n / (spares) vertices.  If no path exists the search from v runs to its
+end, and the set F it reached is closed: every hyperedge meeting F is
+headed inside F, no vertex of F heads more than it needs and v heads
+fewer, so e*(F) < f(F) and F is the violator.
 
 The same stage recognises hypertrees (:func:`is_hypertree`).
 :func:`_orient` is the one owner of these heads; :func:`_tight_heads`

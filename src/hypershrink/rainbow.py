@@ -199,9 +199,7 @@ def _orientation_seed(directed: DirectedHypergraph) -> tuple:
 
     Returns the kept triples, the search trees as ``parent`` and
     ``parent_colour`` arrays (-1 at each root, its tree's least vertex)
-    and their union-find.  On ``random_hypertree(2000, k, 1, p)`` it
-    spans after the warm floor orientation; the scan, on the greedy floor
-    heads, would leave 131-230 components.
+    and their union-find.
     """
     hypergraph, centre, n = directed.base, directed.heads, directed.base.n
     heads, _ = _tight_heads(hypergraph)

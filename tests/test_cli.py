@@ -1,3 +1,4 @@
+import argparse
 import ast
 import collections
 import contextlib
@@ -5,6 +6,8 @@ import gc
 import hashlib
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -936,6 +939,61 @@ def test_readme_library_example_runs_on_the_standard_library():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+def test_readme_command_line_examples_run_as_shown(tmp_path):
+    # each line of README's command-line block runs in a -I -S child on
+    # README's own example files, exits 0, and prints what README shows;
+    # the block names every subcommand, and README stays within its budget
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    formats = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    # the fenced blocks there: hypergraph JSON, hypergraph text, shrinking JSON
+    (_, graph), (_, text), (_, shown) = re.findall(r"```(\w*)\n(.*?)```", formats, re.S)
+    (tmp_path / "H.json").write_text(graph)
+    (tmp_path / "f.json").write_text("[0, 0, 1, 0]\n")
+    hypergraph = hypershrink.hypergraph_from_json(graph)
+    assert hypershrink.hypergraph_from_text(text) == hypergraph
+    block = readme.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    root = str(Path(hypershrink.__file__).resolve().parent.parent)
+    cli = (f"import sys\nsys.path.insert(0, {root!r})\nimport hypershrink.cli as c\n"
+           "raise SystemExit(c.main(sys.argv[1:]))")
+
+    def run(argv):
+        return subprocess.run(
+            [sys.executable, "-I", "-S", "-c", cli, *argv], cwd=tmp_path,
+            capture_output=True, text=True, timeout=60,
+        )
+
+    commands = set()
+    for line in block.splitlines():
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "hypershrink"
+        commands.add(argv[0])
+        result = run(argv)
+        assert result.returncode == 0, (line, result.stderr)
+        if argv == ["shrink", "H.json"]:
+            assert result.stdout == shown
+        if argv[0] == "orient":
+            oriented = json.loads(result.stdout)
+            assert list(oriented) == ["n", "edges", "heads"]
+            heads = oriented.pop("heads")
+            assert oriented == json.loads(graph)
+            assert all(h in e for h, e in zip(heads, hypergraph.edges, strict=True))
+    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert commands == set(subparsers.choices)
+    # the unsorted-edge example: validate reports it, check refuses the file
+    unsorted, line, prefix = re.search(
+        r"on `(\{.*?\})` `validate` writes `(.*?)` and exits 1, and `check` exits 2 with that "
+        r"line after `(.*?)`", " ".join(formats.split()),
+    ).groups()
+    (tmp_path / "U.json").write_text(unsorted)
+    result = run(["validate", "U.json"])
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", line + "\n")
+    result = run(["check", "U.json"])
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == prefix.replace("<file>", "U.json") + line + "\n"
+    # a change that must grow README raises this bound and says why in CHANGES.md
+    assert len(readme.splitlines()) <= 350
 
 
 def test_shrink_and_check_load_no_oracle_or_dot_module(tmp_path):

@@ -8,7 +8,6 @@ immutable after construction and safe to share between threads.
 
 import json
 import re
-from contextlib import suppress
 from itertools import chain
 from operator import contains, itemgetter, lt
 
@@ -117,10 +116,11 @@ class Hypergraph(_Value):
     report.  :meth:`degrees`, which indexes by vertex id, refuses a
     hypergraph :func:`validate` rejects.  The value is immutable, so
     :meth:`degrees`, :meth:`rank` and the :func:`validate` report are
-    computed once and remembered.  The constructor also keeps every
-    member in one flat list, in edge order, which its exact-int check
-    builds; :func:`validate` and :meth:`degrees` read that list instead of
-    walking the edges again.  Like every memo, it is read only.
+    computed once and remembered.  The value also keeps every member in
+    one flat list, in edge order, built by the constructor's exact-int
+    check or :func:`hypergraph_from_json`'s type check; :func:`validate`
+    and :meth:`degrees` read that list instead of walking the edges
+    again.  Like every memo, it is read only.
     """
 
     __match_args__ = ("n", "edges")
@@ -141,15 +141,9 @@ class Hypergraph(_Value):
         return len(self.edges)
 
     def degrees(self) -> list:
-        """Degree of every vertex, indexed by vertex id (a fresh list)."""
-        d = self.__dict__.get("_degrees")
-        if d is None:
-            _require_valid(self)  # the members index the counts
-            d = [0] * self.n
-            for v in self._members:
-                d[v] += 1
-            object.__setattr__(self, "_degrees", d)
-        return d.copy()
+        """Degree of every vertex, indexed by vertex id (a fresh copy of
+        the list :func:`_degrees` remembers)."""
+        return _degrees(self).copy()
 
     def rank(self) -> int:
         """Maximum hyperedge size; 0 for an edgeless hypergraph."""
@@ -321,6 +315,21 @@ def _require_valid(hypergraph: Hypergraph) -> None:
         raise ValueError(f"invalid hypergraph: {report}")
 
 
+def _degrees(hypergraph: Hypergraph) -> list:
+    """The degree of every vertex of a valid hypergraph, counted once from
+    the member list and remembered on it: the list itself, so read only;
+    the package's own readers take it here rather than copy it through
+    :meth:`Hypergraph.degrees`."""
+    d = hypergraph.__dict__.get("_degrees")
+    if d is None:
+        _require_valid(hypergraph)  # the members index the counts
+        d = [0] * hypergraph.n
+        for v in hypergraph._members:
+            d[v] += 1
+        object.__setattr__(hypergraph, "_degrees", d)
+    return d
+
+
 def _degree_guarantee(hypergraph: Hypergraph, k=None) -> tuple:
     """``(k, bound)`` on a valid hypergraph: k defaults to the rank (1 if
     edgeless), else must be an exact positive integer (``3.0`` reads as 3,
@@ -334,7 +343,7 @@ def _degree_guarantee(hypergraph: Hypergraph, k=None) -> tuple:
         raise ValueError("k must be positive")
     memo = hypergraph.__dict__.get("_bound")
     if memo is None or memo[0] != k:
-        degrees = hypergraph.degrees()
+        degrees = _degrees(hypergraph)
         least = 1 if hypergraph.n > 1 else 0  # a tree on one vertex has no edge
         per_degree = {d: max(least, d // k) for d in set(degrees)}
         memo = (k, list(map(per_degree.__getitem__, degrees)))
@@ -388,19 +397,18 @@ def hypergraph_from_json(text: str) -> Hypergraph:
     if not isinstance(edges, list):
         raise FormatError('"edges" must be a list')
     _check_vertex_count(n)
-    # json.loads makes exactly int for integers (bool for true/false) and
-    # the constructor keeps rows of exact ints as they are, so only a row it
-    # converted, or could not, holds a bad member; the scan names its edge
-    hypergraph = None
+    # json.loads makes exactly int for integers (bool for true/false), so
+    # rows whose members are all of type int are exact-int rows, which the
+    # constructor would keep as they are: the value is built past it, with
+    # the flat list the type pass read.  Otherwise the scan names the first
+    # bad edge
     if set(map(type, edges)) <= {list}:
         rows = tuple(map(tuple, edges))
-        with suppress(TypeError, ValueError, OverflowError):
-            hypergraph = Hypergraph(n, rows)
-    if hypergraph is None or hypergraph.edges is not rows:
-        for i, e in enumerate(edges):
-            if type(e) is not list or not all(type(v) is int for v in e):
-                raise FormatError(f"edge {i} must be a list of integers")
-    return _sorted_if_refused(hypergraph)
+        members = list(chain.from_iterable(rows))
+        if set(map(type, members)) <= {int}:
+            return _sorted_if_refused(Hypergraph._trusted(n, rows, _members=members))
+    i = next(i for i, e in enumerate(edges) if type(e) is not list or not all(type(v) is int for v in e))
+    raise FormatError(f"edge {i} must be a list of integers")
 
 
 def _sorted_if_refused(hypergraph: Hypergraph) -> Hypergraph:

@@ -51,6 +51,7 @@ from .core import (
     Hypergraph,
     InternalError,
     _degree_guarantee,
+    _degrees,
     _require_valid,
     _Value,
 )
@@ -296,7 +297,7 @@ def _hub_like(hypergraph: Hypergraph) -> bool:
     the hypergraph, which the shrink path asks three times."""
     if (hub := hypergraph.__dict__.get("_hub")) is None:
         k = max(hypergraph.rank(), 1)
-        f = max(hypergraph.degrees(), default=0) // k
+        f = max(_degrees(hypergraph), default=0) // k
         hub = k * f * f > hypergraph.n
         object.__setattr__(hypergraph, "_hub", hub)
     return hub
@@ -327,7 +328,8 @@ def orient_with_demands(hypergraph: Hypergraph, demands) -> OrientationResult:
         demand = demands.sum_over(violator)
         certificate = (demand, _certify(hypergraph, violator, demand))
         return OrientationResult._trusted(None, violator, _certificate=certificate)
-    return OrientationResult(oriented=DirectedHypergraph(hypergraph, heads))
+    # heads as built: see orient_floor
+    return OrientationResult._trusted(DirectedHypergraph._trusted(hypergraph, tuple(heads)), None)
 
 
 def is_hypertree(hypergraph: Hypergraph) -> bool:
@@ -395,7 +397,7 @@ def _floor_needs(hypergraph: Hypergraph, k) -> tuple:
     k, _ = _degree_guarantee(hypergraph, k)  # refuses an invalid hypergraph, then k < 1
     if k < hypergraph.rank():
         raise ValueError(f"k={k} is below the rank {hypergraph.rank()}")
-    return k, list(map(floordiv, hypergraph.degrees(), repeat(k)))
+    return k, list(map(floordiv, _degrees(hypergraph), repeat(k)))
 
 
 def orient_floor(hypergraph: Hypergraph, k: int = None) -> DirectedHypergraph:
@@ -409,6 +411,12 @@ def orient_floor(hypergraph: Hypergraph, k: int = None) -> DirectedHypergraph:
     most k vertices, so no vertex set can demand more heads than it has
     incident hyperedges), so a violator outcome here means the
     implementation is broken: it raises :class:`InternalError`.
+
+    The heads are handed on as built, past the
+    :class:`~hypershrink.core.DirectedHypergraph` constructor's checks:
+    there is one per hyperedge, and the greedy pass, the forced heads and
+    every repair pick it from that hyperedge's own members, which are the
+    hypergraph's exact ints.
     """
     k, need = _floor_needs(hypergraph, k)
     if hypergraph.num_edges == hypergraph.n - 1 and not _hub_like(hypergraph):
@@ -420,4 +428,4 @@ def orient_floor(hypergraph: Hypergraph, k: int = None) -> DirectedHypergraph:
         heads, violator = _orient(hypergraph, need)
     if violator is not None:
         raise InternalError(f"floor demands must be feasible for k={k}, got violator {violator}")
-    return DirectedHypergraph(hypergraph, heads)
+    return DirectedHypergraph._trusted(hypergraph, tuple(heads))

@@ -15,7 +15,7 @@ import json
 from itertools import chain, compress, count, repeat
 from operator import contains, itemgetter, lt, mul
 
-from .core import Hypergraph, InternalError, _degree_guarantee, _require_valid, _Value
+from .core import Hypergraph, InternalError, _degree_guarantee, _degrees, _require_valid, _Value
 from .core import _exact_int_tuples, _exact_ints
 from .orientation import _hub_like, _tight_heads, is_hypertree, orient_floor
 from .rainbow import maximum_rainbow_forest
@@ -224,7 +224,7 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
     bijective = in_range and len(assignment) == m == len(tree) and len(set(assignment)) == m
     checks.append(VerificationCheck("bijection", bijective))
 
-    hyper_deg = hypergraph.degrees()
+    hyper_deg = _degrees(hypergraph)  # read only
     tree_deg = degree if tree_ok else shrinking.tree_degrees(n)  # read only
     if n == 1:
         checks.append(VerificationCheck("degree-floor-bound", True, "single vertex"))
@@ -267,21 +267,37 @@ def _add_array(parts: list, items) -> None:
     parts.append("]")
 
 
+def _add_counts(parts: list, counts: list) -> None:
+    """Append pieces that join to ``json.dumps(counts)`` for a list of
+    exact ints with few distinct values: one string per distinct value,
+    joined at most ``_SLICE`` items at a time."""
+    text = {c: str(c) for c in set(counts)}.__getitem__
+    parts.append("[")
+    for start in range(0, len(counts), _SLICE):
+        if start:
+            parts.append(", ")
+        parts.append(", ".join(map(text, counts[start : start + _SLICE])))
+    parts.append("]")
+
+
 def shrinking_to_json(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None) -> str:
     """Serialise a shrinking with its degree data and per-vertex bound.
 
     The text is that of one ``json.dumps`` of ``{"tree", "assignment",
-    "degrees": {"hyper", "tree"}, "bound"}``, encoded array by array."""
+    "degrees": {"hyper", "tree"}, "bound"}``, encoded array by array.
+    ``tree`` and ``assignment``, mostly distinct values, go through the
+    encoder; the three count arrays, few distinct values each, are joined
+    from one string per value (:func:`_add_counts`)."""
     _, bound = _degree_guarantee(hypergraph, k)
     parts = ['{"tree": ']
     _add_array(parts, shrinking.tree)
     parts.append(', "assignment": ')
     _add_array(parts, shrinking.assignment)
     parts.append(', "degrees": {"hyper": ')
-    _add_array(parts, hypergraph.degrees())
+    _add_counts(parts, _degrees(hypergraph))
     parts.append(', "tree": ')
-    _add_array(parts, shrinking.tree_degrees(hypergraph.n))
+    _add_counts(parts, shrinking.tree_degrees(hypergraph.n))
     parts.append('}, "bound": ')
-    _add_array(parts, bound)
+    _add_counts(parts, bound)
     parts.append("}")
     return "".join(parts)

@@ -447,17 +447,24 @@ def test_json_parse_matches_the_reference(n, edges):
 
 
 def test_json_parse_checks_the_member_types_once(monkeypatch):
-    calls = []
-    real = core._exact_int_tuples
+    # the parser's type passes over the rows and over their flat members
+    # decide; a valid file's value is kept past the constructor, whose
+    # exact-int check would walk the members a second time
+    type_passes = []
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(function, *iterables):
+        if function is type:
+            type_passes.append(iterables[0])
+        return map(function, *iterables)
 
-    monkeypatch.setattr(core, "_exact_int_tuples", counted)
+    def constructor(*args):
+        raise AssertionError("Hypergraph.__init__ called")
+
+    monkeypatch.setattr(core, "map", counted, raising=False)
+    monkeypatch.setattr(Hypergraph, "__init__", constructor)
     parsed = hypergraph_from_json('{"n": 4, "edges": [[0, 1, 2], [1, 2, 3], [2, 3]]}')
     assert parsed == H1 and validate(parsed).ok
-    assert len(calls) == 1
+    assert len(type_passes) == 2 and type_passes[1] is parsed._members
 
 
 @pytest.mark.parametrize("parse, text", [

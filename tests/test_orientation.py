@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypershrink import (
     DemandFunction,
@@ -29,12 +30,14 @@ from helpers import (
     brute_orientation_exists,
     count_incidence_builds,
     count_repairs,
+    four_labellings,
     random_edge_family,
     random_valid_hypergraph,
     reference_greedy_heads,
     reference_hub_like,
     reference_repair,
     reference_two_sided_repair,
+    relabelled,
 )
 
 
@@ -524,11 +527,71 @@ def test_hub_like_is_remembered(monkeypatch):
     # whether the input is hub-like; the answer is remembered on the
     # hypergraph, so only the first question reads its degrees
     calls = []
-    degrees = Hypergraph.degrees
-    monkeypatch.setattr(Hypergraph, "degrees", lambda self: calls.append(self) or degrees(self))
+    degrees = orientation._degrees
+    monkeypatch.setattr(orientation, "_degrees", lambda self: calls.append(self) or degrees(self))
     for hg in (adversarial_star(2000, 3), random_hypertree(500, 3, 1, 0.5)[0]):
         calls.clear()
         first = orientation._hub_like(hg)
         assert calls == [hg]
         assert orientation._hub_like(hg) is first is reference_hub_like(hg)
         assert calls == [hg]
+
+
+def assert_as_checked(directed: DirectedHypergraph) -> None:
+    """``directed``, whose heads were handed on past the constructor's
+    checks, is the value the checked constructor builds from its fields."""
+    checked = DirectedHypergraph(directed.base, directed.heads)
+    assert checked == directed and hash(checked) == hash(directed)
+    assert repr(checked) == repr(directed)
+    assert set(map(type, directed.heads)) <= {int}
+
+
+def test_trusted_orientations_equal_checked_ones():
+    # orient_floor and orient_with_demands keep the heads as built, one per
+    # hyperedge and each picked from its members: on hubs, off hubs in four
+    # labellings, on the tight demands and on floor demands of larger k
+    cases = [adversarial_star(m, k) for m in (1, 7, 1000, 1999) for k in (3, 4)]
+    for n in (2, 16, 500):
+        for p in (0.5, 0.8):
+            hg = random_hypertree(n, 3, 1, p)[0]
+            cases += [relabelled(hg, order) for order in four_labellings(n)]
+    for hg in cases:
+        k = max(hg.rank(), 1)
+        assert_as_checked(orient_floor(hg))
+        assert_as_checked(orient_floor(hg, k + 1))
+        for demands in (floor_demand(hg, k), (0,) + (1,) * (hg.n - 1)):
+            result = orient_with_demands(hg, demands)
+            assert result.is_oriented
+            assert_as_checked(result.oriented)
+
+
+@st.composite
+def feasible_demands(draw) -> tuple:
+    """A valid hypergraph and demands that one drawn orientation meets:
+    each vertex's demand at most its indegree there, often equal."""
+    n = draw(st.integers(2, 8))
+    edges = draw(
+        st.lists(
+            st.sets(st.integers(0, n - 1), min_size=2, max_size=min(4, n)).map(
+                lambda e: tuple(sorted(e))
+            ),
+            max_size=10,
+            unique=True,
+        )
+    )
+    indegree = [0] * n
+    for e in edges:
+        indegree[draw(st.sampled_from(e))] += 1
+    demands = tuple(draw(st.integers(max(0, d - 1), d)) for d in indegree)
+    return Hypergraph(n, tuple(edges)), demands
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(feasible_demands())
+def test_trusted_orientations_equal_checked_ones_on_drawn_demands(case):
+    hg, demands = case
+    result = orient_with_demands(hg, demands)
+    assert result.is_oriented
+    assert_as_checked(result.oriented)
+    assert all(map(int.__ge__, result.oriented.indegrees(), demands))
+    assert_as_checked(orient_floor(hg))

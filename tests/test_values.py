@@ -23,6 +23,7 @@ from hypershrink import (
     VerificationReport,
     Violation,
     shrink_hypertree,
+    hypergraph_from_json,
     star_graph,
     validate,
 )
@@ -103,6 +104,8 @@ TRUSTED = (
         "ColouredGraph(n=3, edges=((0, 1, 0), (1, 2, 1)))",
     ),
     (SHRUNK, Shrinking(((0, 1), (1, 2)), (0, 1)), "Shrinking(tree=((0, 1), (1, 2)), assignment=(0, 1))"),
+    # its memos are the member list of the parser's type pass and the report
+    (hypergraph_from_json('{"n": 3, "edges": [[0, 1], [1, 2]]}'), PATH, PATH_REPR),
 )
 
 
@@ -197,7 +200,7 @@ def test_pickle_and_deepcopy_round_trips(cls, args, text):
             setattr(other, cls.__match_args__[0], None)
 
 
-@pytest.mark.parametrize("trusted, checked, text", TRUSTED, ids=["star_graph", "shrink_hypertree"])
+@pytest.mark.parametrize("trusted, checked, text", TRUSTED, ids=["star_graph", "shrink_hypertree", "hypergraph_from_json"])
 def test_trusted_values_behave_like_checked_ones(trusted, checked, text):
     assert trusted == checked and hash(trusted) == hash(checked)
     assert repr(trusted) == repr(checked) == text

@@ -38,11 +38,12 @@ The same stage recognises hypertrees (:func:`is_hypertree`).
 keeps its 0/1 heads, which :func:`is_hypertree`, the rainbow seed and the
 floor orientation of every non-hub input with |E| = n - 1 start from,
 with their violator, the one negative certificate of both ``check`` and
-``shrink``, which :func:`_certify` checks once, before it is remembered;
+``shrink``, which :func:`_certify` checks once, before it is remembered,
+counting e*(F) itself from the trusted ids;
 :func:`_incidence` keeps the incidence lists, once per hypergraph.
 """
 
-from itertools import repeat
+from itertools import compress, count, repeat
 from operator import floordiv
 
 from .core import (
@@ -176,32 +177,28 @@ def _forced_heads(edges: tuple, need: list, incident: list) -> list:
     with 0 < need[v] = free[v] is forced: it must head every one of them,
     so it takes them all, and each one lowers the free count of its other
     members, which may force them in turn.  Forced vertices are served
-    first in, first out; the cascade runs over the vertices forced at the
-    start, in order, and again after each greedy head, over the members
-    of that hyperedge it forced.  The greedy pass heads each hyperedge
-    still unheaded at :func:`_neediest`'s member, so every hyperedge has a
-    head before any repair runs.
+    first in, first out, by a cascade inline in the greedy loop: over the
+    vertices forced at the start, in order, and again after each greedy
+    head, over the members of that hyperedge it forced.  The greedy pass
+    heads each hyperedge still unheaded at :func:`_neediest`'s member, so
+    every hyperedge has a head before any repair runs.
     """
     free = list(map(len, incident))
     heads = [-1] * len(edges)
-
-    def cascade(forced: list) -> None:
-        for v in forced:  # grows while it is read: first in, first out
-            if need[v] <= 0 or free[v] != need[v]:
-                continue  # served already, or a member went elsewhere
-            need[v] = 0  # v takes its free[v] = need[v] hyperedges below
-            for i in incident[v]:
-                if heads[i] == -1:
-                    heads[i] = v
-                    for u in edges[i]:
-                        free[u] -= 1
-                        if 0 < need[u] == free[u]:
-                            forced.append(u)
-
     forced = [v for v, f in enumerate(free) if 0 < need[v] == f]
     for i, e in enumerate(edges):
         if forced:
-            cascade(forced)
+            for v in forced:  # grows while it is read: first in, first out
+                if need[v] <= 0 or free[v] != need[v]:
+                    continue  # served already, or a member went elsewhere
+                need[v] = 0  # v takes its free[v] = need[v] hyperedges below
+                for j in incident[v]:
+                    if heads[j] == -1:
+                        heads[j] = v
+                        for u in edges[j]:
+                            free[u] -= 1
+                            if 0 < need[u] == free[u]:
+                                forced.append(u)
             forced = []
         if heads[i] != -1:
             continue
@@ -227,10 +224,10 @@ def _orient(hypergraph: Hypergraph, need: list) -> tuple:
     None on success and otherwise the sorted closed set reached by the
     first failed search.  Only forced heads and repairs read the
     incidence lists, so slack demands that leave no vertex short (a hub's
-    floor demands) never build them.
+    floor demands, or any demands on an edgeless input) never build them.
     """
     edges = hypergraph.edges
-    if sum(need) == len(edges):
+    if edges and sum(need) == len(edges):
         heads = _forced_heads(edges, need, _incidence(hypergraph))
     else:
         heads = []
@@ -254,15 +251,17 @@ def _orient(hypergraph: Hypergraph, need: list) -> tuple:
 
 def _repairs(hypergraph: Hypergraph, heads: list, need: list) -> tuple:
     """Repair each short vertex in vertex order (:func:`_repair`), from
-    the spares listed once here if any vertex is short:
-    ``(heads, violator)``."""
+    the spares listed once here if any vertex is short; both lists are
+    read, in vertex order, from one pass for the vertices with nonzero
+    need: ``(heads, violator)``."""
+    unmet = list(compress(count(), need))
     # a repair lowers the need of the vertex it serves and raises a spare's
     # to at most 0, so the vertices short now are all that will be
-    short = [v for v, f in enumerate(need) if f > 0]
+    short = [v for v in unmet if need[v] > 0]
     if not short:
         return heads, None
     incident, edges = _incidence(hypergraph), hypergraph.edges
-    spares = {y: None for y, f in enumerate(need) if f < 0}
+    spares = {y: None for y in unmet if need[y] < 0}
     for v in short:
         while need[v] > 0:
             if (reached := _repair(v, heads, need, incident, edges, spares)) is not None:
@@ -270,12 +269,15 @@ def _repairs(hypergraph: Hypergraph, heads: list, need: list) -> tuple:
     return heads, None
 
 
-def _certify(hypergraph: Hypergraph, violator: tuple, demand: int) -> int:
-    """e*(F) for F = ``violator``; raise :class:`InternalError` unless
-    f(F) = ``demand`` exceeds it."""
-    if demand <= (met := hypergraph.incident_edge_count(violator)):
+def _certify(hypergraph: Hypergraph, violator: tuple, demand: int) -> tuple:
+    """The certified counts ``(f(F), e*(F))`` for F = ``violator`` and
+    f(F) = ``demand``; e*(F), the hyperedges meeting F, is counted here
+    from its trusted ids.  Raise :class:`InternalError` unless f(F)
+    exceeds e*(F)."""
+    edges = hypergraph.edges
+    if demand <= (met := len(edges) - sum(map(set(violator).isdisjoint, edges))):
         raise InternalError(f"the violator {violator} has f(F) = {demand} <= e*(F)")
-    return met
+    return demand, met
 
 
 def _tight_heads(hypergraph: Hypergraph) -> tuple:
@@ -325,8 +327,7 @@ def orient_with_demands(hypergraph: Hypergraph, demands) -> OrientationResult:
         return OrientationResult._trusted(None, tuple(range(hypergraph.n)), _certificate=(total, m))
     heads, violator = _orient(hypergraph, list(demands.values))
     if violator is not None:
-        demand = demands.sum_over(violator)
-        certificate = (demand, _certify(hypergraph, violator, demand))
+        certificate = _certify(hypergraph, violator, sum(map(demands.values.__getitem__, violator)))
         return OrientationResult._trusted(None, violator, _certificate=certificate)
     # heads as built: see orient_floor
     return OrientationResult._trusted(DirectedHypergraph._trusted(hypergraph, tuple(heads)), None)

@@ -150,6 +150,76 @@ def random_tree_count_hypergraph(rng: random.Random, n: int) -> Hypergraph:
     return Hypergraph(n, tuple(universe[i] for i in sorted(picked)))
 
 
+def sweep_tree_count_hypergraphs(n: int, max_rank: int = None) -> tuple:
+    """Check every simple hypergraph on n >= 1 vertices with n - 1 hyperedges,
+    each of size at most ``max_rank`` (any size if None), against the
+    exhaustive oracles: ``(tally, disagreements)``.
+
+    Every labelling is swept at once, so the small-scope hypothesis (most
+    bugs show on some small input) is tested up to this size, not sampled:
+
+    - ``is_hypertree`` agrees with ``is_hypertree_bruteforce``;
+    - a hypertree's ``shrink_hypertree`` passes ``verify_shrinking`` at
+      k = rank (1 if edgeless) and at k = rank + 1, and every other
+      hypergraph is refused with ``NotAHypertreeError``;
+    - for n <= 4, ``orient_with_demands`` agrees with an exhaustive head
+      search on every demand vector in {0, 1, 2}^n.  Its heads are members
+      meeting the demands, and each violator's certified counts equal the
+      public ``DemandFunction.sum_over`` and
+      ``Hypergraph.incident_edge_count``, with f(F) > e*(F).
+
+    ``tally`` counts the hypergraphs, the hypertrees and the demand
+    vectors; ``disagreements`` lists one line per failed check.
+    """
+    tally = collections.Counter()
+    disagreements = []
+    universe = [
+        e for size in range(2, min(n, max_rank or n) + 1) for e in itertools.combinations(range(n), size)
+    ]
+    for edges in itertools.combinations(universe, n - 1):
+        hg = Hypergraph(n, edges)
+        tally["hypergraphs"] += 1
+        answer = hypershrink.is_hypertree(hg)
+        if answer != bool(hypershrink.is_hypertree_bruteforce(hg)):
+            disagreements.append(f"{hg}: is_hypertree answers {answer}")
+        if answer:
+            tally["hypertrees"] += 1
+            for k in {max(hg.rank(), 1), hg.rank() + 1}:
+                report = hypershrink.verify_shrinking(hg, hypershrink.shrink_hypertree(hg, k), k)
+                if not report:
+                    disagreements.append(f"{hg}: shrink at k={k} fails\n{report}")
+        else:
+            try:
+                hypershrink.shrink_hypertree(hg)
+                disagreements.append(f"{hg}: shrink accepts a non-hypertree")
+            except hypershrink.NotAHypertreeError:
+                pass
+        if n > 4:
+            continue
+        indegrees = {tuple(map(heads.count, range(n))) for heads in itertools.product(*edges)}
+        for values in itertools.product(range(3), repeat=n):
+            tally["demand vectors"] += 1
+            demands = hypershrink.DemandFunction(values)
+            feasible = any(all(map(int.__ge__, d, values)) for d in indegrees)
+            result = hypershrink.orient_with_demands(hg, demands)
+            if result.is_oriented != feasible:
+                disagreements.append(f"{hg}, demands {values}: oriented is {result.is_oriented}")
+            elif result.is_oriented:
+                heads = result.oriented.heads
+                if not all(map(tuple.__contains__, edges, heads)) or not all(
+                    map(int.__ge__, map(heads.count, range(n)), values)
+                ):
+                    disagreements.append(f"{hg}, demands {values}: heads {heads}")
+            else:
+                F = result.violator
+                counts = (demands.sum_over(F), hg.incident_edge_count(F))
+                if result._certificate != counts or counts[0] <= counts[1]:
+                    disagreements.append(
+                        f"{hg}, demands {values}: violator {F} certified as {result._certificate}, counted {counts}"
+                    )
+    return tally, disagreements
+
+
 def break_hypertree(hg: Hypergraph) -> Hypergraph:
     """Add a pair {u, w} beside two pairs {u, v} and {v, w} and drop a
     hyperedge disjoint from {u, v, w}.  The edge count stays n - 1 while

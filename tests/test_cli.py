@@ -21,6 +21,7 @@ from hypershrink import (
     adversarial_star,
     core,
     hypergraph_to_json,
+    orientation,
     rainbow,
     random_hypertree,
     shrink_hypertree,
@@ -246,11 +247,11 @@ def test_orient_infeasible_demands(tmp_path, capsys):
 def test_negative_orient_counts_e_star_once(triangle_file, tmp_path, monkeypatch, capsys):
     # orient_with_demands counts e*(F) once, to certify its violator, and
     # remembers the certified counts on its result, which orient prints:
-    # one pass over the hyperedges for one answer, and the same bytes
+    # one certification for one answer, and the same bytes
     counted = []
-    real = core.Hypergraph.incident_edge_count
+    real = orientation._certify
     monkeypatch.setattr(
-        core.Hypergraph, "incident_edge_count", lambda h, vertices: counted.append(vertices) or real(h, vertices)
+        orientation, "_certify", lambda h, violator, demand: counted.append(violator) or real(h, violator, demand)
     )
     demands = tmp_path / "f.json"
     demands.write_text("[0, 1, 1, 1]")

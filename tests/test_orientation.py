@@ -289,13 +289,13 @@ def test_tight_certificate_is_counted_once(monkeypatch):
     # and shrink_hypertree refuse it on the tight heads' violator; it is
     # certified when it is remembered, not on each read
     counted = []
-    real = Hypergraph.incident_edge_count
+    real = orientation._certify
 
-    def counting(hypergraph, vertices):
-        counted.append(vertices)
-        return real(hypergraph, vertices)
+    def counting(hypergraph, violator, demand):
+        counted.append(violator)
+        return real(hypergraph, violator, demand)
 
-    monkeypatch.setattr(Hypergraph, "incident_edge_count", counting)
+    monkeypatch.setattr(orientation, "_certify", counting)
     h = Hypergraph(TRIANGLE4.n, TRIANGLE4.edges)
     assert not is_hypertree(h)
     with pytest.raises(NotAHypertreeError):
@@ -414,6 +414,16 @@ def test_incidence_built_once_where_it_is_read(monkeypatch):
         built.clear()
         assert is_hypertree(hg) == answer
         assert built == [hg]
+
+
+def test_edgeless_orientations_build_no_incidence_lists(monkeypatch):
+    # all-zero demands on an edgeless input total 0 = |E|, yet nothing is
+    # headed, so the forced heads never run and no n-long lists are built
+    built = count_incidence_builds(monkeypatch)
+    hg = Hypergraph(10**5, ())
+    assert orient_floor(hg).heads == ()
+    assert orient_with_demands(hg, [0] * hg.n).oriented.heads == ()
+    assert built == []
 
 
 def test_shrink_builds_the_incidence_lists_once(monkeypatch):

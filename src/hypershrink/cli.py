@@ -42,6 +42,7 @@ from .core import (
     LimitExceededError,
     _check_vertex_count,
     _degree_guarantee,
+    _read_k,
     demands_from_json,
     hypergraph_from_json,
     hypergraph_from_text,
@@ -49,7 +50,6 @@ from .core import (
     validate,
 )
 from .orientation import (
-    floor_demand,
     is_hypertree,
     orient_floor,
     orient_with_demands,
@@ -96,12 +96,12 @@ def _load_valid_hypergraph(path: str) -> Hypergraph:
 
 
 def _check_k(hypergraph: Hypergraph, k) -> None:
-    """Refuse a ``--k`` below 1 or below the rank as bad input."""
-    if k is not None:
-        try:
-            floor_demand(hypergraph, k)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
+    """Refuse a ``--k`` below 1 or below the rank as bad input, by the
+    package's one reader of k, which builds no per-vertex list."""
+    try:
+        _read_k(hypergraph, k, hypergraph.rank())
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def _check_generator_args(args) -> None:

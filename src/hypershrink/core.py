@@ -3,11 +3,14 @@
 Vertices are dense integers ``0..n-1``.  Hyperedges are tuples of vertex
 ids, stored strictly sorted; the position of a hyperedge in the edge list
 is its stable identity (used as the colour id downstream).  All values are
-immutable after construction and safe to share between threads.
+immutable after construction and safe to share between threads; what
+they compute lazily is remembered through :func:`_remembered`.  The
+rank bound k of the degree guarantee is read by :func:`_read_k` alone.
 """
 
 import json
 import re
+from functools import wraps
 from itertools import chain
 from operator import contains, itemgetter, lt
 
@@ -65,15 +68,35 @@ def _vertex(v, n: int) -> int:
     return v
 
 
+def _remembered(name: str):
+    """Decorator: a one-argument function of a :class:`_Value` whose
+    result is built on the first call and kept in the value's ``__dict__``
+    under ``name``, which later calls return, so it is read only.  A build
+    that raises keeps nothing."""
+
+    def remember(build):
+        @wraps(build)
+        def remembered(value):
+            memo = value.__dict__
+            if name not in memo:
+                memo[name] = build(value)
+            return memo[name]
+
+        return remembered
+
+    return remember
+
+
 class _Value:
     """Base of the immutable value classes.
 
     ``__match_args__`` names the fields, in constructor order; equality
     (within one class), the hash and the repr read them, and positional
     ``match`` patterns bind them.  Constructors store the fields through
-    ``__dict__``, where constructors and methods also keep their memos,
-    which stay out of equality, hash and repr; every other write raises
-    AttributeError.
+    ``__dict__``.  Memos are kept there too, out of equality, hash and
+    repr: the one-argument ones through :func:`_remembered`, the few
+    keyed by a second argument (k, n) written to ``__dict__`` directly.
+    Every other write raises AttributeError.
     """
 
     __match_args__ = ()
@@ -145,13 +168,10 @@ class Hypergraph(_Value):
         the list :func:`_degrees` remembers)."""
         return _degrees(self).copy()
 
+    @_remembered("_rank")
     def rank(self) -> int:
         """Maximum hyperedge size; 0 for an edgeless hypergraph."""
-        r = self.__dict__.get("_rank")
-        if r is None:
-            r = max(map(len, self.edges), default=0)
-            object.__setattr__(self, "_rank", r)
-        return r
+        return max(map(len, self.edges), default=0)
 
     def incident_edge_count(self, vertices) -> int:
         """Number of hyperedges meeting the given set F of vertices in
@@ -259,6 +279,7 @@ class ValidationReport(_Value):
         return "\n".join(str(v) for v in self.violations)
 
 
+@_remembered("_report")
 def validate(hypergraph: Hypergraph) -> ValidationReport:
     """Check the simplicity invariants, returning violations as data.
 
@@ -268,8 +289,6 @@ def validate(hypergraph: Hypergraph) -> ValidationReport:
     strictly increasing).  The report is empty exactly when the input is
     a valid simple hypergraph; it is remembered on the value.
     """
-    if "_report" in hypergraph.__dict__:
-        return hypergraph._report
     n, edges = hypergraph.n, hypergraph.edges
     # Whole-column passes decide; the per-edge scan only names violations.
     valid = min(map(len, edges), default=2) >= 2
@@ -304,9 +323,7 @@ def validate(hypergraph: Hypergraph) -> ValidationReport:
             )
         else:
             seen[distinct] = i
-    report = ValidationReport(tuple(problems))
-    object.__setattr__(hypergraph, "_report", report)
-    return report
+    return ValidationReport(tuple(problems))
 
 
 def _require_valid(hypergraph: Hypergraph) -> None:
@@ -315,39 +332,46 @@ def _require_valid(hypergraph: Hypergraph) -> None:
         raise ValueError(f"invalid hypergraph: {report}")
 
 
+@_remembered("_degrees")
 def _degrees(hypergraph: Hypergraph) -> list:
     """The degree of every vertex of a valid hypergraph, counted once from
     the member list and remembered on it: the list itself, so read only;
     the package's own readers take it here rather than copy it through
     :meth:`Hypergraph.degrees`."""
-    d = hypergraph.__dict__.get("_degrees")
-    if d is None:
-        _require_valid(hypergraph)  # the members index the counts
-        d = [0] * hypergraph.n
-        for v in hypergraph._members:
-            d[v] += 1
-        object.__setattr__(hypergraph, "_degrees", d)
+    _require_valid(hypergraph)  # the members index the counts
+    d = [0] * hypergraph.n
+    for v in hypergraph._members:
+        d[v] += 1
     return d
 
 
-def _degree_guarantee(hypergraph: Hypergraph, k=None) -> tuple:
-    """``(k, bound)`` on a valid hypergraph: k defaults to the rank (1 if
-    edgeless), else must be an exact positive integer (``3.0`` reads as 3,
-    ``3.5`` and ``"3"`` are refused by :func:`_exact_int`); ``bound[v]`` =
-    max(1, floor(d_H(v)/k)), the tree degree promised to v, or 0 when
-    n <= 1.  The list is kept for the last k and is read only."""
+def _read_k(hypergraph: Hypergraph, k=None, least: int = 1) -> int:
+    """k as the package reads it, on a hypergraph :func:`validate` accepts
+    (refused first otherwise), building no per-vertex list: the rank (1 if
+    edgeless) when k is None, else an exact integer (``3.0`` reads as 3,
+    ``3.5`` and ``"3"`` are refused by :func:`_exact_int`), refused below
+    1 and, where ``least`` is the rank, below it."""
     _require_valid(hypergraph)
     if k is None:
-        k = max(hypergraph.rank(), 1)
-    elif (k := _exact_int(k)) < 1:
+        return max(hypergraph.rank(), 1)
+    if (k := _exact_int(k)) < 1:
         raise ValueError("k must be positive")
+    if k < least:
+        raise ValueError(f"k={k} is below the rank {least}")
+    return k
+
+
+def _degree_guarantee(hypergraph: Hypergraph, k=None) -> tuple:
+    """``(k, bound)``: k as :func:`_read_k` reads it, at any rank, and
+    ``bound[v]`` = max(1, floor(d_H(v)/k)), the tree degree promised to v,
+    or 0 when n <= 1.  The list is kept for the last k and is read only."""
+    k = _read_k(hypergraph, k)
     memo = hypergraph.__dict__.get("_bound")
     if memo is None or memo[0] != k:
         degrees = _degrees(hypergraph)
         least = 1 if hypergraph.n > 1 else 0  # a tree on one vertex has no edge
         per_degree = {d: max(least, d // k) for d in set(degrees)}
-        memo = (k, list(map(per_degree.__getitem__, degrees)))
-        object.__setattr__(hypergraph, "_bound", memo)
+        memo = hypergraph.__dict__["_bound"] = (k, list(map(per_degree.__getitem__, degrees)))
     return k, memo[1]
 
 

@@ -128,9 +128,7 @@ def brute_force_shrink(hypergraph: Hypergraph, limit: int = 10**6):
         if len(set(pairs)) != m:
             continue
         uf = UnionFind(n)
-        if not all(uf.union(u, v) for u, v in pairs):
-            continue
-        if uf.components != 1:
+        if not all(uf.union(u, v) for u, v in pairs):  # n - 1 unions: one component
             continue
         tree_deg = [0] * n
         for u, v in pairs:

@@ -40,7 +40,10 @@ floor orientation of every non-hub input with |E| = n - 1 start from,
 with their violator, the one negative certificate of both ``check`` and
 ``shrink``, which :func:`_certify` checks once, before it is remembered,
 counting e*(F) itself from the trusted ids;
-:func:`_incidence` keeps the incidence lists, once per hypergraph.
+:func:`_incidence` keeps the incidence lists, once per hypergraph.  Both
+memos, and :func:`_hub_like`'s answer, are kept by
+:func:`~hypershrink.core._remembered`.  The floor demands read k through
+:func:`~hypershrink.core._read_k`, as every k of the package is read.
 """
 
 from itertools import compress, count, repeat
@@ -51,8 +54,9 @@ from .core import (
     DirectedHypergraph,
     Hypergraph,
     InternalError,
-    _degree_guarantee,
     _degrees,
+    _read_k,
+    _remembered,
     _require_valid,
     _Value,
 )
@@ -79,15 +83,14 @@ class OrientationResult(_Value):
         return self.oriented is not None
 
 
+@_remembered("_incident")
 def _incidence(hypergraph: Hypergraph) -> list:
     """incident[v]: the indices of the hyperedges containing v, ascending,
     built once per hypergraph and remembered on it, so read only."""
-    if (incident := hypergraph.__dict__.get("_incident")) is None:
-        incident = [[] for _ in range(hypergraph.n)]
-        for i, e in enumerate(hypergraph.edges):
-            for v in e:
-                incident[v].append(i)
-        object.__setattr__(hypergraph, "_incident", incident)
+    incident = [[] for _ in range(hypergraph.n)]
+    for i, e in enumerate(hypergraph.edges):
+        for v in e:
+            incident[v].append(i)
     return incident
 
 
@@ -280,29 +283,27 @@ def _certify(hypergraph: Hypergraph, violator: tuple, demand: int) -> tuple:
     return demand, met
 
 
+@_remembered("_tight")
 def _tight_heads(hypergraph: Hypergraph) -> tuple:
     """``_orient``'s ``(heads, violator)`` for demand 0 at vertex 0 and 1
     elsewhere, built once per hypergraph and remembered on it, so read only,
     once :func:`_certify` passes the violator (nothing is remembered if not)."""
-    if (tight := hypergraph.__dict__.get("_tight")) is None:
-        tight = _orient(hypergraph, [0] + [1] * (hypergraph.n - 1))
-        if (violator := tight[1]) is not None:
-            _certify(hypergraph, violator, len(violator) - (0 in violator))
-        object.__setattr__(hypergraph, "_tight", tight)
+    tight = _orient(hypergraph, [0] + [1] * (hypergraph.n - 1))
+    if (violator := tight[1]) is not None:
+        _certify(hypergraph, violator, len(violator) - (0 in violator))
     return tight
 
 
+@_remembered("_hub")
 def _hub_like(hypergraph: Hypergraph) -> bool:
-    """Whether a vertex has floor demand f = d // k (k the rank, 1 if
-    edgeless) with k * f * f > n, so that from the tight heads it needs f
-    repairs, each longer than the last: a measured rule.  Remembered on
-    the hypergraph, which the shrink path asks three times."""
-    if (hub := hypergraph.__dict__.get("_hub")) is None:
-        k = max(hypergraph.rank(), 1)
-        f = max(_degrees(hypergraph), default=0) // k
-        hub = k * f * f > hypergraph.n
-        object.__setattr__(hypergraph, "_hub", hub)
-    return hub
+    """Whether a vertex has floor demand f = d // k (k as
+    :func:`~hypershrink.core._read_k` defaults it) with k * f * f > n, so
+    that from the tight heads it needs f repairs, each longer than the
+    last: a measured rule.  Remembered on the hypergraph, which the shrink
+    path asks three times."""
+    k = _read_k(hypergraph)
+    f = max(_degrees(hypergraph), default=0) // k
+    return k * f * f > hypergraph.n
 
 
 def orient_with_demands(hypergraph: Hypergraph, demands) -> OrientationResult:
@@ -370,14 +371,14 @@ def is_hypertree(hypergraph: Hypergraph) -> bool:
     if violator is not None:
         return False
     incident = _incidence(hypergraph)
-    reached = bytearray(n)
-    reached[0] = 1
+    reached = [False] * n  # a list's subscripts specialise, a bytearray's do not
+    reached[0] = True
     order = [0]
     for x in order:  # grows while it is read: breadth first
         for i in incident[x]:
             y = heads[i]
             if not reached[y]:
-                reached[y] = 1
+                reached[y] = True
                 order.append(y)
     return len(order) == n
 
@@ -387,27 +388,22 @@ def floor_demand(hypergraph: Hypergraph, k: int) -> DemandFunction:
 
     Requires k >= rank (``None`` reads as the rank, 1 if edgeless): the
     feasibility argument charges each hyperedge at most |e| * (1/k) <= 1
-    against the incident-edge count.
+    against the incident-edge count.  k is read by
+    :func:`~hypershrink.core._read_k`, which builds no per-vertex list.
     """
-    return DemandFunction(_floor_needs(hypergraph, k)[1])
-
-
-def _floor_needs(hypergraph: Hypergraph, k) -> tuple:
-    """``(k, needs)``: k as :func:`floor_demand` reads and refuses it, and
-    floor(degree(v) / k) for every v as a fresh list."""
-    k, _ = _degree_guarantee(hypergraph, k)  # refuses an invalid hypergraph, then k < 1
-    if k < hypergraph.rank():
-        raise ValueError(f"k={k} is below the rank {hypergraph.rank()}")
-    return k, list(map(floordiv, _degrees(hypergraph), repeat(k)))
+    k = _read_k(hypergraph, k, hypergraph.rank())
+    return DemandFunction(list(map(floordiv, _degrees(hypergraph), repeat(k))))
 
 
 def orient_floor(hypergraph: Hypergraph, k: int = None) -> DirectedHypergraph:
     """Orientation with indegree(v) >= floor(degree(v)/k) for every v.
 
-    ``k`` defaults to the rank, or 1 for an edgeless hypergraph.  Every
-    non-hub input with |E| = n - 1 starts from its tight heads (complete
-    even where their repairs failed) and repairs what they leave short;
-    the rest get :func:`_orient`'s greedy pass.  Floor
+    ``k`` defaults to the rank, or 1 for an edgeless hypergraph, and is
+    read and refused as :func:`floor_demand` reads it; an edgeless
+    hypergraph then gets the empty orientation before any per-vertex list
+    is built.  Every non-hub input with |E| = n - 1 starts from its tight
+    heads (complete even where their repairs failed) and repairs what they
+    leave short; the rest get :func:`_orient`'s greedy pass.  Floor
     demands are always feasible for k >= rank (each hyperedge meets at
     most k vertices, so no vertex set can demand more heads than it has
     incident hyperedges), so a violator outcome here means the
@@ -419,7 +415,10 @@ def orient_floor(hypergraph: Hypergraph, k: int = None) -> DirectedHypergraph:
     every repair pick it from that hyperedge's own members, which are the
     hypergraph's exact ints.
     """
-    k, need = _floor_needs(hypergraph, k)
+    k = _read_k(hypergraph, k, hypergraph.rank())
+    if not hypergraph.edges:
+        return DirectedHypergraph._trusted(hypergraph, ())
+    need = list(map(floordiv, _degrees(hypergraph), repeat(k)))
     if hypergraph.num_edges == hypergraph.n - 1 and not _hub_like(hypergraph):
         heads = _tight_heads(hypergraph)[0]
         for h in heads:

@@ -84,8 +84,7 @@ class Shrinking(_Value):
             for v in chain.from_iterable(self.tree):
                 if 0 <= v < n:
                     d[v] += 1
-            memo = (n, d)
-            object.__setattr__(self, "_tree_degrees", memo)
+            memo = self.__dict__["_tree_degrees"] = (n, d)
         return memo[1].copy()
 
 
@@ -199,7 +198,7 @@ def verify_shrinking(hypergraph: Hypergraph, shrinking: Shrinking, k: int = None
                 break
             parent[b] = a  # as UnionFind.union links: v's root under u's
         if tree_ok:  # every endpoint counted, all in range: tree_degrees(n)
-            object.__setattr__(shrinking, "_tree_degrees", (n, degree))
+            shrinking.__dict__["_tree_degrees"] = (n, degree)
     checks.append(VerificationCheck("spanning-tree", tree_ok, detail))
 
     assignment, edges = shrinking.assignment, hypergraph.edges

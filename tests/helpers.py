@@ -220,6 +220,65 @@ def sweep_tree_count_hypergraphs(n: int, max_rank: int = None) -> tuple:
     return tally, disagreements
 
 
+def brute_rainbow_forest_size(graph: ColouredGraph) -> int:
+    """The most edges of a forest taking at most one edge per colour: every
+    colour in turn is left out or gives one edge joining two components,
+    each state (colour, component labels) searched once."""
+    known = {}
+
+    def best(c: int, labels: tuple) -> int:
+        if c == graph.num_colours:
+            return 0
+        if (c, labels) not in known:
+            most = best(c + 1, labels)
+            for i in graph._classes[c]:
+                u, v, _ = graph.edges[i]
+                if labels[u] != labels[v]:
+                    merged = tuple(labels[u] if x == labels[v] else x for x in labels)
+                    most = max(most, 1 + best(c + 1, merged))
+            known[c, labels] = most
+        return known[c, labels]
+
+    return best(0, tuple(range(graph.n)))
+
+
+def sweep_coloured_graphs(n: int, colours: int) -> tuple:
+    """Check every :class:`ColouredGraph` on n >= 1 vertices with exactly
+    ``colours`` colour classes, each a nonempty set of vertex pairs (the
+    edgeless graph when ``colours`` is 0), against the exhaustive oracles:
+    ``(tally, disagreements)``.  With p = n(n-1)/2 pairs there are
+    (2^p - 1)^colours of them.  ``maximum_rainbow_forest`` must return
+    edges of the graph with distinct colours and no cycle, as many as
+    :func:`brute_rainbow_forest_size`; it spans exactly when
+    ``check_rainbow_condition`` is None and exactly when
+    ``rainbow_spanning_tree`` is not None.  ``tally`` counts the graphs
+    and those with a rainbow spanning tree; ``disagreements`` lists one
+    line per failed check."""
+    tally = collections.Counter()
+    disagreements = []
+    pairs = list(itertools.combinations(range(n), 2))
+    classes = [
+        [pair for bit, pair in enumerate(pairs) if mask >> bit & 1] for mask in range(1, 1 << len(pairs))
+    ]
+    for chosen in itertools.product(classes, repeat=colours):
+        graph = ColouredGraph(n, tuple((u, v, c) for c, members in enumerate(chosen) for u, v in members))
+        tally["graphs"] += 1
+        forest = hypershrink.maximum_rainbow_forest(graph)
+        spans = len(forest) == n - 1
+        tally["spanning"] += spans
+        if not set(forest) <= set(graph.edges) or len({c for _, _, c in forest}) != len(forest):
+            disagreements.append(f"{graph}: forest {forest} is not rainbow")
+        elif component_count(n, [(u, v) for u, v, _ in forest]) != n - len(forest):
+            disagreements.append(f"{graph}: forest {forest} has a cycle")
+        if len(forest) != brute_rainbow_forest_size(graph):
+            disagreements.append(f"{graph}: forest {forest} is not maximum")
+        if spans != (hypershrink.check_rainbow_condition(graph) is None):
+            disagreements.append(f"{graph}: spans is {spans}, against the rainbow condition")
+        if spans != (hypershrink.rainbow_spanning_tree(graph) is not None):
+            disagreements.append(f"{graph}: spans is {spans}, against rainbow_spanning_tree")
+    return tally, disagreements
+
+
 def break_hypertree(hg: Hypergraph) -> Hypergraph:
     """Add a pair {u, w} beside two pairs {u, v} and {v, w} and drop a
     hyperedge disjoint from {u, v, w}.  The edge count stays n - 1 while

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -292,6 +293,43 @@ def test_gen_unwritable_witness_prints_nothing(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: cannot write" in captured.err
+
+
+def test_floor_k_is_read_without_the_degree_guarantee(h1_file, monkeypatch, capsys):
+    # orient_floor, floor_demand and orient --k read k alone; the per-vertex
+    # bound of the degree guarantee is built only where it is reported
+    def refuse(*args):
+        raise AssertionError("the degree guarantee was built to read k")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hypershrink.") and hasattr(module, "_degree_guarantee"):
+            monkeypatch.setattr(module, "_degree_guarantee", refuse)
+    hg = hypershrink.hypergraph_from_json(H1_JSON)
+    assert hypershrink.floor_demand(hg, 3).values == (0, 0, 1, 0)
+    assert hypershrink.orient_floor(hg, None).heads == hypershrink.orient_floor(hg, 4).heads
+    for argv in (["orient", "--k", "3", h1_file], ["orient", h1_file]):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["heads"]
+    assert main(["orient", "--k", "2", h1_file]) == 2
+    assert capsys.readouterr().err == "error: k=2 is below the rank 3\n"
+
+
+def test_dir_lists_every_public_name_and_the_lazy_modules():
+    names = dir(hypershrink)
+    assert names == sorted(names)
+    assert set(hypershrink.__all__) <= set(names)
+    assert {"dot", "gen", "oracles", "rainbow", "shrink"} <= set(names)
+
+
+def test_the_cli_module_runs_as_a_script(h1_file, monkeypatch, capsys):
+    # python -m hypershrink.cli, run in this process: a fresh __main__
+    # module, whose exit code is main's
+    monkeypatch.delitem(sys.modules, "hypershrink.cli")
+    monkeypatch.setattr(sys, "argv", ["hypershrink", "validate", h1_file])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("hypershrink.cli", run_name="__main__", alter_sys=True)
+    assert info.value.code == 0
+    assert capsys.readouterr().out == "valid: 4 vertices, 3 hyperedges\n"
 
 
 def test_gen_rejects_bad_k(capsys):

@@ -371,6 +371,18 @@ def test_json_parser_names_the_first_bad_edge(edges, index):
         hypergraph_from_json(text)
 
 
+@pytest.mark.parametrize("edges", ["{}", '"0 1"', "null", "3"])
+def test_json_edges_that_are_not_a_list_are_refused(edges):
+    with pytest.raises(FormatError, match='^"edges" must be a list$'):
+        hypergraph_from_json(f'{{"n": 3, "edges": {edges}}}')
+
+
+def test_a_validation_report_is_true_exactly_when_it_is_ok():
+    assert bool(validate(H1)) is True
+    report = validate(Hypergraph(3, ((0, 1), (1, 1))))
+    assert bool(report) is False and not report.ok
+
+
 def test_text_parse_errors():
     with pytest.raises(FormatError):
         hypergraph_from_text("")

@@ -53,6 +53,12 @@ def test_certified_counts_are_remembered_on_the_result():
     assert orient_with_demands(PATH3, (1, 1, 1))._certificate == (3, 2)
 
 
+@pytest.mark.parametrize("fields", [{}, {"oriented": DirectedHypergraph(PATH3, (0, 1)), "violator": (0,)}])
+def test_an_orientation_result_holds_exactly_one_field(fields):
+    with pytest.raises(ValueError, match="^exactly one of oriented/violator must be set$"):
+        OrientationResult(**fields)
+
+
 def test_single_demand_met():
     result = orient_with_demands(PATH3, (0, 1, 0))
     assert result.is_oriented
@@ -424,6 +430,17 @@ def test_edgeless_orientations_build_no_incidence_lists(monkeypatch):
     assert orient_floor(hg).heads == ()
     assert orient_with_demands(hg, [0] * hg.n).oriented.heads == ()
     assert built == []
+
+
+def test_edgeless_orient_floor_reads_k_and_builds_no_degree_list():
+    # k is read and a bad k refused, then the empty orientation is returned
+    # before any per-vertex list, the degrees included, is built
+    hg = Hypergraph(10**5, ())
+    assert orient_floor(hg).heads == () and orient_floor(hg, 4).heads == ()
+    for k, message in ((0, "k must be positive"), (1.5, "1.5 is not an integer")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            orient_floor(hg, k)
+    assert "_degrees" not in vars(hg) and "_bound" not in vars(hg)
 
 
 def test_shrink_builds_the_incidence_lists_once(monkeypatch):

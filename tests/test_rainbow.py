@@ -52,6 +52,7 @@ from helpers import (
     relabelled,
     rooted_forest,
     sort_key_greedy,
+    sweep_coloured_graphs,
 )
 
 
@@ -69,6 +70,21 @@ def brute_max_rainbow_forest(graph: ColouredGraph) -> int:
         if best:
             break
     return best
+
+
+def test_every_small_coloured_graph_agrees_with_the_oracles():
+    # every coloured graph on n <= 3 vertices with at most 3 colours, and on
+    # 4 vertices with at most 2, edgeless ones included, not a sample: the
+    # engine's forest is rainbow, acyclic and maximum, and spans exactly
+    # when the rainbow condition holds.  CI sweeps 4 vertices, 3 colours
+    tally, disagreements = collections.Counter(), []
+    for n, most in ((1, 3), (2, 3), (3, 3), (4, 2)):
+        for colours in range(most + 1):
+            counts, failed = sweep_coloured_graphs(n, colours)
+            tally += counts
+            disagreements += failed
+    assert disagreements == []
+    assert tally == {"graphs": 4438, "spanning": 390}
 
 
 @pytest.mark.parametrize("seed", range(4))

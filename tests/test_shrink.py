@@ -110,6 +110,17 @@ def test_verify_flags_containment_failure():
     assert "0" in report["containment"].detail
 
 
+def test_a_verification_report_iterates_its_checks_and_looks_them_up_by_name():
+    report = verify_shrinking(H1, shrink_hypertree(H1))
+    assert list(report) == list(report.checks)
+    assert [check.name for check in report] == [
+        "spanning-tree", "containment", "bijection", "degree-floor-bound", "halving-corollary", "hundredth-bound",
+    ]
+    assert report["bijection"] is report.checks[2]
+    with pytest.raises(KeyError):
+        report["no-such-check"]
+
+
 def test_verify_names_an_assignment_of_the_wrong_length():
     tree = ((0, 1), (1, 2), (2, 3))
     for assignment, detail in (

@@ -27,8 +27,8 @@ from hypershrink import (
     star_graph,
     validate,
 )
-from hypershrink.core import _degree_guarantee
-from hypershrink.orientation import _incidence
+from hypershrink.core import _degree_guarantee, _degrees
+from hypershrink.orientation import _hub_like, _incidence, _tight_heads
 from hypershrink.shrink import VerificationCheck
 
 PATH = Hypergraph(3, ((0, 1), (1, 2)))
@@ -173,6 +173,29 @@ def test_memos_stay_out_of_equality_hash_and_repr():
     assert "_tree_degrees" in vars(shrinking)
     assert [(hash(value), repr(value)) for value in values] == before
     assert values == (Hypergraph(4, ((0, 1, 2), (1, 2, 3))), Shrinking(((0, 1), (1, 2)), (1, 0)))
+
+
+@pytest.mark.parametrize(
+    "function, name",
+    [
+        (Hypergraph.rank, "_rank"),
+        (validate, "_report"),
+        (_degrees, "_degrees"),
+        (_incidence, "_incident"),
+        (_tight_heads, "_tight"),
+        (_hub_like, "_hub"),
+    ],
+)
+def test_lazy_memos_are_built_once_and_kept_in_the_dict(function, name):
+    # each is built on the first call, kept under its name and handed back
+    # as the same object after; the built function stays reachable
+    hypergraph = Hypergraph(4, ((0, 1, 2), (1, 2, 3)))
+    assert name not in vars(hypergraph)
+    first = function(hypergraph)
+    assert vars(hypergraph)[name] is first
+    assert function(hypergraph) is first
+    assert function.__wrapped__(hypergraph) == first
+    assert function.__name__ == function.__wrapped__.__name__
 
 
 def test_positional_match_patterns():
